@@ -42,6 +42,7 @@ from .analysis import (
     SarwateCheck,
     SolutionSet,
     SquareIdentitySummary,
+    SubfieldIdentities,
     character_sum_from_multiset,
     character_sum_square_identities,
     check_bound,
@@ -53,6 +54,7 @@ from .analysis import (
     exponent_profile,
     sextic_census,
     subfield_character_sum,
+    subfield_identities,
     walsh_from_solutions,
     walsh_solution_set,
     weighted_walsh_identity,

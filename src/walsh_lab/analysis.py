@@ -214,45 +214,138 @@ class SquareIdentitySummary:
     c: int
 
     @property
+    def total_residual(self) -> int:
+        return self.total - (1 << (2 * self.t)) * self.boundary_count
+
+    @property
+    def coset_residual(self) -> int:
+        return self.coset_total - (1 << self.t) * self.off_subfield_boundary
+
+    @property
     def total_identity(self) -> bool:
-        return self.total == (1 << (2 * self.t)) * self.boundary_count
+        return self.total_residual == 0
 
     @property
     def coset_identity(self) -> bool:
-        return self.coset_total == (1 << self.t) * self.off_subfield_boundary
+        return self.coset_residual == 0
 
     @property
     def holds(self) -> bool:
         return self.total_identity and self.coset_identity
 
 
-def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
-    """Vectorized check of both square-sum identities:
-    sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F, and
-    sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
-    t = _need_even(field)
-    if d < 1:
-        raise DomainError(f"exponent must be positive, got {d}")
-    signs = truth_table(field, d).signs
+def _subfield_character_sums(field: Field, signs: np.ndarray) -> np.ndarray:
+    """M_b for every element b, indexed by b: 2^t shifted sums of the sign table."""
     idx = np.arange(field.q)
     msums = np.zeros(field.q, dtype=np.int64)
     for x in field.subfield_elements():
         msums += signs[idx ^ x]
+    return msums
+
+
+def _coset_points(field: Field, c: int) -> np.ndarray:
+    """b = u*c for u in L*, u ascending: the points of the weighted identities
+    and of the coset square sum."""
+    return np.array([field.mul(u, c) for u in field.subfield_elements() if u], dtype=np.int64)
+
+
+def _square_identities(field: Field, d: int, msums: np.ndarray, c: int,
+                       points: np.ndarray) -> SquareIdentitySummary:
     total = int((msums * msums).sum())
     powers = field.power_map(d)
     in_l = field.in_subfield_mask()
-    boundary = in_l[powers[idx ^ 1] ^ powers]
-    boundary_count = int(boundary.sum())
-    off = int((boundary & ~in_l).sum())
+    boundary = in_l[powers[np.arange(field.q) ^ 1] ^ powers]
+    coset = msums[points]
+    return SquareIdentitySummary(t=field.t, total=total, coset_total=int((coset * coset).sum()),
+                                 boundary_count=int(boundary.sum()),
+                                 off_subfield_boundary=int((boundary & ~in_l).sum()), c=c)
+
+
+def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
+    """Vectorized check of both square-sum identities:
+    sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F, and
+    sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
+    _need_even(field)
+    if d < 1:
+        raise DomainError(f"exponent must be positive, got {d}")
+    msums = _subfield_character_sums(field, truth_table(field, d).signs)
     c, _ = _resolve_c(field, None, None, prefer_five=False)
-    coset_total = 0
-    for u in field.subfield_elements():
-        if u:
-            v = int(msums[field.mul(u, c)])
-            coset_total += v * v
-    return SquareIdentitySummary(t=t, total=total, coset_total=coset_total,
-                                 boundary_count=boundary_count,
-                                 off_subfield_boundary=off, c=c)
+    return _square_identities(field, d, msums, c, _coset_points(field, c))
+
+
+# -- all identities in one pass ------------------------------------------------
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    """Bit parity of each entry of a non-negative int64 array below 2^32."""
+    for shift in (16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+@dataclass(frozen=True)
+class SubfieldIdentities:
+    """Everything the identities subcommand reports for one exponent.
+
+    The lemma residuals are sum_a W_d(a) - 2^m and sum_a W_d(a)^2 - 2^(2m).
+    For even m, subfield_walsh holds W_d(a) for a over subfield_elements(),
+    character_sums holds M_b indexed by the element b, lhs and rhs are the
+    two sides of weighted_walsh_identity at each b in points (b = u*c for
+    u in L*, c the designated generator of order 2^t + 1), and square is
+    character_sum_square_identities.  All of these are None for odd m.
+    """
+
+    sum_residual: int
+    square_sum_residual: int
+    subfield_walsh: np.ndarray | None = None
+    character_sums: np.ndarray | None = None
+    points: np.ndarray | None = None
+    lhs: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+    square: SquareIdentitySummary | None = None
+
+    @property
+    def weighted_max_abs_residual(self) -> int:
+        return int(np.abs(self.lhs - self.rhs).max())
+
+
+def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
+    """Lemma moments, weighted identities and square identities from one truth
+    table and one butterfly.
+
+    W_d(a) is read from the butterfly at dual_index(a).  M_b comes from the
+    sign table by direct shifted sums, not from the butterfly: L is its own
+    trace dual, so M_b = 2^-t sum_{a in L} W_d(a) (-1)^Tr(a*b), and taking
+    both sides from one transform would make the weighted identity hold by
+    construction.
+    """
+    table = truth_table(field, d)
+    arr = fwht(table)
+    # By Parseval the squares sum to exactly 2^(2m) <= 2^56 and every partial
+    # sum is smaller, so int64 accumulation is exact.
+    sum_residual = int(arr.sum()) - field.q
+    square_sum_residual = int((arr * arr).sum()) - field.q * field.q
+    if field.t is None:
+        return SubfieldIdentities(sum_residual, square_sum_residual)
+    elems = field.subfield_elements()
+    w_sub = arr[[field.dual_index(a) for a in elems]]
+    msums = _subfield_character_sums(field, table.signs)
+    c, _ = _resolve_c(field, None, None, prefer_five=False)
+    points = _coset_points(field, c)
+
+    # sum_{a in L} W_d(a) (-1)^Tr(b*a) with Tr(b*a) = parity(dual_index(b) & a);
+    # the (b, a) matrix has (2^t - 1) * 2^t < q entries, like the arrays above.
+    sub = np.array(elems, dtype=np.int64)
+    duals = np.array([field.dual_index(int(b)) for b in points], dtype=np.int64)
+    paired = (1 - 2 * _parity(duals[:, None] & sub[None, :])) @ w_sub
+
+    mb = msums[points]
+    eps = np.where(mb <= 0, 1, -1)
+    return SubfieldIdentities(sum_residual, square_sum_residual,
+                              subfield_walsh=w_sub, character_sums=msums, points=points,
+                              lhs=w_sub.sum() - eps * paired,
+                              rhs=field.q + (1 << field.t) * np.abs(mb),
+                              square=_square_identities(field, d, msums, c, points))
 
 
 # -- solution-set route to Walsh coefficients ----------------------------------

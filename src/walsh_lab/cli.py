@@ -16,13 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 from . import __version__
-from .analysis import (
-    character_sum_square_identities,
-    check_bound,
-    check_sarwate,
-    sextic_census,
-    weighted_walsh_identity,
-)
+from .analysis import check_bound, check_sarwate, sextic_census, subfield_identities
 from .code import is_degenerate_exponent, weight_distribution
 from .errors import DomainError, ResourceLimitError, WalshLabError
 from .field import DEFAULT_TABLE_CAP, make_field
@@ -212,37 +206,27 @@ def cmd_identities(args) -> int:
     m = _resolve_m(args)
     _guard(m, args.force, SPECTRUM_GUARD_M, "identities")
     if m % 2 == 0:
-        # the subfield checks below sweep q^(3/2) coefficient sums
+        # the subfield sums M_b take 2^t passes over all q elements: q^(3/2)
         _guard(m, args.force, SQUARE_SUM_GUARD_M, "square-sum identities")
     fld = _make_field(args, m)
-    spec = walsh_spectrum(fld, args.d)
-    residuals = {
-        "sum_residual": spec.moment(1) - fld.q,
-        "square_sum_residual": spec.moment(2) - fld.q * fld.q,
+    rep = subfield_identities(fld, args.d)
+    meta: dict = {
+        "lemma": {
+            "sum_residual": rep.sum_residual,
+            "square_sum_residual": rep.square_sum_residual,
+        },
+        "weighted": None,
+        "square": None,
     }
-    meta: dict = {"lemma": residuals}
-    bad = residuals["sum_residual"] != 0 or residuals["square_sum_residual"] != 0
-    if fld.t is not None:
-        c = fld.designated_generator((1 << fld.t) + 1)
-        worst = 0
-        checked = 0
-        for u in fld.subfield_elements():
-            if u == 0:
-                continue
-            chk = weighted_walsh_identity(fld, args.d, fld.mul(u, c))
-            worst = max(worst, abs(chk.lhs - chk.rhs))
-            checked += 1
-        sq = character_sum_square_identities(fld, args.d)
-        meta["weighted"] = {"max_abs_residual": worst, "checked": checked}
+    bad = rep.sum_residual != 0 or rep.square_sum_residual != 0
+    if rep.square is not None:
+        worst = rep.weighted_max_abs_residual
+        meta["weighted"] = {"max_abs_residual": worst, "checked": len(rep.points)}
         meta["square"] = {
-            "total_residual": sq.total - (1 << (2 * fld.t)) * sq.boundary_count,
-            "coset_residual": sq.coset_total - (1 << fld.t) * sq.off_subfield_boundary,
+            "total_residual": rep.square.total_residual,
+            "coset_residual": rep.square.coset_residual,
         }
-        bad = bad or worst != 0 or meta["square"]["total_residual"] != 0 \
-            or meta["square"]["coset_residual"] != 0
-    else:
-        meta["weighted"] = None
-        meta["square"] = None
+        bad = bad or worst != 0 or not rep.square.holds
     _write_out(args, _payload(m, args.d, fld.modulus, "identities", [], meta))
     return 1 if bad else 0
 
@@ -290,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="run a spectral bound check over every invertible d")
     p.add_argument("--check", choices=("sarwate", "bound"), required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: WALSH_LAB_THREADS or cpu count)")
+                   help="worker threads (default: WALSH_LAB_THREADS, else min(8, cpu count))")
     _add_common(p, with_format=True)
     p.set_defaults(func=cmd_scan)
 

@@ -21,6 +21,7 @@ from walsh_lab import (
     make_field,
     sextic_census,
     subfield_character_sum,
+    subfield_identities,
     walsh_coefficient,
     walsh_from_solutions,
     walsh_solution_set,
@@ -167,6 +168,59 @@ class TestSquareIdentities:
         assert summary.coset_identity
         assert summary.holds
         assert summary.boundary_count >= summary.off_subfield_boundary
+
+    @pytest.mark.parametrize("m", [8, 10])
+    def test_hold_whenever_d_permutes_subfield_units(self, m):
+        # The proof substitutes b -> z*b and sums over z^d as z runs over L*,
+        # which needs z -> z^d to permute L*: gcd(d, 2^t - 1) = 1.
+        f = make_field(m)
+        sub_order = (1 << (m // 2)) - 1
+        failing = [d for d in range(1, 200)
+                   if gcd(d, sub_order) == 1 and not character_sum_square_identities(f, d).holds]
+        assert failing == []
+
+
+# (m, modulus, d): the default and one other primitive modulus per m; each d
+# list has an exponent with gcd(d, 2^t - 1) > 1.
+ONE_PASS_CASES = [
+    (m, modulus, d)
+    for m, moduli, ds in (
+        (6, (None, 0x61), (19, 7, 21)),
+        (8, (None, 0x12B), (35, 3, 5)),
+        (10, (None, 0x41B), (67, 31, 93)),
+    )
+    for modulus in moduli
+    for d in ds
+]
+
+
+class TestSubfieldIdentities:
+    """The one-pass route against the per-point oracles."""
+
+    @pytest.mark.parametrize("m,modulus,d", ONE_PASS_CASES)
+    def test_weighted_identities_match_oracle(self, m, modulus, d):
+        f = make_field(m, modulus)
+        rep = subfield_identities(f, d)
+        assert rep.points.size == (1 << (m // 2)) - 1
+        for b, lhs, rhs in zip(rep.points, rep.lhs, rep.rhs):
+            chk = weighted_walsh_identity(f, d, int(b))
+            assert (lhs, rhs) == (chk.lhs, chk.rhs), f"b={b}"
+
+    @pytest.mark.parametrize("m,modulus,d", ONE_PASS_CASES)
+    def test_character_sums_match_oracle(self, m, modulus, d):
+        f = make_field(m, modulus)
+        msums = subfield_identities(f, d).character_sums
+        assert [int(v) for v in msums] == [
+            subfield_character_sum(f, d, b).value for b in range(f.q)
+        ]
+
+    @pytest.mark.parametrize("m,modulus,d", ONE_PASS_CASES)
+    def test_subfield_walsh_matches_oracle(self, m, modulus, d):
+        f = make_field(m, modulus)
+        walsh = subfield_identities(f, d).subfield_walsh
+        assert [int(w) for w in walsh] == [
+            walsh_coefficient(f, d, a) for a in f.subfield_elements()
+        ]
 
 
 class TestSolutionSets:

@@ -175,6 +175,16 @@ class TestIdentitiesCommand:
         assert meta["weighted"] == {"checked": 7, "max_abs_residual": 0}
         assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
 
+    def test_m16_runs_without_force(self, capsys):
+        # gcd(259, 2^16 - 1) = gcd(259, 2^8 - 1) = 1, and m = 16 is within the
+        # square-sum guard
+        code, out, _ = run(capsys, "identities", "--m", "16", "--d", "259")
+        assert code == 0
+        meta = parse(out)["meta"]
+        assert meta["lemma"] == {"square_sum_residual": 0, "sum_residual": 0}
+        assert meta["weighted"] == {"checked": 255, "max_abs_residual": 0}
+        assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
+
     def test_odd_degree_runs_lemma_only(self, capsys):
         code, out, _ = run(capsys, "identities", "--m", "5", "--d", "3")
         assert code == 0
