@@ -10,6 +10,7 @@ from .errors import (
 )
 from .field import DEFAULT_TABLE_CAP, PRIMITIVE_POLY, Field, make_field, mod_inverse
 from .walsh import (
+    Histogram,
     Spectrum,
     TruthTable,
     fwht,

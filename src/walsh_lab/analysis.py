@@ -21,14 +21,8 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .field import Field, mod_inverse
-from .walsh import (
-    _validate_element,
-    fwht,
-    truth_table,
-    walsh_coefficient,
-    walsh_spectrum,
-)
+from .field import Field, mod_inverse, parity
+from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
 
 
 def _v2(n: int) -> int:
@@ -36,15 +30,9 @@ def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _need_even(field: Field) -> int:
-    if field.t is None:
-        raise DomainError(f"operation needs m = 2t, but m = {field.m} is odd")
-    return field.t
-
-
 def _resolve_c(field: Field, c: int | None, subgroup_order: int | None, prefer_five: bool) -> tuple[int, int]:
     """Pick (c, order of c).  c must satisfy c != 1 and c^(2^t + 1) = 1."""
-    t = _need_even(field)
+    t = field.need_even()
     full = (1 << t) + 1
     if c is not None:
         if c == 1 or field.pow(c, full) != 1:
@@ -115,10 +103,9 @@ class CharacterSum:
 
 
 def subfield_character_sum(field: Field, d: int, b: int) -> CharacterSum:
-    _need_even(field)
-    if d < 1:
-        raise DomainError(f"exponent must be positive, got {d}")
-    _validate_element(field, b, "b")
+    field.need_even()
+    field.check_exponent(d)
+    field.check_element(b, "b")
     total = 0
     for x in field.subfield_elements():
         total += 1 - 2 * field.trace(field.pow(x ^ b, d))
@@ -141,8 +128,8 @@ class IdentityCheck:
 def weighted_walsh_identity(field: Field, d: int, b: int) -> IdentityCheck:
     """Check sum_{a in L} W_d(a) * p_b(a) = 2^m + 2^t |M_b| for b outside L,
     where p_b(a) = 1 - (-1)^Tr(b*a) * epsilon_b."""
-    t = _need_even(field)
-    _validate_element(field, b, "b")
+    t = field.need_even()
+    field.check_element(b, "b")
     if field.in_subfield(b):
         raise DomainError("b must lie outside the subfield L")
     cs = subfield_character_sum(field, d, b)
@@ -158,26 +145,19 @@ def weighted_walsh_identity(field: Field, d: int, b: int) -> IdentityCheck:
 
 
 @dataclass(frozen=True)
-class PowerMultiset:
+class PowerMultiset(Histogram):
     """Multiset {(x + c)^d + (x + cbar)^d : x in L}, recorded as (element, count)."""
 
     d: int
     c: int
     c_order: int
-    coeffs: tuple[tuple[int, int], ...]
-
-    def total(self) -> int:
-        return sum(n for _, n in self.coeffs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
+    entries: tuple[tuple[int, int], ...]
 
 
 def conjugate_power_multiset(field: Field, d: int, c: int | None = None,
                              subgroup_order: int | None = None) -> PowerMultiset:
-    t = _need_even(field)
-    if d < 1:
-        raise DomainError(f"exponent must be positive, got {d}")
+    t = field.need_even()
+    field.check_exponent(d)
     c, order = _resolve_c(field, c, subgroup_order, prefer_five=False)
     cbar = field.pow(c, 1 << t)
     counts: Counter[int] = Counter()
@@ -187,7 +167,7 @@ def conjugate_power_multiset(field: Field, d: int, c: int | None = None,
         if not field.in_subfield(g):
             raise RuntimeError("multiset element escaped L; field internals are inconsistent")
     return PowerMultiset(d=d, c=c, c_order=order,
-                         coeffs=tuple(sorted(counts.items())))
+                         entries=tuple(sorted(counts.items())))
 
 
 def character_sum_from_multiset(field: Field, mult: PowerMultiset, u: int) -> int:
@@ -196,7 +176,7 @@ def character_sum_from_multiset(field: Field, mult: PowerMultiset, u: int) -> in
         raise DomainError("u must lie in the subfield L")
     ud = field.pow(u, mult.d)
     total = 0
-    for g, n in mult.coeffs:
+    for g, n in mult.entries:
         total += n * (1 - 2 * field.subfield_trace(field.mul(ud, g)))
     return total
 
@@ -265,22 +245,14 @@ def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySumma
     """Vectorized check of both square-sum identities:
     sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F, and
     sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
-    _need_even(field)
-    if d < 1:
-        raise DomainError(f"exponent must be positive, got {d}")
+    field.need_even()
+    field.check_exponent(d)
     msums = _subfield_character_sums(field, truth_table(field, d).signs)
     c, _ = _resolve_c(field, None, None, prefer_five=False)
     return _square_identities(field, d, msums, c, _coset_points(field, c))
 
 
 # -- all identities in one pass ------------------------------------------------
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of a non-negative int64 array below 2^32."""
-    for shift in (16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
 
 
 @dataclass(frozen=True)
@@ -337,7 +309,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     # the (b, a) matrix has (2^t - 1) * 2^t < q entries, like the arrays above.
     sub = np.array(elems, dtype=np.int64)
     duals = np.array([field.dual_index(int(b)) for b in points], dtype=np.int64)
-    paired = (1 - 2 * _parity(duals[:, None] & sub[None, :])) @ w_sub
+    paired = (1 - 2 * parity(duals[:, None] & sub[None, :])) @ w_sub
 
     mb = msums[points]
     eps = np.where(mb <= 0, 1, -1)
@@ -366,7 +338,7 @@ class SolutionSet:
 def walsh_solution_set(field: Field, i: int, b: int, c: int | None = None,
                        subgroup_order: int | None = None) -> SolutionSet:
     """Exhaustive scan of L for the solution set; the contract is the set itself."""
-    t = _need_even(field)
+    t = field.need_even()
     if not 1 <= i <= t - 2:
         raise DomainError(f"need 0 < i < t - 1 = {t - 1}, got i = {i}")
     if not field.in_subfield(b):
@@ -390,13 +362,11 @@ def walsh_from_solutions(field: Field, i: int, a: int, b: int, c: int | None = N
 
     a and b range over L; together a + b*cbar covers every element of F once.
     """
-    t = _need_even(field)
+    t = field.need_even()
     if not field.in_subfield(a):
         raise DomainError("a must lie in the subfield L")
     d = 1 + (1 << i) + (1 << (i + t))
-    g = gcd(d, field.order)
-    if g != 1:
-        raise DomainError(f"d = {d} shares a factor {g} with 2^m - 1")
+    field.check_invertible(d)
     ss = walsh_solution_set(field, i, b, c=c, subgroup_order=subgroup_order)
     e = 1 << (i + 1)
     theta_inv_e = field.pow(ss.theta, -e)
@@ -464,7 +434,7 @@ def dickson_value(field: Field, x: int, n: int = 5) -> int:
     """D_n(x, 1) in characteristic 2 via the recurrence D_k = x*D_(k-1) + D_(k-2)."""
     if n < 1:
         raise DomainError(f"Dickson index must be positive, got {n}")
-    _validate_element(field, x, "x")
+    field.check_element(x, "x")
     prev, cur = 0, x  # D_0 = 2 = 0, D_1 = x
     for _ in range(n - 1):
         prev, cur = cur, field.mul(x, cur) ^ prev
@@ -498,9 +468,8 @@ class BoundCheck:
 def check_bound(field: Field, d: int) -> BoundCheck:
     """Does some a != 0 reach W_d(a) > 2^t + 2^(t//2)?  (Equivalent to the
     strict minimum-distance bound for the associated code.)"""
-    t = _need_even(field)
-    if gcd(d, field.order) != 1:
-        raise DomainError("bound check needs gcd(d, 2^m - 1) = 1")
+    t = field.need_even()
+    field.check_invertible(d)
     arr = fwht(truth_table(field, d))
     return BoundCheck(d=d, max_walsh=int(arr[1:].max()),
                       bound=(1 << t) + (1 << (t // 2)))
@@ -521,9 +490,8 @@ class SarwateCheck:
 def check_sarwate(field: Field, d: int) -> SarwateCheck:
     """Does some a != 0 reach W_d(a) >= 2^(t+1)?  Conjectured to always hold;
     the witness is cross-checked against the direct-summation oracle."""
-    t = _need_even(field)
-    if gcd(d, field.order) != 1:
-        raise DomainError("threshold check needs gcd(d, 2^m - 1) = 1")
+    t = field.need_even()
+    field.check_invertible(d)
     arr = fwht(truth_table(field, d))
     threshold = 1 << (t + 1)
     mx = int(arr[1:].max())
@@ -557,15 +525,14 @@ def check_no_six(field: Field) -> NoSixReport:
     """For t = 2 mod 4, t >= 6 and d = 3 + 2^(t+1): the spectrum must not
     contain +-6 * 2^t, and for the order-5 designated c the element
     theta = c + c^-1 has order 3 with Tr_t(theta^-1) = 1."""
-    t = _need_even(field)
+    t = field.need_even()
     if t % 4 != 2 or t < 6:
         raise DomainError(f"excluded-value check needs t = 2 mod 4 and t >= 6, got t = {t}")
     d = 3 + (1 << (t + 1))
-    if gcd(d, field.order) != 1:
-        raise DomainError(f"d = {d} is not invertible mod 2^m - 1")
+    field.check_invertible(d)
     spec = walsh_spectrum(field, d)
     banned = 6 << t
-    absent = spec.multiplicity(banned) == 0 and spec.multiplicity(-banned) == 0
+    absent = spec.count(banned) == 0 and spec.count(-banned) == 0
     c = field.designated_generator(5)
     theta = c ^ field.pow(c, 1 << t)
     tr_one = field.subfield_trace(field.inv(theta)) == 1

@@ -88,18 +88,21 @@ def _guard(m: int, force: bool, limit: int, what: str) -> None:
 
 
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("WALSH_LAB_THREADS")
-    if env:
+    """--threads, else WALSH_LAB_THREADS, else min(8, cpu count); either
+    setting must be a positive integer."""
+    n, source = args.threads, "--threads"
+    if n is None:
+        env = os.environ.get("WALSH_LAB_THREADS")
+        if not env:
+            return min(8, os.cpu_count() or 1)
         try:
             n = int(env)
         except ValueError:
             raise DomainError(f"WALSH_LAB_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise DomainError(f"WALSH_LAB_THREADS must be positive, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
+        source = "WALSH_LAB_THREADS"
+    if n < 1:
+        raise DomainError(f"{source} must be positive, got {n}")
+    return n
 
 
 def _make_field(args, m: int):
@@ -178,12 +181,12 @@ def cmd_census(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    threads = _thread_count(args)
     m = _resolve_m(args)
     _guard(m, args.force, SPECTRUM_GUARD_M, "scan")
     fld = _make_field(args, m)
     checker = check_sarwate if args.check == "sarwate" else check_bound
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
-    threads = _thread_count(args)
     if threads == 1:
         results = [checker(fld, d) for d in ds]
     else:

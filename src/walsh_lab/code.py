@@ -23,25 +23,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import DomainError
 from .field import Field, mod_inverse
-from .walsh import Spectrum, walsh_coefficient, walsh_spectrum, _validate_element, _validate_exponent
+from .walsh import Histogram, Spectrum, walsh_coefficient, walsh_spectrum
 
 
 def is_degenerate_exponent(m: int, d: int) -> bool:
     """True when d is congruent to a power of two mod 2^m - 1 (conjugate nonzeros)."""
     order = (1 << m) - 1
     return d % order in {(1 << j) % order for j in range(m)}
-
-
-def _validate_coprime(field: Field, d: int) -> None:
-    g = gcd(d, field.order)
-    if g != 1:
-        raise DomainError(f"gcd(d, 2^m - 1) = {g} != 1; the code machinery needs d invertible")
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class Codeword:
 
 
 @dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(Histogram):
     """Weight histogram over all q^2 pairs (a, b); entries sorted by weight."""
 
     m: int
@@ -75,24 +68,12 @@ class WeightDistribution:
     entries: tuple[tuple[int, int], ...]
     degenerate: bool
 
-    def count(self, weight: int) -> int:
-        for w, n in self.entries:
-            if w == weight:
-                return n
-        return 0
-
-    def total(self) -> int:
-        return sum(n for _, n in self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
 
 def codeword(field: Field, d: int, a: int, b: int) -> Codeword:
     """Materialize the word for the pair (a, b) directly from traces."""
-    _validate_exponent(field, d)
-    _validate_element(field, a, "a")
-    _validate_element(field, b, "b")
+    field.check_exponent(d)
+    field.check_element(a, "a")
+    field.check_element(b, "b")
     n = field.order
     bits = 0
     x = 1  # alpha^i
@@ -108,9 +89,9 @@ def codeword(field: Field, d: int, a: int, b: int) -> Codeword:
 
 def weight_of_pair(field: Field, d: int, a: int, b: int) -> int:
     """Codeword weight through the Walsh relation instead of popcounting."""
-    _validate_coprime(field, d)
-    _validate_element(field, a, "a")
-    _validate_element(field, b, "b")
+    field.check_invertible(d)
+    field.check_element(a, "a")
+    field.check_element(b, "b")
     if a == 0 and b == 0:
         return 0
     if a == 0 or b == 0:
@@ -124,8 +105,7 @@ def spectrum_to_weights(field: Field, spectrum: Spectrum) -> WeightDistribution:
     """Fold a full Walsh spectrum into the code's weight histogram."""
     if spectrum.m != field.m or spectrum.modulus != field.modulus:
         raise DomainError("spectrum does not belong to this field")
-    if not spectrum.coprime:
-        raise DomainError("weight distribution needs gcd(d, 2^m - 1) = 1")
+    field.check_invertible(spectrum.d)
     q = field.q
     hist: Counter[int] = Counter()
     hist[0] += 1
@@ -148,7 +128,7 @@ def spectrum_to_weights(field: Field, spectrum: Spectrum) -> WeightDistribution:
 
 
 def weight_distribution(field: Field, d: int) -> WeightDistribution:
-    _validate_coprime(field, d)
+    field.check_invertible(d)
     return spectrum_to_weights(field, walsh_spectrum(field, d))
 
 
@@ -161,28 +141,27 @@ def min_distance(field: Field, d: int) -> int:
 def exhaustive_weight_histogram(field: Field, d: int) -> dict[int, int]:
     """Popcount every one of the q^2 codewords; the oracle for weight_distribution.
 
-    Materializes words row-block by row-block with table arithmetic, so it
-    stays usable up to m = 8 or so; beyond that the quadratic blowup bites.
+    Materializes words row-block by row-block, so it stays usable up to m = 8
+    or so; beyond that the quadratic blowup bites.  Word positions run over
+    x in F* in ascending order rather than over alpha^i; a weight does not
+    depend on the order of positions.
     """
-    _validate_exponent(field, d)
+    field.check_exponent(d)
     if not field.has_tables:
         raise DomainError("exhaustive enumeration needs log tables")
-    q, n = field.q, field.order
+    q = field.q
     tr = field.trace_bits()
-    alog = field._alog
-    log = field._log
-    idx = np.arange(n, dtype=np.int64)
-    di = (idx * (d % n)) % n
-    # bmat[b - 1, i] = b * alpha^i for b in F*
-    bmat = alog[(log[1:].reshape(-1, 1) + idx.reshape(1, -1)) % n]
+    powers = field.power_map(d)[1:]
+    # bmat[b - 1, x - 1] = b * x for b, x in F*
+    bmat = np.stack([field.scalar_mul_map(b)[1:] for b in range(1, q)])
     hist: Counter[int] = Counter()
     hist[0] += 1  # the (0, 0) word
-    # a = 0 row: words are b * alpha^i alone
+    # a = 0 row: words are b * x alone
     weights = tr[bmat].sum(axis=1)
     for w in weights:
         hist[int(w)] += 1
     for a in range(1, q):
-        va = alog[(int(log[a]) + di) % n]
+        va = bmat[a - 1, powers - 1]  # a * x^d, x^d in F*
         hist[int(tr[va].sum())] += 1  # b = 0
         weights = tr[bmat ^ va.reshape(1, -1)].sum(axis=1)
         values, counts = np.unique(weights, return_counts=True)

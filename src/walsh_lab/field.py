@@ -27,6 +27,7 @@ the field's trace pairing.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -98,6 +99,14 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def parity(v: np.ndarray) -> np.ndarray:
+    """Bit parity of each entry of a non-negative int64 array below 2^32."""
+    v = v ^ (v >> 16)
+    for shift in (8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
 
 
 def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
@@ -235,6 +244,30 @@ class Field:
         log[self._alog] = np.arange(self.order, dtype=np.int64)
         self._log = log
 
+    # -- validation -----------------------------------------------------------
+
+    def check_exponent(self, d: int) -> None:
+        """DomainError unless 1 <= d <= 2^m - 2."""
+        if not 1 <= d <= self.q - 2:
+            raise DomainError(f"exponent d must be in [1, {self.q - 2}], got {d}")
+
+    def check_element(self, x: int, name: str = "a") -> None:
+        """DomainError unless x is a field element, i.e. 0 <= x < 2^m."""
+        if not 0 <= x < self.q:
+            raise DomainError(f"{name} must be a field element in [0, {self.q - 1}], got {x}")
+
+    def check_invertible(self, d: int) -> None:
+        """NonInvertibleError (a DomainError) unless gcd(d, 2^m - 1) = 1."""
+        g = gcd(d, self.order)
+        if g != 1:
+            raise NonInvertibleError(d, self.order, g)
+
+    def need_even(self) -> int:
+        """t for m = 2t; UnsupportedError for odd m."""
+        if self.t is None:
+            raise UnsupportedError(f"operation needs m = 2t, but m = {self.m} is odd")
+        return self.t
+
     # -- scalar arithmetic ----------------------------------------------------
 
     @property
@@ -290,19 +323,14 @@ class Field:
         """Absolute trace onto GF(2), via the linearity mask."""
         return (x & self.trace_mask).bit_count() & 1
 
-    def _need_even(self) -> int:
-        if self.t is None:
-            raise UnsupportedError(f"operation needs m = 2t, but m = {self.m} is odd")
-        return self.t
-
     def trace_rel(self, x: int) -> int:
         """Relative trace onto the index-2 subfield L: x + x^(2^t)."""
-        t = self._need_even()
+        t = self.need_even()
         return x ^ self.pow(x, 1 << t)
 
     def norm_rel(self, x: int) -> int:
         """Relative norm onto L: x^(1 + 2^t)."""
-        t = self._need_even()
+        t = self.need_even()
         return self.mul(x, self.pow(x, 1 << t))
 
     def traces(self, x: int) -> TraceBundle:
@@ -310,7 +338,7 @@ class Field:
 
     def subfield_trace(self, y: int) -> int:
         """Absolute trace of the subfield L = GF(2^t), for y in L."""
-        t = self._need_even()
+        t = self.need_even()
         if self.pow(y, 1 << t) != y:
             raise DomainError(f"0x{y:x} is not in the index-2 subfield")
         s = y
@@ -324,7 +352,7 @@ class Field:
 
     def subfield_elements(self) -> tuple[int, ...]:
         """The 2^t elements of L = GF(2^t) inside GF(2^m), sorted ascending."""
-        t = self._need_even()
+        t = self.need_even()
         if self._subfield is None:
             step = (1 << t) + 1  # L* is the unique subgroup of order 2^t - 1
             elems = [0] + [self.exp(k * step) for k in range((1 << t) - 1)]
@@ -338,10 +366,8 @@ class Field:
 
     def unit_subgroup(self, n: int) -> tuple[int, ...]:
         """The order-n subgroup of F* as consecutive powers of its designated generator."""
-        if n < 1 or self.order % n != 0:
-            raise DomainError(f"{n} does not divide the group order {self.order}")
-        step = self.order // n
-        return tuple(self.exp(step * k) for k in range(n))
+        g = self.designated_generator(n)
+        return tuple(self.pow(g, k) for k in range(n))
 
     def designated_generator(self, n: int) -> int:
         """alpha^((2^m - 1)/n): the canonical element of order exactly n."""
@@ -383,12 +409,7 @@ class Field:
         """uint8 array over all elements: trace_bits()[x] = Tr(x)."""
         if self._trace_bits is None:
             v = np.arange(self.q, dtype=np.int64) & self.trace_mask
-            v ^= v >> 16
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            self._trace_bits = (v & 1).astype(np.uint8)
+            self._trace_bits = parity(v).astype(np.uint8)
         return self._trace_bits
 
     def in_subfield_mask(self) -> np.ndarray:

@@ -9,25 +9,16 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .walsh import Spectrum
+from .walsh import Histogram, Spectrum
 
 
 @dataclass(frozen=True)
-class PredictedSpectrum:
+class PredictedSpectrum(Histogram):
     t: int
     m: int
     d: int
     family: str  # "odd-t" or "even-t"
     entries: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def total(self) -> int:
-        return sum(n for _, n in self.entries)
-
-    def moment(self, k: int) -> int:
-        return sum(n * v**k for v, n in self.entries)
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -25,41 +25,16 @@ from .errors import DomainError
 from .field import Field
 
 
-def _validate_exponent(field: Field, d: int) -> None:
-    if not 1 <= d <= field.q - 2:
-        raise DomainError(f"exponent d must be in [1, {field.q - 2}], got {d}")
+class Histogram:
+    """A multiset of integer values, held as `entries` = ((value, count), ...)
+    sorted by value.  Spectra, weight distributions, closed-form tables and
+    power multisets all take their accessors from here."""
 
-
-def _validate_element(field: Field, a: int, name: str = "a") -> None:
-    if not 0 <= a < field.q:
-        raise DomainError(f"{name} must be a field element in [0, {field.q - 1}], got {a}")
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Sign table of f(x) = Tr(x^d): signs[x] = +1 if Tr(x^d) = 0 else -1."""
-
-    m: int
-    d: int
-    modulus: int
-    signs: np.ndarray  # int64, length 2^m
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Walsh value histogram: entries = ((value, multiplicity), ...) sorted by value."""
-
-    m: int
-    d: int
-    modulus: int
     entries: tuple[tuple[int, int], ...]
-    coprime: bool
 
-    def multiplicity(self, value: int) -> int:
-        for v, n in self.entries:
-            if v == value:
-                return n
-        return 0
+    def count(self, value: int) -> int:
+        """Multiplicity of value; 0 when it does not occur."""
+        return self.as_dict().get(value, 0)
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.entries)
@@ -75,14 +50,35 @@ class Spectrum:
         return dict(self.entries)
 
 
+@dataclass(frozen=True)
+class TruthTable:
+    """Sign table of f(x) = Tr(x^d): signs[x] = +1 if Tr(x^d) = 0 else -1."""
+
+    m: int
+    d: int
+    modulus: int
+    signs: np.ndarray  # int64, length 2^m
+
+
+@dataclass(frozen=True)
+class Spectrum(Histogram):
+    """Walsh value histogram: entries = ((value, multiplicity), ...) sorted by value."""
+
+    m: int
+    d: int
+    modulus: int
+    entries: tuple[tuple[int, int], ...]
+    coprime: bool
+
+
 def walsh_coefficient(field: Field, d: int, a: int) -> int:
     """W_d(a) = sum over x of (-1)^Tr(x^d + a*x), by direct summation.
 
     This is the reference oracle: no butterfly, no dual indexing.  Vectorized
     over x when log tables exist, else a plain scalar loop.
     """
-    _validate_exponent(field, d)
-    _validate_element(field, a)
+    field.check_exponent(d)
+    field.check_element(a)
     if field.has_tables:
         signs = 1 - 2 * field.trace_bits().astype(np.int64)
         powers = field.power_map(d)
@@ -97,7 +93,7 @@ def walsh_coefficient(field: Field, d: int, a: int) -> int:
 
 def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     """All W_d(a), indexed by the element a, one direct summation per a."""
-    _validate_exponent(field, d)
+    field.check_exponent(d)
     signs = 1 - 2 * field.trace_bits().astype(np.int64)
     powers = field.power_map(d)
     out = np.empty(field.q, dtype=np.int64)
@@ -108,7 +104,7 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
 
 def truth_table(field: Field, d: int) -> TruthTable:
     """Sign table of Tr(x^d) over all x, one pass of exponent arithmetic."""
-    _validate_exponent(field, d)
+    field.check_exponent(d)
     tr = field.trace_bits()
     powers = field.power_map(d)
     signs = 1 - 2 * tr[powers].astype(np.int64)
@@ -163,8 +159,8 @@ def subfield_sum_check(field: Field, d: int, u: int) -> int:
     sum over a in L of W_d(a) = 2^m for every exponent d.  Outside L the
     value is a coset character sum and depends on d.
     """
-    _validate_exponent(field, d)
-    _validate_element(field, u, "u")
+    field.check_exponent(d)
+    field.check_element(u, "u")
     if u == 0:
         raise DomainError("u = 0 collapses the sum; pick u in F*")
     return sum(

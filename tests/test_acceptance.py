@@ -213,7 +213,7 @@ def test_criterion_11_power_multiset(_field_cache):
         mult = conjugate_power_multiset(f, d)
         if mult.total() != 1 << t:
             failures.append(("total", m))
-        if any(n % 2 for _, n in mult.coeffs):
+        if any(n % 2 for _, n in mult.entries):
             failures.append(("odd coefficient", m))
         square_sum = 0
         for u in f.subfield_elements():

@@ -9,6 +9,7 @@ import pytest
 
 from walsh_lab import (
     DomainError,
+    UnsupportedError,
     character_sum_from_multiset,
     character_sum_square_identities,
     check_bound,
@@ -84,6 +85,16 @@ class TestCharacterSums:
             if field6.trace_rel(b) == 1:
                 assert abs(subfield_character_sum(field6, 5, b).value) == 8
 
+    def test_exponent_range(self, field6):
+        # the same [1, 2^m - 2] range walsh_spectrum enforces
+        for bad in (0, 63, 100):
+            with pytest.raises(DomainError):
+                subfield_character_sum(field6, bad, 3)
+            with pytest.raises(DomainError):
+                conjugate_power_multiset(field6, bad)
+            with pytest.raises(DomainError):
+                character_sum_square_identities(field6, bad)
+
     def test_epsilon_convention(self, field6):
         for b in (3, 17, 40, 62):
             cs = subfield_character_sum(field6, 19, b)
@@ -121,7 +132,7 @@ class TestPowerMultiset:
         assert mult.c_order == 9  # default: the full unit circle
         assert mult.total() == 8
         sub = set(field6.subfield_elements())
-        for g, n in mult.coeffs:
+        for g, n in mult.entries:
             assert g in sub
             assert n % 2 == 0
 
@@ -347,7 +358,7 @@ class TestBoundChecks:
 
     def test_need_even_degree(self):
         f = make_field(5)
-        with pytest.raises(DomainError):
+        with pytest.raises(UnsupportedError):
             check_bound(f, 3)
 
 

@@ -153,10 +153,17 @@ class TestScanCommand:
         assert parse(out)["meta"]["threads"] == 3
 
     def test_bad_env_thread_count(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALSH_LAB_THREADS", "zero")
-        code, _, err = run(capsys, "scan", "--m", "6", "--check", "bound")
-        assert code == 2
-        assert json.loads(err)["kind"] == "usage"
+        # every input is refused before a pool is made, so none starts a thread
+        for bad in ("zero", "0", "-1"):
+            monkeypatch.setenv("WALSH_LAB_THREADS", bad)
+            code, _, err = run(capsys, "scan", "--m", "6", "--check", "bound")
+            assert code == 2
+            assert json.loads(err)["kind"] == "usage"
+        monkeypatch.delenv("WALSH_LAB_THREADS")
+        for bad in ("0", "-1"):
+            code, _, err = run(capsys, "scan", "--m", "6", "--check", "bound", "--threads", bad)
+            assert code == 2
+            assert json.loads(err)["kind"] == "usage"
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALSH_LAB_THREADS", "3")

@@ -91,8 +91,8 @@ class TestSpectrumInvariants:
 
     def test_accessors(self, field6):
         s = walsh_spectrum(field6, 19)
-        assert s.multiplicity(16) == 10
-        assert s.multiplicity(999) == 0
+        assert s.count(16) == 10
+        assert s.count(999) == 0
         assert s.values() == (-16, 0, 16)
 
 
