@@ -229,10 +229,9 @@ def _coset_points(field: Field, c: int) -> np.ndarray:
     return np.array([field.mul(u, c) for u in field.subfield_elements() if u], dtype=np.int64)
 
 
-def _square_identities(field: Field, d: int, msums: np.ndarray, c: int,
+def _square_identities(field: Field, powers: np.ndarray, msums: np.ndarray, c: int,
                        points: np.ndarray) -> SquareIdentitySummary:
     total = int((msums * msums).sum())
-    powers = field.power_map(d)
     in_l = field.in_subfield_mask()
     boundary = in_l[powers[np.arange(field.q) ^ 1] ^ powers]
     coset = msums[points]
@@ -247,9 +246,10 @@ def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySumma
     sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
     field.need_even()
     field.check_exponent(d)
-    msums = _subfield_character_sums(field, truth_table(field, d).signs)
+    powers = field.power_map(d)
+    msums = _subfield_character_sums(field, truth_table(field, d, powers).signs)
     c, _ = _resolve_c(field, None, None, prefer_five=False)
-    return _square_identities(field, d, msums, c, _coset_points(field, c))
+    return _square_identities(field, powers, msums, c, _coset_points(field, c))
 
 
 # -- all identities in one pass ------------------------------------------------
@@ -291,7 +291,9 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     both sides from one transform would make the weighted identity hold by
     construction.
     """
-    table = truth_table(field, d)
+    field.check_exponent(d)
+    powers = field.power_map(d)
+    table = truth_table(field, d, powers)
     arr = fwht(table)
     # By Parseval the squares sum to exactly 2^(2m) <= 2^56 and every partial
     # sum is smaller, so int64 accumulation is exact.
@@ -317,7 +319,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
                               subfield_walsh=w_sub, character_sums=msums, points=points,
                               lhs=w_sub.sum() - eps * paired,
                               rhs=field.q + (1 << field.t) * np.abs(mb),
-                              square=_square_identities(field, d, msums, c, points))
+                              square=_square_identities(field, powers, msums, c, points))
 
 
 # -- solution-set route to Walsh coefficients ----------------------------------

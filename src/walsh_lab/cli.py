@@ -209,8 +209,9 @@ def cmd_identities(args) -> int:
     m = _resolve_m(args)
     _guard(m, args.force, SPECTRUM_GUARD_M, "identities")
     if m % 2 == 0:
-        # the subfield sums M_b take 2^t passes over all q elements: q^(3/2)
-        _guard(m, args.force, SQUARE_SUM_GUARD_M, "square-sum identities")
+        # even m refuses the whole command above this guard: the subfield
+        # sums M_b take 2^t passes over all q elements, q^(3/2)
+        _guard(m, args.force, SQUARE_SUM_GUARD_M, "identities for even m")
     fld = _make_field(args, m)
     rep = subfield_identities(fld, args.d)
     meta: dict = {

@@ -7,8 +7,11 @@ i.e. the int 2.
 
 When the field is small enough (2^m <= table_cap, default 2^22 entries) a
 log/antilog table pair over alpha is built once and multiplicative work
-becomes exponent arithmetic modulo 2^m - 1; above the cap every operation
-falls back to shift-and-reduce polynomial multiplication.
+becomes exponent arithmetic modulo 2^m - 1.  Above the cap the scalar
+operations fall back to shift-and-reduce polynomial multiplication, and
+power_map builds a transient antilog for each call.  scalar_mul_map and
+dual_index_all need no tables: both are GF(2)-linear maps, filled by doubling
+over the polynomial basis.
 
 PRIMITIVE_POLY holds the lexicographically smallest primitive polynomial of
 each degree 2..28 as an integer bitmask (0x43 = x^6 + x + 1).  Construction
@@ -35,6 +38,10 @@ import numpy as np
 from .errors import DomainError, NonInvertibleError, UnsupportedError
 
 DEFAULT_TABLE_CAP = 1 << 22
+
+# Exponents per gather in power_map: bounds its temporaries to this many
+# entries, so the only q-sized arrays are the antilog and the result.
+_POWER_BLOCK = 1 << 16
 
 # Lexicographically smallest primitive polynomial per degree, as bitmask.
 # Regenerable by scanning odd candidates upward and keeping the first whose
@@ -107,6 +114,16 @@ def parity(v: np.ndarray) -> np.ndarray:
     for shift in (8, 4, 2, 1):
         v ^= v >> shift
     return v & 1
+
+
+def _xor_span(cols: list[int], q: int) -> np.ndarray:
+    """int64 array S over [0, q) with S[x] = XOR of cols[j] over the set bits j
+    of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j]."""
+    out = np.zeros(q, dtype=np.int64)
+    for j, c in enumerate(cols):
+        k = 1 << j
+        np.bitwise_xor(out[:k], c, out=out[k:2 * k])
+    return out
 
 
 def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
@@ -232,13 +249,29 @@ class Field:
                     f"modulus 0x{self.modulus:x} is not primitive: alpha order divides {self.order // p}"
                 )
 
+    def _antilog(self) -> np.ndarray:
+        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1.
+
+        Laid out as rows of width B = 2^ceil(m/2): a scalar chain of products
+        by alpha^B gives the row starts, then all rows advance together, one
+        vector multiply-by-x per column.
+        """
+        m, modulus = self.m, self.modulus
+        width = 1 << ((m + 1) // 2)
+        jump = self._raw_pow(self.alpha, width)
+        starts = [1]
+        for _ in range(self.q // width - 1):
+            starts.append(_polymul_mod(starts[-1], jump, modulus, m))
+        cur = np.array(starts, dtype=np.int32)
+        cols = np.empty((width, cur.size), dtype=np.int32)
+        for j in range(width):
+            cols[j] = cur
+            cur <<= 1
+            cur ^= (cur >> m) * modulus
+        return cols.T.reshape(-1)[: self.order]
+
     def _build_tables(self) -> None:
-        alog = [0] * self.order
-        x = 1
-        for i in range(self.order):
-            alog[i] = x
-            x = self._mulx(x)
-        self._alog = np.asarray(alog, dtype=np.int64)
+        self._alog = self._antilog().astype(np.int64)
         log = np.empty(self.q, dtype=np.int64)
         log[0] = -1
         log[self._alog] = np.arange(self.order, dtype=np.int64)
@@ -423,49 +456,30 @@ class Field:
     def dual_index_all(self) -> np.ndarray:
         """int64 array with dual_index_all()[a] = dual_index(a)."""
         if self._dual_all is None:
-            du = np.zeros(self.q, dtype=np.int64)
-            idx = np.arange(self.q)
-            for j in range(self.m):
-                du[(idx >> j) & 1 == 1] ^= self._dual_rows[j]
-            self._dual_all = du
+            self._dual_all = _xor_span(self._dual_rows, self.q)
         return self._dual_all
 
     def power_map(self, d: int) -> np.ndarray:
-        """int64 array P with P[x] = x^d, built by exponent arithmetic i*d mod (2^m - 1)."""
+        """int64 array P with P[x] = x^d, built by exponent arithmetic:
+        P[alpha^i] = alpha^(i*d mod (2^m - 1)).  Without tables the antilog
+        is built for this call and dropped after it."""
         if d < 1:
             raise DomainError(f"exponent must be positive, got {d}")
+        alog = self._alog if self._alog is not None else self._antilog()
+        d %= self.order
         out = np.zeros(self.q, dtype=np.int64)
-        if self._alog is not None:
-            idx = (np.arange(self.order, dtype=np.int64) * (d % self.order)) % self.order
-            out[self._alog] = self._alog[idx]
-        else:
-            # No tables: walk x through alpha^i and x^d through (alpha^d)^i,
-            # one multiplication each per step.
-            ad = self.pow(self.alpha, d)
-            x, y = 1, 1
-            for _ in range(self.order):
-                out[x] = y
-                x = self._mulx(x)
-                y = self.mul(y, ad)
+        for lo in range(0, self.order, _POWER_BLOCK):
+            hi = min(lo + _POWER_BLOCK, self.order)
+            out[alog[lo:hi]] = alog[np.arange(lo, hi, dtype=np.int64) * d % self.order]
         return out
 
     def scalar_mul_map(self, a: int) -> np.ndarray:
-        """int64 array A with A[x] = a*x."""
-        out = np.zeros(self.q, dtype=np.int64)
-        if a == 0:
-            return out
-        if self._alog is not None:
-            la = int(self._log[a])
-            idx = (la + np.arange(self.order, dtype=np.int64)) % self.order
-            out[self._alog] = self._alog[idx]
-        else:
-            x = 1
-            y = a
-            for _ in range(self.order):
-                out[x] = y
-                x = self._mulx(x)
-                y = self.mul(y, self.alpha)  # a * alpha^(i+1)
-        return out
+        """int64 array A with A[x] = a*x: the XOR of a*alpha^j over the bits j of x."""
+        self.check_element(a)
+        cols = [a]
+        for _ in range(self.m - 1):
+            cols.append(self._mulx(cols[-1]))
+        return _xor_span(cols, self.q)
 
     # -- misc ------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, NonInvertibleError
 from .walsh import Histogram, Spectrum
 
 
@@ -29,10 +29,10 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _check_coprime(t: int, d: int) -> None:
-    m = 2 * t
-    g = gcd(d, (1 << m) - 1)
+    order = (1 << (2 * t)) - 1
+    g = gcd(d, order)
     if g != 1:
-        raise DomainError(f"d = {d} shares factor {g} with 2^{m} - 1; no table applies")
+        raise NonInvertibleError(d, order, g)
 
 
 def predicted_spectrum_t_odd(t: int) -> PredictedSpectrum:

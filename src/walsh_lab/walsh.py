@@ -102,11 +102,13 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     return out
 
 
-def truth_table(field: Field, d: int) -> TruthTable:
-    """Sign table of Tr(x^d) over all x, one pass of exponent arithmetic."""
+def truth_table(field: Field, d: int, powers: np.ndarray | None = None) -> TruthTable:
+    """Sign table of Tr(x^d) over all x, one pass of exponent arithmetic.
+    powers, if given, is field.power_map(d), for callers that need it too."""
     field.check_exponent(d)
     tr = field.trace_bits()
-    powers = field.power_map(d)
+    if powers is None:
+        powers = field.power_map(d)
     signs = 1 - 2 * tr[powers].astype(np.int64)
     return TruthTable(m=field.m, d=d, modulus=field.modulus, signs=signs)
 

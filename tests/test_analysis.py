@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from walsh_lab import (
+    Field,
     DomainError,
     UnsupportedError,
     character_sum_from_multiset,
@@ -232,6 +233,20 @@ class TestSubfieldIdentities:
         assert [int(w) for w in walsh] == [
             walsh_coefficient(f, d, a) for a in f.subfield_elements()
         ]
+
+    def test_one_power_map_per_call(self, monkeypatch):
+        f = make_field(10)
+        calls = []
+        power_map = Field.power_map
+
+        def counted(self, d):
+            calls.append(d)
+            return power_map(self, d)
+
+        monkeypatch.setattr(Field, "power_map", counted)
+        rep = subfield_identities(f, 67)
+        assert calls == [67]
+        assert rep.square == character_sum_square_identities(f, 67)
 
 
 class TestSolutionSets:

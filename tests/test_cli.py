@@ -231,6 +231,13 @@ class TestErrorsAndGuards:
         assert code == 3
         assert json.loads(err)["kind"] == "resource"
 
+    def test_identities_guard_names_the_command(self, capsys):
+        code, out, err = run(capsys, "identities", "--m", "18", "--d", "5")
+        assert code == 3 and out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith("identities for even m at m = 18")
+        assert "square-sum" not in message
+
     def test_bad_poly(self, capsys):
         code, _, err = run(capsys, "spectrum", "--m", "6", "--d", "19",
                            "--poly", "0x45")

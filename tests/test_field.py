@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from walsh_lab import (
+    PRIMITIVE_POLY,
     DomainError,
     Field,
     NonInvertibleError,
@@ -20,6 +22,17 @@ GF8_POWERS = [1, 2, 4, 3, 6, 7, 5]
 
 # Tr(x) = x + x^2 + x^4 on GF(8), worked out by hand per element value.
 GF8_TRACE = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
+
+
+def random_primitive_modulus(m: int, rng: random.Random) -> int:
+    """A random degree-m modulus that Field accepts as primitive."""
+    while True:
+        cand = (1 << m) | (rng.getrandbits(m - 1) << 1) | 1
+        try:
+            Field(m, cand, table_cap=1)
+        except DomainError:
+            continue
+        return cand
 
 
 class TestScalarArithmetic:
@@ -197,6 +210,14 @@ class TestDualIndexing:
         for a in range(64):
             assert int(du[a]) == field6.dual_index(a)
 
+    @pytest.mark.parametrize("m", [8, 16, 20])
+    def test_vectorized_dual_matches_scalar_sampled(self, m):
+        f = make_field(m)
+        du = f.dual_index_all()
+        rng = random.Random(m)
+        for a in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(200)]:
+            assert int(du[a]) == f.dual_index(a)
+
 
 class TestVectorizedMaps:
     def test_power_map(self, field8):
@@ -217,6 +238,40 @@ class TestVectorizedMaps:
             assert int(tb[x]) == field8.trace(x)
 
 
+class TestAntilog:
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_matches_the_mulx_chain(self, m):
+        rng = random.Random(1000 + m)
+        for modulus in (PRIMITIVE_POLY[m], random_primitive_modulus(m, rng)):
+            f = Field(m, modulus, table_cap=1)
+            alog = f._antilog()
+            assert alog.dtype == np.int32 and alog.shape == (f.order,)
+            x = 1
+            chain = []
+            for _ in range(f.order):
+                chain.append(x)
+                x = f._mulx(x)
+            assert x == 1
+            assert alog.tolist() == chain
+
+
+class TestTablelessMaps:
+    """The tableless maps against shift-and-reduce scalar arithmetic."""
+
+    @pytest.mark.parametrize("m", [9, 17, 19])
+    def test_maps_match_scalar_ops(self, m):
+        f = make_field(m, table_cap=1)
+        assert not f.has_tables
+        rng = random.Random(m)
+        xs = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(197)]
+        for d in (3, (1 << (m // 2)) + 3, f.q - 2):
+            pm = f.power_map(d)
+            assert [int(pm[x]) for x in xs] == [f.pow(x, d) for x in xs]
+        for a in (0, 1, rng.randrange(2, f.q)):
+            sm = f.scalar_mul_map(a)
+            assert [int(sm[x]) for x in xs] == [f.mul(a, x) for x in xs]
+
+
 class TestTablelessMode:
     def test_fallback_agrees_with_tables(self):
         ft = make_field(6)
@@ -235,6 +290,19 @@ class TestTablelessMode:
         ft = make_field(4)
         fn = make_field(4, table_cap=1)
         assert list(ft.power_map(7)) == list(fn.power_map(7))
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_maps_agree_with_tables(self, m):
+        ft = make_field(m)
+        fn = make_field(m, table_cap=1)
+        assert ft.has_tables and not fn.has_tables
+        rng = random.Random(m)
+        for d in {1, 3, 7, ft.q - 2, rng.randrange(1, ft.q - 1)}:
+            assert np.array_equal(ft.power_map(d), fn.power_map(d))
+        for a in {0, 1, ft.q - 1, rng.randrange(ft.q)}:
+            assert np.array_equal(ft.scalar_mul_map(a), fn.scalar_mul_map(a))
+        assert np.array_equal(ft.dual_index_all(), fn.dual_index_all())
+        assert np.array_equal(ft.trace_bits(), fn.trace_bits())
 
     def test_log_needs_tables(self):
         fn = make_field(4, table_cap=1)

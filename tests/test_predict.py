@@ -5,6 +5,7 @@ import pytest
 
 from walsh_lab import (
     DomainError,
+    NonInvertibleError,
     compare,
     make_field,
     predicted_spectrum,
@@ -12,6 +13,7 @@ from walsh_lab import (
     predicted_spectrum_t_odd,
     walsh_spectrum,
 )
+from walsh_lab.predict import _check_coprime
 from walsh_lab.walsh import Spectrum
 
 
@@ -60,6 +62,18 @@ class TestEvenTable:
         for t in (2, 3, 4, 8, 12):
             with pytest.raises(DomainError):
                 predicted_spectrum_t_even(t)
+
+
+class TestCoprimeCheck:
+    def test_raises_the_field_error_type(self):
+        # gcd(9, 2^6 - 1) = 9: the same error Field.check_invertible raises
+        with pytest.raises(NonInvertibleError) as exc:
+            _check_coprime(3, 9)
+        assert (exc.value.d, exc.value.n, exc.value.gcd) == (9, 63, 9)
+        with pytest.raises(NonInvertibleError) as ref:
+            make_field(6).check_invertible(9)
+        assert str(exc.value) == str(ref.value)
+        _check_coprime(3, 19)
 
 
 class TestDispatcher:
