@@ -295,10 +295,11 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     powers = field.power_map(d)
     table = truth_table(field, d, powers)
     arr = fwht(table)
-    # By Parseval the squares sum to exactly 2^(2m) <= 2^56 and every partial
-    # sum is smaller, so int64 accumulation is exact.
-    sum_residual = int(arr.sum()) - field.q
-    square_sum_residual = int((arr * arr).sum()) - field.q * field.q
+    # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
+    # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
+    # 2^(2m) <= 2^56 and every partial sum is smaller, so int64 is exact.
+    sum_residual = int(arr.sum(dtype=np.int64)) - field.q
+    square_sum_residual = int(np.einsum("i,i->", arr, arr, dtype=np.int64)) - field.q * field.q
     if field.t is None:
         return SubfieldIdentities(sum_residual, square_sum_residual)
     elems = field.subfield_elements()

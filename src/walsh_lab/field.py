@@ -109,17 +109,18 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of a non-negative int64 array below 2^32."""
+    """Bit parity of each entry of a non-negative integer array below 2^32.
+    Its one caller pairs the identities' coset points with the subfield."""
     v = v ^ (v >> 16)
     for shift in (8, 4, 2, 1):
         v ^= v >> shift
     return v & 1
 
 
-def _xor_span(cols: list[int], q: int) -> np.ndarray:
-    """int64 array S over [0, q) with S[x] = XOR of cols[j] over the set bits j
-    of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j]."""
-    out = np.zeros(q, dtype=np.int64)
+def _xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
+    """Array S over [0, q) of the given dtype with S[x] = XOR of cols[j] over
+    the set bits j of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j]."""
+    out = np.zeros(q, dtype=dtype)
     for j, c in enumerate(cols):
         k = 1 << j
         np.bitwise_xor(out[:k], c, out=out[k:2 * k])
@@ -439,10 +440,11 @@ class Field:
     # -- vectorized views (numpy, lazily cached) -------------------------------
 
     def trace_bits(self) -> np.ndarray:
-        """uint8 array over all elements: trace_bits()[x] = Tr(x)."""
+        """uint8 array over all elements: trace_bits()[x] = Tr(x).  The trace
+        is GF(2)-linear, so this is the XOR span of the bits of trace_mask."""
         if self._trace_bits is None:
-            v = np.arange(self.q, dtype=np.int64) & self.trace_mask
-            self._trace_bits = parity(v).astype(np.uint8)
+            bits = [(self.trace_mask >> j) & 1 for j in range(self.m)]
+            self._trace_bits = _xor_span(bits, self.q, np.uint8)
         return self._trace_bits
 
     def in_subfield_mask(self) -> np.ndarray:
@@ -460,14 +462,14 @@ class Field:
         return self._dual_all
 
     def power_map(self, d: int) -> np.ndarray:
-        """int64 array P with P[x] = x^d, built by exponent arithmetic:
-        P[alpha^i] = alpha^(i*d mod (2^m - 1)).  Without tables the antilog
-        is built for this call and dropped after it."""
+        """int32 array P with P[x] = x^d (values below 2^m <= 2^28), built by
+        exponent arithmetic: P[alpha^i] = alpha^(i*d mod (2^m - 1)).  Without
+        tables the antilog is built for this call and dropped after it."""
         if d < 1:
             raise DomainError(f"exponent must be positive, got {d}")
         alog = self._alog if self._alog is not None else self._antilog()
         d %= self.order
-        out = np.zeros(self.q, dtype=np.int64)
+        out = np.zeros(self.q, dtype=np.int32)
         for lo in range(0, self.order, _POWER_BLOCK):
             hi = min(lo + _POWER_BLOCK, self.order)
             out[alog[lo:hi]] = alog[np.arange(lo, hi, dtype=np.int64) * d % self.order]

@@ -3,7 +3,10 @@
 Two independent routes exist on purpose.  walsh_coefficient sums the
 character values directly from the definition, one coefficient at a time;
 it is the oracle.  truth_table + fwht computes all 2^m coefficients with the
-in-place Walsh-Hadamard butterfly in O(m 2^m) and 64-bit accumulators.
+in-place Walsh-Hadamard butterfly in O(m 2^m), in int32 throughout: every
+partial sum of the butterfly is at most 2^m <= 2^28 < 2^31 in absolute value,
+so int32 is exact for every supported degree.  A caller that squares or
+multiplies coefficients must widen to int64 first.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -23,6 +26,9 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field
+
+# Entries per gather in truth_table, so index temporaries stay this small.
+_GATHER_BLOCK = 1 << 16
 
 
 class Histogram:
@@ -57,7 +63,7 @@ class TruthTable:
     m: int
     d: int
     modulus: int
-    signs: np.ndarray  # int64, length 2^m
+    signs: np.ndarray  # int32, length 2^m
 
 
 @dataclass(frozen=True)
@@ -109,34 +115,64 @@ def truth_table(field: Field, d: int, powers: np.ndarray | None = None) -> Truth
     tr = field.trace_bits()
     if powers is None:
         powers = field.power_map(d)
-    signs = 1 - 2 * tr[powers].astype(np.int64)
+    # Gathered in blocks: take() widens its indices to intp, so a whole-array
+    # gather would make a q-sized int64 copy of powers.
+    signs = np.empty(field.q, dtype=np.int32)
+    for lo in range(0, field.q, _GATHER_BLOCK):
+        signs[lo:lo + _GATHER_BLOCK] = tr.take(powers[lo:lo + _GATHER_BLOCK])
+    signs *= -2
+    signs += 1
     return TruthTable(m=field.m, d=d, modulus=field.modulus, signs=signs)
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over the parity pairing; length must be 2^k."""
-    n = a.size
-    if n & (n - 1):
-        raise DomainError(f"fwht needs a power-of-two length, got {n}")
+def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
+    """Butterfly stages over the row index of a C-contiguous (rows, cols) array;
+    scratch holds half of grid's entries and takes each stage's differences."""
+    rows, cols = grid.shape
     h = 1
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:]
-        b[:, :h] = x + y
-        b[:, h:] = x - y
+    while h < rows:
+        pairs = grid.reshape(-1, 2, h * cols)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(lo.shape)
+        np.subtract(lo, hi, out=diff)
+        np.add(lo, hi, out=lo)
+        np.copyto(hi, diff)
         h *= 2
+
+
+def fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly over the parity pairing; a must be
+    C-contiguous, of length 2^k and of a signed dtype, which the result keeps.
+
+    Index x is viewed as (row, col) with col the low k//2 bits.  The stages on
+    the row bits run on a itself, those on the col bits on one transposed copy,
+    so every stage works on contiguous runs of at least 2^(k//2) entries.
+    """
+    n = a.size
+    if n == 0 or n & (n - 1):
+        raise DomainError(f"fwht needs a power-of-two length, got {n}")
+    if a.dtype.kind in "bu":
+        raise DomainError(f"fwht needs a signed dtype, got {a.dtype}")
+    if not a.flags.c_contiguous:
+        raise DomainError("fwht works in place and needs a C-contiguous array")
+    cols = 1 << ((n.bit_length() - 1) // 2)
+    grid = a.reshape(n // cols, cols)
+    scratch = np.empty(n // 2, dtype=a.dtype)
+    flipped = np.ascontiguousarray(grid.T)
+    _stages(flipped, scratch)
+    np.copyto(grid, flipped.T)
+    _stages(grid, scratch)
     return a
 
 
 def fwht(table: TruthTable) -> np.ndarray:
-    """All butterfly outputs; entry u is W_d(dual_index_inv(u)).  Input is not modified."""
-    out = table.signs.astype(np.int64, copy=True)
-    return fwht_inplace(out)
+    """All butterfly outputs as int32; entry u is W_d(dual_index_inv(u)).
+    Input is not modified."""
+    return fwht_inplace(table.signs.copy())
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
-    """All W_d(a) indexed by the element a, via fwht and dual reindexing."""
+    """All W_d(a) indexed by the element a (int32), via fwht and dual reindexing."""
     spectrum_arr = fwht(truth_table(field, d))
     return spectrum_arr[field.dual_index_all()]
 

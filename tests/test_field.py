@@ -24,17 +24,6 @@ GF8_POWERS = [1, 2, 4, 3, 6, 7, 5]
 GF8_TRACE = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
 
 
-def random_primitive_modulus(m: int, rng: random.Random) -> int:
-    """A random degree-m modulus that Field accepts as primitive."""
-    while True:
-        cand = (1 << m) | (rng.getrandbits(m - 1) << 1) | 1
-        try:
-            Field(m, cand, table_cap=1)
-        except DomainError:
-            continue
-        return cand
-
-
 class TestScalarArithmetic:
     def test_alpha_power_sequence(self):
         f = make_field(3)
@@ -237,12 +226,25 @@ class TestVectorizedMaps:
         for x in range(256):
             assert int(tb[x]) == field8.trace(x)
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_trace_bits_match_scalar_trace_everywhere(self, m, random_modulus):
+        rng = random.Random(2000 + m)
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            f = Field(m, modulus)
+            tb = f.trace_bits()
+            assert tb.dtype == np.uint8
+            assert tb.tolist() == [f.trace(x) for x in range(f.q)]
+
+    def test_power_map_is_int32(self, field8):
+        assert field8.power_map(7).dtype == np.int32
+        assert make_field(9, table_cap=1).power_map(7).dtype == np.int32
+
 
 class TestAntilog:
     @pytest.mark.parametrize("m", range(2, 17))
-    def test_matches_the_mulx_chain(self, m):
+    def test_matches_the_mulx_chain(self, m, random_modulus):
         rng = random.Random(1000 + m)
-        for modulus in (PRIMITIVE_POLY[m], random_primitive_modulus(m, rng)):
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
             f = Field(m, modulus, table_cap=1)
             alog = f._antilog()
             assert alog.dtype == np.int32 and alog.shape == (f.order,)

@@ -12,6 +12,7 @@ from walsh_lab import (
     fwht,
     fwht_inplace,
     make_field,
+    subfield_identities,
     subfield_sum_check,
     truth_table,
     walsh_coefficient,
@@ -121,14 +122,62 @@ class TestFwht:
         assert np.array_equal(twice, 64 * x)
 
     def test_rejects_bad_length(self):
+        for n in (12, 0):
+            with pytest.raises(DomainError):
+                fwht_inplace(np.zeros(n, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.bool_])
+    def test_rejects_unsigned(self, dtype):
         with pytest.raises(DomainError):
-            fwht_inplace(np.zeros(12, dtype=np.int64))
+            fwht_inplace(np.ones(8, dtype=dtype))
+
+    def test_rejects_strided_view(self):
+        # a reshape of a strided view is a copy, so the result would be lost
+        with pytest.raises(DomainError):
+            fwht_inplace(np.ones(16, dtype=np.int32)[::2])
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_involution_in_int32(self, k):
+        # lengths 1 .. 2^12 put the row/column split on both sides of every
+        # stage count; |x| <= 64 keeps n^2 * |x| inside int32
+        n = 1 << k
+        x = np.random.default_rng(k).integers(-64, 65, size=n).astype(np.int32)
+        once = fwht_inplace(x.copy())
+        twice = fwht_inplace(once.copy())
+        assert once.dtype == twice.dtype == np.int32
+        assert np.array_equal(twice, n * x)
 
     def test_fwht_does_not_mutate_table(self, field6):
         tt = truth_table(field6, 19)
         before = tt.signs.copy()
         fwht(tt)
         assert np.array_equal(tt.signs, before)
+
+
+class TestInt32Exactness:
+    """The int32 path where it would break first: the extreme coefficient
+    2^m and the squares past 2^31."""
+
+    def test_extreme_coefficient_at_m16(self):
+        spec = walsh_spectrum(make_field(16), 1)
+        assert spec.count(1 << 16) == 1
+        assert spec.count(0) == (1 << 16) - 1
+
+    def test_parseval_past_int32_at_m16(self):
+        ident = subfield_identities(make_field(16), 1)
+        assert ident.sum_residual == 0
+        assert ident.square_sum_residual == 0
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_butterfly_matches_direct_sums(self, m, random_modulus):
+        rng = random.Random(3000 + m)
+        for modulus in (None, random_modulus(m, rng)):
+            f = make_field(m, modulus)
+            d = rng.randrange(1, f.q - 1)
+            arr = fwht(truth_table(f, d))
+            assert arr.dtype == np.int32 and truth_table(f, d).signs.dtype == np.int32
+            assert np.array_equal(arr[f.dual_index_all()], walsh_coefficients_naive(f, d)), \
+                f"m={m} modulus={modulus} d={d}"
 
 
 class TestValidation:

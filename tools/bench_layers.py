@@ -1,0 +1,184 @@
+"""Layer timings of the spectrum path and benchmark medians, for this checkout
+against a baseline checkout, written as one BENCH_*.json.
+
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_5.json \\
+        --pairs table-field=10 --pairs tableless-field=3 --seconds 25 --seed 11 --slow
+
+Each side runs in its own interpreters with walsh_lab imported from that
+checkout's ``src``.
+
+* Layers: ``trace_bits`` (a fresh field per run), ``truth_table``, ``fwht``
+  and ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the
+  median wall time of several runs and the tracemalloc peak of one more.
+* ``--pairs WORKLOAD=N`` runs N baseline/change pairs of that benchmark
+  workload through each checkout's own ``benchmarks/run.py --trace 0``, one
+  seed per pair from ``--seed`` up, the side that goes first alternating.
+  Recorded per side: median and quartiles of every end-to-end metric and the
+  failed share; and how many pairs the change won on each metric.
+* ``--slow`` runs ``verify --theorem todd --t 13`` (m = 26) once per side and
+  records its wall time and peak RSS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYER_M = (12, 16, 20, 22)
+LAYER_D = 7
+SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
+
+
+def _measure_layers() -> dict:
+    """Run inside a side's interpreter: {m: {layer: {wall_s, peak_mb}}}."""
+    import tracemalloc
+
+    import numpy as np
+    from walsh_lab import fwht, make_field, truth_table, walsh_spectrum
+
+    def timed(call, setup=lambda: None, runs=7):
+        walls = []
+        for _ in range(runs):
+            arg = setup()
+            start = time.perf_counter()
+            call(arg)
+            walls.append(time.perf_counter() - start)
+        arg = setup()
+        tracemalloc.start()
+        call(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"wall_s": round(statistics.median(walls), 6), "peak_mb": round(peak / 2**20, 3)}
+
+    out = {}
+    for m in LAYER_M:
+        runs = 7 if m < 22 else 5
+        field = make_field(m)
+        table = truth_table(field, LAYER_D)
+        out[f"m={m}"] = {
+            "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
+            "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
+            "fwht": timed(lambda _: fwht(table), runs=runs),
+            "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
+            "dtype": {"signs": str(table.signs.dtype), "fwht": str(fwht(table).dtype),
+                      "power_map": str(field.power_map(LAYER_D).dtype)},
+        }
+        del field, table
+    out["numpy"] = np.__version__
+    return out
+
+
+def _side_env(checkout: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
+def _commit(checkout: Path) -> str:
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                           cwd=checkout, capture_output=True, text=True).stdout.strip()
+    return sha + ("-dirty" if dirty else "")
+
+
+def layers(checkout: Path) -> dict:
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--measure-layers"],
+                          env=_side_env(checkout), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = {k: v["value"] for k, v in result["metrics"].items()}
+    row["fail_frac"] = result["failed"] / result["attempted"]
+    return row
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def workload_pairs(base: Path, change: Path, workload: str, pairs: int, seed: int,
+                   seconds: float) -> dict:
+    runs = {"baseline": [], "change": []}
+    for i in range(pairs):
+        order = [("baseline", base), ("change", change)]
+        for side, checkout in order if i % 2 == 0 else order[::-1]:
+            runs[side].append(bench_run(checkout, workload, seed + i, seconds))
+    metrics = [k for k in runs["baseline"][0] if k != "fail_frac"]
+    out = {"pairs": pairs, "seeds": [seed, seed + pairs - 1], "seconds": seconds}
+    for side, rows in runs.items():
+        out[side] = {k: _quartiles([r[k] for r in rows]) for k in metrics}
+        out[side]["fail_frac"] = sorted({r["fail_frac"] for r in rows})
+    out["change_wins"] = {k: sum(c[k] < b[k] for b, c in zip(runs["baseline"], runs["change"]))
+                          for k in metrics}
+    return out
+
+
+def slow_run(checkout: Path) -> dict:
+    code = f"import sys; from walsh_lab.cli import main; sys.exit(main({SLOW_ARGV!r}))"
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", code], env=_side_env(checkout),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"argv": SLOW_ARGV, "exit": proc.returncode,
+            "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--measure-layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--baseline", type=Path)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--slow", action="store_true")
+    args = parser.parse_args()
+    if args.measure_layers:
+        print(json.dumps(_measure_layers()))
+        return 0
+    if args.baseline is None or args.out is None:
+        parser.error("--baseline and --out are required")
+    base = args.baseline.resolve()
+    sides = {"baseline": base, "change": ROOT}
+    measured = {side: layers(checkout) for side, checkout in sides.items()}
+    numpy_version = measured["change"].pop("numpy")
+    measured["baseline"].pop("numpy")
+    record = {
+        "commit": _commit(ROOT),
+        "baseline_commit": _commit(base),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy_version,
+        "python": platform.python_version(),
+        "layers": {"m": list(LAYER_M), "d": LAYER_D, **measured},
+        "benchmark": {},
+    }
+    for spec in args.pairs:
+        workload, _, n = spec.partition("=")
+        record["benchmark"][workload] = workload_pairs(base, ROOT, workload, int(n or 1),
+                                                       args.seed, args.seconds)
+    if args.slow:
+        record["slow"] = {side: slow_run(checkout) for side, checkout in sides.items()}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
