@@ -22,7 +22,10 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, mod_inverse, parity
-from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
+from .walsh import Histogram, fwht, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
+
+# Entries per block of the coset sums and the pairing matrix.
+_BLOCK = 1 << 16
 
 
 def _v2(n: int) -> int:
@@ -214,42 +217,32 @@ class SquareIdentitySummary:
         return self.total_identity and self.coset_identity
 
 
-def _subfield_character_sums(field: Field, signs: np.ndarray) -> np.ndarray:
-    """M_b for every element b, indexed by b: 2^t shifted sums of the sign table."""
-    idx = np.arange(field.q)
-    msums = np.zeros(field.q, dtype=np.int64)
-    for x in field.subfield_elements():
-        msums += signs[idx ^ x]
-    return msums
-
-
-def _coset_points(field: Field, c: int) -> np.ndarray:
-    """b = u*c for u in L*, u ascending: the points of the weighted identities
-    and of the coset square sum."""
-    return np.array([field.mul(u, c) for u in field.subfield_elements() if u], dtype=np.int64)
-
-
-def _square_identities(field: Field, powers: np.ndarray, msums: np.ndarray, c: int,
-                       points: np.ndarray) -> SquareIdentitySummary:
-    total = int((msums * msums).sum())
-    in_l = field.in_subfield_mask()
-    boundary = in_l[powers[np.arange(field.q) ^ 1] ^ powers]
-    coset = msums[points]
-    return SquareIdentitySummary(t=field.t, total=total, coset_total=int((coset * coset).sum()),
-                                 boundary_count=int(boundary.sum()),
-                                 off_subfield_boundary=int((boundary & ~in_l).sum()), c=c)
+def _coset_sums(field: Field, powers: np.ndarray, signs: np.ndarray) -> tuple:
+    """M_b for every b, the 2^t coset sums S (M_b = S[coset_labels()[b]]) and
+    the two boundary counts.  b and b ^ 1 give one (b+1)^d + b^d and lie in one
+    coset of L, so each adjacent pair of powers is read once and counts twice."""
+    labels = field.coset_labels()
+    sums = np.zeros(1 << field.t, dtype=np.int64)
+    boundary = off = 0
+    for lo in range(0, field.q, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        sums += np.bincount(labels[block], signs[block], sums.size).astype(np.int64)
+        pair = powers[block].reshape(-1, 2)
+        in_l = labels[pair[:, 0] ^ pair[:, 1]] == 0
+        boundary += 2 * int(in_l.sum())
+        off += 2 * int((in_l & (labels[block][::2] != 0)).sum())
+    # the labels are overwritten with the sums they name
+    for lo in range(0, field.q, _BLOCK):
+        labels[lo:lo + _BLOCK] = sums[labels[lo:lo + _BLOCK]]
+    return labels, sums, boundary, off
 
 
 def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
-    """Vectorized check of both square-sum identities:
+    """Both square-sum identities, as subfield_identities computes them:
     sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F, and
     sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
     field.need_even()
-    field.check_exponent(d)
-    powers = field.power_map(d)
-    msums = _subfield_character_sums(field, truth_table(field, d, powers).signs)
-    c, _ = _resolve_c(field, None, None, prefer_five=False)
-    return _square_identities(field, powers, msums, c, _coset_points(field, c))
+    return subfield_identities(field, d).square
 
 
 # -- all identities in one pass ------------------------------------------------
@@ -261,9 +254,9 @@ class SubfieldIdentities:
 
     The lemma residuals are sum_a W_d(a) - 2^m and sum_a W_d(a)^2 - 2^(2m).
     For even m, subfield_walsh holds W_d(a) for a over subfield_elements(),
-    character_sums holds M_b indexed by the element b, lhs and rhs are the
-    two sides of weighted_walsh_identity at each b in points (b = u*c for
-    u in L*, c the designated generator of order 2^t + 1), and square is
+    character_sums holds M_b (int32) indexed by the element b, lhs and rhs
+    are the two sides of weighted_walsh_identity at each b in points (b = u*c
+    for u in L*, c the designated generator of order 2^t + 1), and square is
     character_sum_square_identities.  All of these are None for odd m.
     """
 
@@ -285,42 +278,50 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     """Lemma moments, weighted identities and square identities from one truth
     table and one butterfly.
 
-    W_d(a) is read from the butterfly at dual_index(a).  M_b comes from the
-    sign table by direct shifted sums, not from the butterfly: L is its own
-    trace dual, so M_b = 2^-t sum_{a in L} W_d(a) (-1)^Tr(a*b), and taking
-    both sides from one transform would make the weighted identity hold by
-    construction.
+    M_b and the square identities come from the sign table by coset sums,
+    before the butterfly runs on it in place.  M_b is not read from the
+    butterfly: L is its own trace dual, so
+    M_b = 2^-t sum_{a in L} W_d(a) (-1)^Tr(a*b), and taking both sides from
+    one transform would make the weighted identity hold by construction.
+    W_d(a) is read from the butterfly at dual_index(a).
     """
     field.check_exponent(d)
     powers = field.power_map(d)
-    table = truth_table(field, d, powers)
-    arr = fwht(table)
+    signs = truth_table(field, d, powers).signs
+    cosets = _coset_sums(field, powers, signs) if field.t is not None else None
+    del powers
+    arr = fwht_inplace(signs)
     # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
     # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
     # 2^(2m) <= 2^56 and every partial sum is smaller, so int64 is exact.
     sum_residual = int(arr.sum(dtype=np.int64)) - field.q
     square_sum_residual = int(np.einsum("i,i->", arr, arr, dtype=np.int64)) - field.q * field.q
-    if field.t is None:
+    if cosets is None:
         return SubfieldIdentities(sum_residual, square_sum_residual)
+    msums, sums, boundary, off = cosets
     elems = field.subfield_elements()
     w_sub = arr[[field.dual_index(a) for a in elems]]
-    msums = _subfield_character_sums(field, table.signs)
     c, _ = _resolve_c(field, None, None, prefer_five=False)
-    points = _coset_points(field, c)
+    points = np.array([field.mul(u, c) for u in elems if u], dtype=np.int64)
 
-    # sum_{a in L} W_d(a) (-1)^Tr(b*a) with Tr(b*a) = parity(dual_index(b) & a);
-    # the (b, a) matrix has (2^t - 1) * 2^t < q entries, like the arrays above.
+    # sum_{a in L} W_d(a) (-1)^Tr(b*a) with Tr(b*a) = parity(dual_index(b) & a),
+    # over the (2^t - 1) x 2^t matrix in blocks of about _BLOCK entries
     sub = np.array(elems, dtype=np.int64)
     duals = np.array([field.dual_index(int(b)) for b in points], dtype=np.int64)
-    paired = (1 - 2 * parity(duals[:, None] & sub[None, :])) @ w_sub
+    rows = max(1, _BLOCK >> field.t)
+    paired = np.concatenate([(1 - 2 * parity(duals[lo:lo + rows, None] & sub)) @ w_sub
+                             for lo in range(0, duals.size, rows)])
 
-    mb = msums[points]
+    mb = msums[points].astype(np.int64)
     eps = np.where(mb <= 0, 1, -1)
+    # sum_b M_b^2 has 2^t equal terms per coset
+    square = SquareIdentitySummary(t=field.t, total=(1 << field.t) * int((sums * sums).sum()),
+                                   coset_total=int((mb * mb).sum()),
+                                   boundary_count=boundary, off_subfield_boundary=off, c=c)
     return SubfieldIdentities(sum_residual, square_sum_residual,
                               subfield_walsh=w_sub, character_sums=msums, points=points,
                               lhs=w_sub.sum() - eps * paired,
-                              rhs=field.q + (1 << field.t) * np.abs(mb),
-                              square=_square_identities(field, powers, msums, c, points))
+                              rhs=field.q + (1 << field.t) * np.abs(mb), square=square)
 
 
 # -- solution-set route to Walsh coefficients ----------------------------------

@@ -24,7 +24,6 @@ from .predict import compare, predicted_spectrum_t_even, predicted_spectrum_t_od
 from .walsh import walsh_spectrum
 
 SPECTRUM_GUARD_M = 28
-SQUARE_SUM_GUARD_M = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,11 +79,10 @@ def _resolve_m(args) -> int:
     return args.m if args.m is not None else 2 * args.t
 
 
-def _guard(m: int, force: bool, limit: int, what: str) -> None:
-    if m > limit and not force:
-        raise ResourceLimitError(
-            f"{what} at m = {m} exceeds the size guard m <= {limit}; pass --force to proceed"
-        )
+def _guard(m: int, force: bool, what: str) -> None:
+    if m > SPECTRUM_GUARD_M and not force:
+        raise ResourceLimitError(f"{what} at m = {m} exceeds the size guard "
+                                 f"m <= {SPECTRUM_GUARD_M}; pass --force to proceed")
 
 
 def _thread_count(args) -> int:
@@ -111,7 +109,7 @@ def _make_field(args, m: int):
 
 def cmd_spectrum(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, SPECTRUM_GUARD_M, "spectrum")
+    _guard(m, args.force, "spectrum")
     fld = _make_field(args, m)
     spec = walsh_spectrum(fld, args.d)
     meta = {
@@ -124,7 +122,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_weights(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, SPECTRUM_GUARD_M, "weight distribution")
+    _guard(m, args.force, "weight distribution")
     fld = _make_field(args, m)
     dist = weight_distribution(fld, args.d)
     min_dist = min(w for w, _ in dist.entries if w > 0)
@@ -142,7 +140,7 @@ def cmd_verify(args) -> int:
         pred = predicted_spectrum_t_odd(args.t)
     else:
         pred = predicted_spectrum_t_even(args.t)
-    _guard(pred.m, args.force, SPECTRUM_GUARD_M, "verification spectrum")
+    _guard(pred.m, args.force, "verification spectrum")
     fld = _make_field(args, pred.m)
     actual = walsh_spectrum(fld, pred.d)
     cmp = compare(actual, pred)
@@ -160,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    _guard(args.t, args.force, SPECTRUM_GUARD_M, "census")
+    _guard(args.t, args.force, "census")
     fld = _make_field(args, args.t)
     rep = sextic_census(fld)
     entries = sorted(rep.counts.items())
@@ -183,7 +181,7 @@ def cmd_census(args) -> int:
 def cmd_scan(args) -> int:
     threads = _thread_count(args)
     m = _resolve_m(args)
-    _guard(m, args.force, SPECTRUM_GUARD_M, "scan")
+    _guard(m, args.force, "scan")
     fld = _make_field(args, m)
     checker = check_sarwate if args.check == "sarwate" else check_bound
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
@@ -207,11 +205,7 @@ def cmd_scan(args) -> int:
 
 def cmd_identities(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, SPECTRUM_GUARD_M, "identities")
-    if m % 2 == 0:
-        # even m refuses the whole command above this guard: the subfield
-        # sums M_b take 2^t passes over all q elements, q^(3/2)
-        _guard(m, args.force, SQUARE_SUM_GUARD_M, "identities for even m")
+    _guard(m, args.force, "identities")
     fld = _make_field(args, m)
     rep = subfield_identities(fld, args.d)
     meta: dict = {

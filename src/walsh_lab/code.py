@@ -147,8 +147,6 @@ def exhaustive_weight_histogram(field: Field, d: int) -> dict[int, int]:
     depend on the order of positions.
     """
     field.check_exponent(d)
-    if not field.has_tables:
-        raise DomainError("exhaustive enumeration needs log tables")
     q = field.q
     tr = field.trace_bits()
     powers = field.power_map(d)[1:]

@@ -9,9 +9,9 @@ When the field is small enough (2^m <= table_cap, default 2^22 entries) a
 log/antilog table pair over alpha is built once and multiplicative work
 becomes exponent arithmetic modulo 2^m - 1.  Above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication, and
-power_map builds a transient antilog for each call.  scalar_mul_map and
-dual_index_all need no tables: both are GF(2)-linear maps, filled by doubling
-over the polynomial basis.
+power_map builds a transient antilog for each call.  scalar_mul_map,
+dual_index_all and coset_labels need no tables: all are GF(2)-linear maps,
+filled by doubling over the polynomial basis.
 
 PRIMITIVE_POLY holds the lexicographically smallest primitive polynomial of
 each degree 2..28 as an integer bitmask (0x43 = x^6 + x + 1).  Construction
@@ -450,9 +450,7 @@ class Field:
     def in_subfield_mask(self) -> np.ndarray:
         """bool array over all elements marking membership in L."""
         if self._in_subfield is None:
-            mask = np.zeros(self.q, dtype=bool)
-            mask[list(self.subfield_elements())] = True
-            self._in_subfield = mask
+            self._in_subfield = self.coset_labels() == 0
         return self._in_subfield
 
     def dual_index_all(self) -> np.ndarray:
@@ -460,6 +458,15 @@ class Field:
         if self._dual_all is None:
             self._dual_all = _xor_span(self._dual_rows, self.q)
         return self._dual_all
+
+    def coset_labels(self) -> np.ndarray:
+        """Fresh int32 array naming the coset x + L of each x by the bits
+        Tr(x * gamma^i), i < t, gamma = alpha^(2^t + 1) generating L*.  L is
+        its own trace dual, so the labels are 0 exactly on L."""
+        step = (1 << self.need_even()) + 1
+        cols = [sum(self.trace(self.exp(j + i * step)) << i for i in range(self.t))
+                for j in range(self.m)]
+        return _xor_span(cols, self.q, np.int32)
 
     def power_map(self, d: int) -> np.ndarray:
         """int32 array P with P[x] = x^d (values below 2^m <= 2^28), built by

@@ -3,6 +3,7 @@ identities, solution-set evaluation, the sextic census, Dickson permutation
 tests, and the two spectral bound checks."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -233,6 +234,18 @@ class TestSubfieldIdentities:
         assert [int(w) for w in walsh] == [
             walsh_coefficient(f, d, a) for a in f.subfield_elements()
         ]
+
+    def test_peak_memory_near_the_spectrum_path(self):
+        # the sign table, M_b, the butterfly's transposed copy and its
+        # half-size scratch are the only q-sized int32 arrays alive at once
+        f = make_field(18)
+        tracemalloc.start()
+        try:
+            subfield_identities(f, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 4 * f.q
 
     def test_one_power_map_per_call(self, monkeypatch):
         f = make_field(10)

@@ -226,17 +226,21 @@ class TestErrorsAndGuards:
         code, _, err = run(capsys, "spectrum", "--m", "30", "--d", "3", "--force")
         assert code == 2
 
-    def test_identities_square_guard(self, capsys):
-        code, _, err = run(capsys, "identities", "--m", "18", "--d", "5")
-        assert code == 3
-        assert json.loads(err)["kind"] == "resource"
+    def test_identities_m18_runs_without_force(self, capsys):
+        # identities obeys the spectrum guard alone, like every other command
+        code, out, _ = run(capsys, "identities", "--m", "18", "--d", "5")
+        assert code == 0
+        meta = parse(out)["meta"]
+        assert meta["lemma"] == {"square_sum_residual": 0, "sum_residual": 0}
+        assert meta["weighted"] == {"checked": 511, "max_abs_residual": 0}
+        assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
 
     def test_identities_guard_names_the_command(self, capsys):
-        code, out, err = run(capsys, "identities", "--m", "18", "--d", "5")
+        code, out, err = run(capsys, "identities", "--m", "30", "--d", "5")
         assert code == 3 and out == ""
-        message = json.loads(err)["error"]
-        assert message.startswith("identities for even m at m = 18")
-        assert "square-sum" not in message
+        payload = json.loads(err)
+        assert payload["kind"] == "resource"
+        assert payload["error"].startswith("identities at m = 30")
 
     def test_bad_poly(self, capsys):
         code, _, err = run(capsys, "spectrum", "--m", "6", "--d", "19",

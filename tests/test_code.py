@@ -117,7 +117,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             spectrum_to_weights(field6, s)
 
-    def test_exhaustive_needs_tables(self):
-        f = make_field(4, table_cap=1)
-        with pytest.raises(DomainError):
-            exhaustive_weight_histogram(f, 7)
+    @pytest.mark.parametrize("m,ds", [(4, (3, 7, 11)), (6, (5, 11, 19))])
+    def test_exhaustive_without_tables(self, m, ds):
+        tables, tableless = make_field(m), make_field(m, table_cap=1)
+        assert not tableless.has_tables
+        for d in ds:
+            assert exhaustive_weight_histogram(tableless, d) == \
+                exhaustive_weight_histogram(tables, d), f"d={d}"

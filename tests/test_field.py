@@ -141,6 +141,20 @@ class TestSubfield:
         for x in range(64):
             assert bool(mask[x]) == (x in s)
 
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_coset_labels_name_the_cosets_of_L(self, m, random_modulus):
+        rng = random.Random(m)
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            f = make_field(m, modulus)
+            labels = f.coset_labels()
+            assert labels.dtype == np.int32
+            sub = f.subfield_elements()
+            assert np.flatnonzero(labels == 0).tolist() == list(sub)
+            # linear with kernel L: constant on each coset x + L, 2^t distinct values
+            for x in range(0, f.q, 3):
+                assert {int(labels[x ^ y]) for y in sub} == {int(labels[x])}
+            assert sorted(set(labels.tolist())) == list(range(1 << (m // 2)))
+
     def test_designated_generator_order(self, field6):
         c = field6.designated_generator(9)
         seen = {1}

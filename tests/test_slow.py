@@ -15,3 +15,13 @@ def test_verify_todd_t13(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["m"] == 26 and payload["meta"]["equal"] is True
+
+
+def test_identities_m26(capsys):
+    # within the spectrum guard, so no --force: M_b by coset sums is O(q)
+    code = cli.main(["identities", "--m", "26", "--d", "5"])
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert code == 0
+    assert meta["lemma"] == {"square_sum_residual": 0, "sum_residual": 0}
+    assert meta["weighted"] == {"checked": (1 << 13) - 1, "max_abs_residual": 0}
+    assert meta["square"] == {"coset_residual": 0, "total_residual": 0}

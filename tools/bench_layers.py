@@ -1,15 +1,18 @@
 """Layer timings of the spectrum path and benchmark medians, for this checkout
 against a baseline checkout, written as one BENCH_*.json.
 
-    python3 tools/bench_layers.py --baseline ../base --out BENCH_5.json \\
-        --pairs table-field=10 --pairs tableless-field=3 --seconds 25 --seed 11 --slow
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_6.json \\
+        --pairs table-field=4 --pairs subfield-identities=4 --seconds 25 --seed 11 \\
+        --slow --run "identities --m 24 --d 11"
 
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
 
 * Layers: ``trace_bits`` (a fresh field per run), ``truth_table``, ``fwht``
   and ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the
-  median wall time of several runs and the tracemalloc peak of one more.
+  median wall time of several runs and the tracemalloc peak of one more;
+  ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
+  m = 20.
 * ``--pairs WORKLOAD=N`` runs N baseline/change pairs of that benchmark
   workload through each checkout's own ``benchmarks/run.py --trace 0``, one
   seed per pair from ``--seed`` up, the side that goes first alternating.
@@ -17,6 +20,8 @@ checkout's ``src``.
   failed share; and how many pairs the change won on each metric.
 * ``--slow`` runs ``verify --theorem todd --t 13`` (m = 26) once per side and
   records its wall time and peak RSS.
+* ``--run "ARGS"`` runs that CLI call once in this checkout only (for calls
+  the baseline refuses or would take far longer on) and records the same.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYER_M = (12, 16, 20, 22)
+IDENTITIES_M = (12, 16, 20)
 LAYER_D = 7
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 
@@ -42,7 +48,7 @@ def _measure_layers() -> dict:
     import tracemalloc
 
     import numpy as np
-    from walsh_lab import fwht, make_field, truth_table, walsh_spectrum
+    from walsh_lab import fwht, make_field, subfield_identities, truth_table, walsh_spectrum
 
     def timed(call, setup=lambda: None, runs=7):
         walls = []
@@ -71,6 +77,9 @@ def _measure_layers() -> dict:
             "dtype": {"signs": str(table.signs.dtype), "fwht": str(fwht(table).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype)},
         }
+        if m in IDENTITIES_M:
+            out[f"m={m}"]["subfield_identities"] = timed(
+                lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
         del field, table
     out["numpy"] = np.__version__
     return out
@@ -129,15 +138,15 @@ def workload_pairs(base: Path, change: Path, workload: str, pairs: int, seed: in
     return out
 
 
-def slow_run(checkout: Path) -> dict:
-    code = f"import sys; from walsh_lab.cli import main; sys.exit(main({SLOW_ARGV!r}))"
+def cli_run(checkout: Path, argv: list[str]) -> dict:
+    code = f"import sys; from walsh_lab.cli import main; sys.exit(main({argv!r}))"
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", code], env=_side_env(checkout),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"argv": SLOW_ARGV, "exit": proc.returncode,
+    return {"argv": argv, "exit": proc.returncode,
             "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
@@ -150,6 +159,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--slow", action="store_true")
+    parser.add_argument("--run", action="append", default=[], metavar="ARGS")
     args = parser.parse_args()
     if args.measure_layers:
         print(json.dumps(_measure_layers()))
@@ -175,7 +185,9 @@ def main() -> int:
         record["benchmark"][workload] = workload_pairs(base, ROOT, workload, int(n or 1),
                                                        args.seed, args.seconds)
     if args.slow:
-        record["slow"] = {side: slow_run(checkout) for side, checkout in sides.items()}
+        record["slow"] = {side: cli_run(checkout, SLOW_ARGV) for side, checkout in sides.items()}
+    if args.run:
+        record["runs"] = [cli_run(ROOT, spec.split()) for spec in args.run]
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
