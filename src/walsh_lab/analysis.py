@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, mod_inverse, parity
-from .walsh import Histogram, fwht, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
+from .walsh import Histogram, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
 
 # Entries per block of the coset sums and the pairing matrix.
 _BLOCK = 1 << 16
@@ -287,7 +287,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     """
     field.check_exponent(d)
     powers = field.power_map(d)
-    signs = truth_table(field, d, powers).signs
+    signs = truth_table(field, d).signs
     cosets = _coset_sums(field, powers, signs) if field.t is not None else None
     del powers
     arr = fwht_inplace(signs)
@@ -474,7 +474,7 @@ def check_bound(field: Field, d: int) -> BoundCheck:
     strict minimum-distance bound for the associated code.)"""
     t = field.need_even()
     field.check_invertible(d)
-    arr = fwht(truth_table(field, d))
+    arr = fwht_inplace(truth_table(field, d).signs)
     return BoundCheck(d=d, max_walsh=int(arr[1:].max()),
                       bound=(1 << t) + (1 << (t // 2)))
 
@@ -496,7 +496,7 @@ def check_sarwate(field: Field, d: int) -> SarwateCheck:
     the witness is cross-checked against the direct-summation oracle."""
     t = field.need_even()
     field.check_invertible(d)
-    arr = fwht(truth_table(field, d))
+    arr = fwht_inplace(truth_table(field, d).signs)
     threshold = 1 << (t + 1)
     mx = int(arr[1:].max())
     witness = None

@@ -5,13 +5,20 @@ x^j in the residue class modulo a fixed primitive polynomial, so addition is
 XOR and zero/one are the ints 0 and 1.  The generator alpha is the class of x,
 i.e. the int 2.
 
-When the field is small enough (2^m <= table_cap, default 2^22 entries) a
-log/antilog table pair over alpha is built once and multiplicative work
+When the field is small enough (2^m <= table_cap, default 2^22 entries) an
+int32 log/antilog table pair over alpha is built once and multiplicative work
 becomes exponent arithmetic modulo 2^m - 1.  Above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication, and
-power_map builds a transient antilog for each call.  scalar_mul_map,
-dual_index_all and coset_labels need no tables: all are GF(2)-linear maps,
-filled by doubling over the polynomial basis.
+power_map and log_table build a transient antilog for each call.
+scalar_mul_map, dual_index_all and coset_labels need no tables: all are
+GF(2)-linear maps, filled by doubling over the polynomial basis.
+
+The sign table of Tr(x^d) is read from two arrays that do not depend on d:
+the logs and the trace m-sequence s[i] = Tr(alpha^i), cached as uint8.  For
+x != 0, Tr(x^d) = s[log(x) * d mod (2^m - 1)], so walsh.truth_table gathers
+from a q-byte array and writes sequentially.  Without tables the logs are
+built for each call, and the antilog they come from is dropped before the
+caller allocates the sign table.
 
 PRIMITIVE_POLY holds the lexicographically smallest primitive polynomial of
 each degree 2..28 as an integer bitmask (0x43 = x^6 + x + 1).  Construction
@@ -39,8 +46,9 @@ from .errors import DomainError, NonInvertibleError, UnsupportedError
 
 DEFAULT_TABLE_CAP = 1 << 22
 
-# Exponents per gather in power_map: bounds its temporaries to this many
-# entries, so the only q-sized arrays are the antilog and the result.
+# Entries per gather or scatter in the table maps: bounds their temporaries
+# to this many entries, so the only q-sized arrays are the inputs and the
+# result.  Indices are widened to intp one block at a time.
 _POWER_BLOCK = 1 << 16
 
 # Lexicographically smallest primitive polynomial per degree, as bitmask.
@@ -127,6 +135,16 @@ def _xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
+    """int32 inverse of the antilog over [0, q): log[alog[i]] = i, log[0] = -1."""
+    log = np.empty(q, dtype=np.int32)
+    log[0] = -1
+    for lo in range(0, alog.size, _POWER_BLOCK):
+        hi = min(lo + _POWER_BLOCK, alog.size)
+        log[alog[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+    return log
+
+
 def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
     """Invert an m x m GF(2) matrix given as row bitmasks (bit i of rows[j] is M[j][i])."""
     left = list(rows)
@@ -206,6 +224,7 @@ class Field:
         self._subfield: tuple[int, ...] | None = None
         self._subfield_set: frozenset[int] | None = None
         self._trace_bits: np.ndarray | None = None
+        self._trace_seq: np.ndarray | None = None
         self._in_subfield: np.ndarray | None = None
         self._dual_all: np.ndarray | None = None
 
@@ -255,7 +274,9 @@ class Field:
 
         Laid out as rows of width B = 2^ceil(m/2): a scalar chain of products
         by alpha^B gives the row starts, then all rows advance together, one
-        vector multiply-by-x per column.
+        vector multiply-by-x per column.  Columns are built 16 at a time in a
+        small buffer and transposed into place, so no second q-sized array
+        is made.
         """
         m, modulus = self.m, self.modulus
         width = 1 << ((m + 1) // 2)
@@ -264,19 +285,26 @@ class Field:
         for _ in range(self.q // width - 1):
             starts.append(_polymul_mod(starts[-1], jump, modulus, m))
         cur = np.array(starts, dtype=np.int32)
-        cols = np.empty((width, cur.size), dtype=np.int32)
-        for j in range(width):
-            cols[j] = cur
-            cur <<= 1
-            cur ^= (cur >> m) * modulus
-        return cols.T.reshape(-1)[: self.order]
+        grid = np.empty((cur.size, width), dtype=np.int32)
+        cols = np.empty((min(width, 16), cur.size), dtype=np.int32)
+        for j0 in range(0, width, cols.shape[0]):
+            for col in cols:
+                col[:] = cur
+                cur <<= 1
+                cur ^= (cur >> m) * modulus
+            grid[:, j0:j0 + cols.shape[0]] = cols.T
+        return grid.reshape(-1)[: self.order]
 
     def _build_tables(self) -> None:
-        self._alog = self._antilog().astype(np.int64)
-        log = np.empty(self.q, dtype=np.int64)
-        log[0] = -1
-        log[self._alog] = np.arange(self.order, dtype=np.int64)
-        self._log = log
+        self._alog = self._antilog()
+        self._log = _log_from_antilog(self._alog, self.q)
+
+    def _trace_sequence_from(self, alog: np.ndarray) -> np.ndarray:
+        tr = self.trace_bits()
+        seq = np.empty(self.order, dtype=np.uint8)
+        for lo in range(0, self.order, _POWER_BLOCK):
+            np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK])
+        return seq
 
     # -- validation -----------------------------------------------------------
 
@@ -388,8 +416,12 @@ class Field:
         """The 2^t elements of L = GF(2^t) inside GF(2^m), sorted ascending."""
         t = self.need_even()
         if self._subfield is None:
-            step = (1 << t) + 1  # L* is the unique subgroup of order 2^t - 1
-            elems = [0] + [self.exp(k * step) for k in range((1 << t) - 1)]
+            # L* is the unique subgroup of order 2^t - 1, generated by
+            # gamma = alpha^(2^t + 1): one chain of products by gamma
+            gamma = self.exp((1 << t) + 1)
+            elems = [0, 1]
+            for _ in range((1 << t) - 2):
+                elems.append(self.mul(elems[-1], gamma))
             self._subfield = tuple(sorted(elems))
             self._subfield_set = frozenset(elems)
         return self._subfield
@@ -454,10 +486,33 @@ class Field:
         return self._in_subfield
 
     def dual_index_all(self) -> np.ndarray:
-        """int64 array with dual_index_all()[a] = dual_index(a)."""
+        """int32 array with dual_index_all()[a] = dual_index(a) (values below 2^m)."""
         if self._dual_all is None:
-            self._dual_all = _xor_span(self._dual_rows, self.q)
+            self._dual_all = _xor_span(self._dual_rows, self.q, np.int32)
         return self._dual_all
+
+    def trace_sequence(self) -> np.ndarray:
+        """uint8 array s with s[i] = Tr(alpha^i) for 0 <= i < 2^m - 1: the
+        trace m-sequence, cached.  It does not depend on any exponent; for
+        x != 0, Tr(x^d) = s[log(x) * d mod (2^m - 1)]."""
+        if self._trace_seq is None:
+            alog = self._alog if self._alog is not None else self._antilog()
+            self._trace_seq = self._trace_sequence_from(alog)
+        return self._trace_seq
+
+    def log_table(self) -> np.ndarray:
+        """int32 array of discrete logs to base alpha, log_table()[0] = -1.
+
+        With tables this is the stored table, which callers must not modify.
+        Without, it is built for this call from a transient antilog, which
+        also fills the trace sequence so that no second antilog is needed.
+        """
+        if self._log is not None:
+            return self._log
+        alog = self._antilog()
+        if self._trace_seq is None:
+            self._trace_seq = self._trace_sequence_from(alog)
+        return _log_from_antilog(alog, self.q)
 
     def coset_labels(self) -> np.ndarray:
         """Fresh int32 array naming the coset x + L of each x by the bits

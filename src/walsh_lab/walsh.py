@@ -2,11 +2,20 @@
 
 Two independent routes exist on purpose.  walsh_coefficient sums the
 character values directly from the definition, one coefficient at a time;
-it is the oracle.  truth_table + fwht computes all 2^m coefficients with the
-in-place Walsh-Hadamard butterfly in O(m 2^m), in int32 throughout: every
+it is the oracle.  truth_table + fwht_inplace computes all 2^m coefficients
+with the Walsh-Hadamard butterfly in O(m 2^m), in int32 throughout: every
 partial sum of the butterfly is at most 2^m <= 2^28 < 2^31 in absolute value,
 so int32 is exact for every supported degree.  A caller that squares or
 multiplies coefficients must widen to int64 first.
+
+The fast route works in cache-sized blocks and in place.  truth_table
+gathers signs[x] = 1 - 2 s[log(x) * d mod (2^m - 1)] block by block from the
+field's trace m-sequence s (one byte per entry) and its int32 logs, so the
+writes are sequential and no power map is built.  fwht_inplace runs the
+stages on the low 16 index bits on one 2^16-entry block at a time, which
+stays in L2, and then the stages on the remaining bits over the whole array
+in 2^15-entry chunks.  walsh_spectrum histograms the butterfly output by
+sorting it in place, so the sign table is the only q-sized array it makes.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -27,8 +36,12 @@ import numpy as np
 from .errors import DomainError
 from .field import Field
 
-# Entries per gather in truth_table, so index temporaries stay this small.
-_GATHER_BLOCK = 1 << 16
+# Entries per gather in truth_table and walsh_coefficients, so index
+# temporaries stay this small.
+_GATHER_BLOCK = 1 << 14
+
+# Entries per block of the local butterfly: 256 KiB of int32, within L2.
+_BUTTERFLY_BLOCK = 1 << 16
 
 
 class Histogram:
@@ -108,20 +121,31 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     return out
 
 
-def truth_table(field: Field, d: int, powers: np.ndarray | None = None) -> TruthTable:
-    """Sign table of Tr(x^d) over all x, one pass of exponent arithmetic.
-    powers, if given, is field.power_map(d), for callers that need it too."""
+def truth_table(field: Field, d: int) -> TruthTable:
+    """Sign table of Tr(x^d) over all x: signs[x] = 1 - 2 s[log(x) * d mod
+    (2^m - 1)] with s the field's trace m-sequence, and signs[0] = +1."""
     field.check_exponent(d)
-    tr = field.trace_bits()
-    if powers is None:
-        powers = field.power_map(d)
-    # Gathered in blocks: take() widens its indices to intp, so a whole-array
-    # gather would make a q-sized int64 copy of powers.
+    log = field.log_table()
+    seq = field.trace_sequence()
+    n = field.order
     signs = np.empty(field.q, dtype=np.int32)
-    for lo in range(0, field.q, _GATHER_BLOCK):
-        signs[lo:lo + _GATHER_BLOCK] = tr.take(powers[lo:lo + _GATHER_BLOCK])
-    signs *= -2
-    signs += 1
+    # Gathered in blocks: take() widens its indices to intp, so a whole-array
+    # gather would make a q-sized int64 index array.
+    idx = np.empty(min(_GATHER_BLOCK, field.q), dtype=np.int64)
+    quot = np.empty_like(idx)
+    bits = np.empty(idx.size, dtype=np.uint8)
+    for lo in range(0, field.q, idx.size):
+        np.multiply(log[lo:lo + idx.size], d, out=idx, dtype=np.int64)
+        # idx mod n as idx - (idx // n) * n: floor division by a scalar is
+        # about twice as fast as np.remainder; log[0] = -1 still lands in range
+        np.floor_divide(idx, n, out=quot)
+        quot *= n
+        idx -= quot
+        np.take(seq, idx, out=bits)
+        block = signs[lo:lo + idx.size]
+        np.multiply(bits, -2, out=block, dtype=np.int32)
+        block += 1
+    signs[0] = 1
     return TruthTable(m=field.m, d=d, modulus=field.modulus, signs=signs)
 
 
@@ -144,9 +168,14 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly over the parity pairing; a must be
     C-contiguous, of length 2^k and of a signed dtype, which the result keeps.
 
-    Index x is viewed as (row, col) with col the low k//2 bits.  The stages on
-    the row bits run on a itself, those on the col bits on one transposed copy,
-    so every stage works on contiguous runs of at least 2^(k//2) entries.
+    The stages on the low min(k, 16) index bits run on each block of
+    B = 2^min(k, 16) entries in turn.  A block is viewed as (row, col) with
+    col its low half of those bits: the col-bit stages run on one block-sized
+    transposed buffer, the row-bit stages on the block itself, so every stage
+    works on contiguous runs of at least 2^(bits // 2) entries in L2.  The
+    stages on the remaining k - 16 bits then run over the whole array, B/2
+    pairs at a time.  Stages commute, so their order does not change the
+    result.
     """
     n = a.size
     if n == 0 or n & (n - 1):
@@ -155,13 +184,25 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
         raise DomainError(f"fwht needs a signed dtype, got {a.dtype}")
     if not a.flags.c_contiguous:
         raise DomainError("fwht works in place and needs a C-contiguous array")
-    cols = 1 << ((n.bit_length() - 1) // 2)
-    grid = a.reshape(n // cols, cols)
-    scratch = np.empty(n // 2, dtype=a.dtype)
-    flipped = np.ascontiguousarray(grid.T)
-    _stages(flipped, scratch)
-    np.copyto(grid, flipped.T)
-    _stages(grid, scratch)
+    size = min(n, _BUTTERFLY_BLOCK)
+    cols = 1 << ((size.bit_length() - 1) // 2)
+    scratch = np.empty(size // 2, dtype=a.dtype)
+    flipped = np.empty((cols, size // cols), dtype=a.dtype)
+    for block in a.reshape(-1, size):
+        grid = block.reshape(size // cols, cols)
+        np.copyto(flipped, grid.T)
+        _stages(flipped, scratch)
+        np.copyto(grid, flipped.T)
+        _stages(grid, scratch)
+    h = size
+    while h < n:
+        for pair in a.reshape(-1, 2, h):
+            for c in range(0, h, scratch.size):
+                lo, hi = pair[0, c:c + scratch.size], pair[1, c:c + scratch.size]
+                np.subtract(lo, hi, out=scratch)
+                np.add(lo, hi, out=lo)
+                np.copyto(hi, scratch)
+        h *= 2
     return a
 
 
@@ -172,20 +213,28 @@ def fwht(table: TruthTable) -> np.ndarray:
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
-    """All W_d(a) indexed by the element a (int32), via fwht and dual reindexing."""
-    spectrum_arr = fwht(truth_table(field, d))
-    return spectrum_arr[field.dual_index_all()]
+    """All W_d(a) indexed by the element a (int32), via the butterfly and dual
+    reindexing, gathered in blocks so no q-sized intp index is made."""
+    arr = fwht_inplace(truth_table(field, d).signs)
+    dual = field.dual_index_all()
+    out = np.empty_like(arr)
+    for lo in range(0, field.q, _GATHER_BLOCK):
+        np.take(arr, dual[lo:lo + _GATHER_BLOCK], out=out[lo:lo + _GATHER_BLOCK])
+    return out
 
 
 def walsh_spectrum(field: Field, d: int) -> Spectrum:
-    """Histogram of all 2^m Walsh coefficients, values ascending."""
-    arr = fwht(truth_table(field, d))
-    values, counts = np.unique(arr, return_counts=True)
+    """Histogram of all 2^m Walsh coefficients, values ascending: the butterfly
+    output is sorted in place and its runs counted."""
+    arr = fwht_inplace(truth_table(field, d).signs)
+    arr.sort()
+    starts = np.r_[0, np.flatnonzero(arr[1:] != arr[:-1]) + 1]
+    counts = np.diff(np.append(starts, arr.size))
     return Spectrum(
         m=field.m,
         d=d,
         modulus=field.modulus,
-        entries=tuple((int(v), int(n)) for v, n in zip(values, counts)),
+        entries=tuple((int(arr[i]), int(n)) for i, n in zip(starts, counts)),
         coprime=gcd(d, field.order) == 1,
     )
 

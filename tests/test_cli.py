@@ -108,6 +108,14 @@ class TestVerifyCommand:
         assert code == 0
         assert parse(out)["meta"]["equal"] is True
 
+    @pytest.mark.parametrize("theorem,t", [("todd", 9), ("teven", 10)])
+    def test_closed_forms_above_the_butterfly_block(self, capsys, theorem, t):
+        # m = 18 and 20 take the blocked butterfly's whole-array stages
+        code, out, _ = run(capsys, "verify", "--theorem", theorem, "--t", str(t))
+        payload = parse(out)
+        assert code == 0
+        assert payload["m"] == 2 * t and payload["meta"]["equal"] is True
+
     def test_wrong_regime_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "teven", "--t", "3")
         assert code == 2

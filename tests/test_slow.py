@@ -25,3 +25,12 @@ def test_identities_m26(capsys):
     assert meta["lemma"] == {"square_sum_residual": 0, "sum_residual": 0}
     assert meta["weighted"] == {"checked": (1 << 13) - 1, "max_abs_residual": 0}
     assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
+
+
+def test_verify_teven_t14(capsys):
+    # m = 28, the largest table the guard allows: the seven-valued spectrum
+    # at t = 14, about 30 s and 2.6 GiB
+    code = cli.main(["verify", "--theorem", "teven", "--t", "14"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["m"] == 28 and payload["meta"]["equal"] is True

@@ -2,6 +2,7 @@
 frozen spectra for two reference parameter sets."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestOracleAgreement:
             assert np.array_equal(
                 walsh_coefficients(field8, d), walsh_coefficients_naive(field8, d)
             ), f"d={d}"
+
+    def test_sampled_points_past_the_gather_blocks(self, random_modulus):
+        # m = 18 spans 16 gather blocks of the dual reindexing and 4 butterfly
+        # blocks; the oracle is checked at points spread over all of them
+        rng = random.Random(18)
+        f = make_field(18, random_modulus(18, rng))
+        d = 3 + (1 << 10)
+        fast = walsh_coefficients(f, d)
+        assert fast.dtype == np.int32
+        for a in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(13)]:
+            assert int(fast[a]) == walsh_coefficient(f, d, a), f"a={a}"
 
     def test_single_coefficient_matches_tableless_loop(self):
         ft = make_field(4)
@@ -108,6 +120,36 @@ class TestTruthTable:
         for x in range(64):
             assert int(tt.signs[x]) == 1 - 2 * field6.trace(field6.pow(x, 19))
 
+    @pytest.mark.parametrize("m", [9, 17, 19, 20])
+    def test_log_gather_matches_scalar_trace(self, m, random_modulus):
+        # the gather s[log(x) * d mod (2^m - 1)] against Tr(x^d) computed by
+        # scalar arithmetic, with and without log tables
+        rng = random.Random(4000 + m)
+        xs = [0, 1, (1 << m) - 1] + [rng.randrange(1 << m) for _ in range(197)]
+        for modulus in (None, random_modulus(m, rng)):
+            for table_cap in (1 << m, 1):
+                f = make_field(m, modulus, table_cap=table_cap)
+                for d in (3, (1 << (m // 2)) + 3, rng.randrange(1, f.q - 1), f.q - 2):
+                    signs = truth_table(f, d).signs
+                    assert signs.dtype == np.int32 and signs.size == f.q
+                    assert [int(signs[x]) for x in xs] == \
+                        [1 - 2 * f.trace(f.pow(x, d)) for x in xs], \
+                        f"m={m} modulus={modulus} tables={f.has_tables} d={d}"
+
+
+def _radix2_reference(x: np.ndarray) -> np.ndarray:
+    """The textbook butterfly in int64: one pass over the whole array per
+    index bit, lowest bit first."""
+    a = x.astype(np.int64)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = lo + hi
+        pairs[:, 1] = lo - hi
+        h *= 2
+    return a
+
 
 class TestFwht:
     def test_tiny_frozen_example(self):
@@ -147,6 +189,17 @@ class TestFwht:
         assert once.dtype == twice.dtype == np.int32
         assert np.array_equal(twice, n * x)
 
+    @pytest.mark.parametrize("k", [17, 18, 19])
+    def test_blocked_butterfly_matches_radix2_reference(self, k):
+        # past the 2^16-entry block: local stages on each block, then k - 16
+        # whole-array stages; |x| <= 1000 keeps n * |x| inside int32
+        x = np.random.default_rng(k).integers(-1000, 1001, size=1 << k).astype(np.int32)
+        once = fwht_inplace(x.copy())
+        assert once.dtype == np.int32
+        assert np.array_equal(once, _radix2_reference(x))
+        # the second pass's partial sums pass 2^31, so it runs in int64
+        assert np.array_equal(fwht_inplace(once.astype(np.int64)), (1 << k) * x.astype(np.int64))
+
     def test_fwht_does_not_mutate_table(self, field6):
         tt = truth_table(field6, 19)
         before = tt.signs.copy()
@@ -178,6 +231,24 @@ class TestInt32Exactness:
             assert arr.dtype == np.int32 and truth_table(f, d).signs.dtype == np.int32
             assert np.array_equal(arr[f.dual_index_all()], walsh_coefficients_naive(f, d)), \
                 f"m={m} modulus={modulus} d={d}"
+
+
+class TestMemory:
+    @pytest.mark.parametrize("m", [18, 20])
+    def test_spectrum_peak_on_a_warm_field(self, m):
+        # the sign table is the only q-sized array: the butterfly runs on it
+        # in place and the histogram sorts it in place
+        f = make_field(m)
+        d = 3 + (1 << (m // 2 + 1))
+        expected = walsh_spectrum(f, d)
+        tracemalloc.start()
+        try:
+            spec = walsh_spectrum(f, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec == expected
+        assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
 
 
 class TestValidation:

@@ -1,18 +1,24 @@
 """Layer timings of the spectrum path and benchmark medians, for this checkout
 against a baseline checkout, written as one BENCH_*.json.
 
-    python3 tools/bench_layers.py --baseline ../base --out BENCH_6.json \\
-        --pairs table-field=4 --pairs subfield-identities=4 --seconds 25 --seed 11 \\
-        --slow --run "identities --m 24 --d 11"
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_7.json \\
+        --pairs table-field=10 --pairs exponent-sweep=4 --seconds 25 --seed 21 \\
+        --slow --run "verify --theorem teven --t 14"
 
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
 
-* Layers: ``trace_bits`` (a fresh field per run), ``truth_table``, ``fwht``
-  and ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the
-  median wall time of several runs and the tracemalloc peak of one more;
+* Layers: ``make_field`` and ``trace_bits`` (a fresh field per run),
+  ``truth_table``, ``fwht_inplace`` (on a fresh copy of the signs) and
+  ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the median
+  wall time of several runs and the tracemalloc peak of one more;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20.
+* ``spectrum --m 24 --d 8195`` (no tables; d = 3 + 2^13 is the paper's
+  exponent at t = 12, which the teven table does not cover): its
+  tracemalloc peak, and 16 times that as the estimate for
+  ``verify --theorem teven --t 14`` (m = 28, the same spectrum path), where
+  every q-sized array is 16 times larger.
 * ``--pairs WORKLOAD=N`` runs N baseline/change pairs of that benchmark
   workload through each checkout's own ``benchmarks/run.py --trace 0``, one
   seed per pair from ``--seed`` up, the side that goes first alternating.
@@ -41,14 +47,18 @@ LAYER_M = (12, 16, 20, 22)
 IDENTITIES_M = (12, 16, 20)
 LAYER_D = 7
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
+ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 
 
 def _measure_layers() -> dict:
     """Run inside a side's interpreter: {m: {layer: {wall_s, peak_mb}}}."""
+    import contextlib
+    import io
     import tracemalloc
 
     import numpy as np
-    from walsh_lab import fwht, make_field, subfield_identities, truth_table, walsh_spectrum
+    from walsh_lab import (cli, fwht, fwht_inplace, make_field, subfield_identities,
+                           truth_table, walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
         walls = []
@@ -70,17 +80,22 @@ def _measure_layers() -> dict:
         field = make_field(m)
         table = truth_table(field, LAYER_D)
         out[f"m={m}"] = {
+            "make_field": timed(lambda _: make_field(m), runs=runs),
             "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
             "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
-            "fwht": timed(lambda _: fwht(table), runs=runs),
+            "fwht_inplace": timed(fwht_inplace, lambda: table.signs.copy(), runs),
             "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
             "dtype": {"signs": str(table.signs.dtype), "fwht": str(fwht(table).dtype),
-                      "power_map": str(field.power_map(LAYER_D).dtype)},
+                      "power_map": str(field.power_map(LAYER_D).dtype),
+                      "dual_index_all": str(field.dual_index_all().dtype)},
         }
         if m in IDENTITIES_M:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
         del field, table
+    with contextlib.redirect_stdout(io.StringIO()):
+        verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
+    out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
     out["numpy"] = np.__version__
     return out
 
