@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, mod_inverse, parity
-from .walsh import Histogram, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
+from .walsh import Histogram, fwht, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
 
 # Entries per block of the coset sums and the pairing matrix.
 _BLOCK = 1 << 16
@@ -217,15 +217,20 @@ class SquareIdentitySummary:
         return self.total_identity and self.coset_identity
 
 
-def _coset_sums(field: Field, powers: np.ndarray, signs: np.ndarray) -> tuple:
-    """M_b for every b, the 2^t coset sums S (M_b = S[coset_labels()[b]]) and
-    the two boundary counts.  b and b ^ 1 give one (b+1)^d + b^d and lie in one
-    coset of L, so each adjacent pair of powers is read once and counts twice."""
+def _coset_sums(field: Field, powers: np.ndarray) -> tuple:
+    """The sign table of Tr(x^d) read from powers, M_b for every b, the 2^t
+    coset sums S (M_b = S[coset_labels()[b]]) and the two boundary counts.
+    b and b ^ 1 give one (b+1)^d + b^d and lie in one coset of L, so each
+    adjacent pair of powers is read once and counts twice."""
     labels = field.coset_labels()
+    trace = field.trace_bits()
+    signs = np.empty(field.q, dtype=np.int32)
     sums = np.zeros(1 << field.t, dtype=np.int64)
     boundary = off = 0
     for lo in range(0, field.q, _BLOCK):
         block = slice(lo, lo + _BLOCK)
+        np.multiply(trace[powers[block]], -2, out=signs[block], dtype=np.int32)
+        signs[block] += 1
         sums += np.bincount(labels[block], signs[block], sums.size).astype(np.int64)
         pair = powers[block].reshape(-1, 2)
         in_l = labels[pair[:, 0] ^ pair[:, 1]] == 0
@@ -234,7 +239,7 @@ def _coset_sums(field: Field, powers: np.ndarray, signs: np.ndarray) -> tuple:
     # the labels are overwritten with the sums they name
     for lo in range(0, field.q, _BLOCK):
         labels[lo:lo + _BLOCK] = sums[labels[lo:lo + _BLOCK]]
-    return labels, sums, boundary, off
+    return signs, labels, sums, boundary, off
 
 
 def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
@@ -286,10 +291,11 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     W_d(a) is read from the butterfly at dual_index(a).
     """
     field.check_exponent(d)
-    powers = field.power_map(d)
-    signs = truth_table(field, d).signs
-    cosets = _coset_sums(field, powers, signs) if field.t is not None else None
-    del powers
+    if field.t is None:
+        signs, cosets = truth_table(field, d).signs, None
+    else:
+        # the boundary counts need x^d itself, so the signs are read from it
+        signs, *cosets = _coset_sums(field, field.power_map(d))
     arr = fwht_inplace(signs)
     # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
     # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
@@ -474,7 +480,8 @@ def check_bound(field: Field, d: int) -> BoundCheck:
     strict minimum-distance bound for the associated code.)"""
     t = field.need_even()
     field.check_invertible(d)
-    arr = fwht_inplace(truth_table(field, d).signs)
+    table = truth_table(field, d)
+    arr = fwht(table, out=table.signs)
     return BoundCheck(d=d, max_walsh=int(arr[1:].max()),
                       bound=(1 << t) + (1 << (t // 2)))
 
@@ -496,7 +503,8 @@ def check_sarwate(field: Field, d: int) -> SarwateCheck:
     the witness is cross-checked against the direct-summation oracle."""
     t = field.need_even()
     field.check_invertible(d)
-    arr = fwht_inplace(truth_table(field, d).signs)
+    table = truth_table(field, d)
+    arr = fwht(table, out=table.signs)
     threshold = 1 << (t + 1)
     mx = int(arr[1:].max())
     witness = None

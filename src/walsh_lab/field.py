@@ -9,7 +9,7 @@ When the field is small enough (2^m <= table_cap, default 2^22 entries) an
 int32 log/antilog table pair over alpha is built once and multiplicative work
 becomes exponent arithmetic modulo 2^m - 1.  Above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication, and
-power_map and log_table build a transient antilog for each call.
+power_map and log_and_trace_sequence build a transient antilog for each call.
 scalar_mul_map, dual_index_all and coset_labels need no tables: all are
 GF(2)-linear maps, filled by doubling over the polynomial basis.
 
@@ -299,13 +299,6 @@ class Field:
         self._alog = self._antilog()
         self._log = _log_from_antilog(self._alog, self.q)
 
-    def _trace_sequence_from(self, alog: np.ndarray) -> np.ndarray:
-        tr = self.trace_bits()
-        seq = np.empty(self.order, dtype=np.uint8)
-        for lo in range(0, self.order, _POWER_BLOCK):
-            np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK])
-        return seq
-
     # -- validation -----------------------------------------------------------
 
     def check_exponent(self, d: int) -> None:
@@ -491,28 +484,25 @@ class Field:
             self._dual_all = _xor_span(self._dual_rows, self.q, np.int32)
         return self._dual_all
 
-    def trace_sequence(self) -> np.ndarray:
-        """uint8 array s with s[i] = Tr(alpha^i) for 0 <= i < 2^m - 1: the
-        trace m-sequence, cached.  It does not depend on any exponent; for
-        x != 0, Tr(x^d) = s[log(x) * d mod (2^m - 1)]."""
-        if self._trace_seq is None:
-            alog = self._alog if self._alog is not None else self._antilog()
-            self._trace_seq = self._trace_sequence_from(alog)
-        return self._trace_seq
+    def log_and_trace_sequence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, s), the two arrays the sign table of Tr(x^d) is gathered from
+        for every d: int32 discrete logs to base alpha with log[0] = -1, and
+        the uint8 trace m-sequence s[i] = Tr(alpha^i), 0 <= i < 2^m - 1.
+        For x != 0, Tr(x^d) = s[log[x] * d mod (2^m - 1)].
 
-    def log_table(self) -> np.ndarray:
-        """int32 array of discrete logs to base alpha, log_table()[0] = -1.
-
-        With tables this is the stored table, which callers must not modify.
-        Without, it is built for this call from a transient antilog, which
-        also fills the trace sequence so that no second antilog is needed.
+        s is cached.  log is the stored table, which callers must not modify;
+        without tables it is built for this call from a transient antilog,
+        the same one s is first read from, and dropped with it.
         """
-        if self._log is not None:
-            return self._log
-        alog = self._antilog()
+        alog = self._alog if self._alog is not None else self._antilog()
         if self._trace_seq is None:
-            self._trace_seq = self._trace_sequence_from(alog)
-        return _log_from_antilog(alog, self.q)
+            tr = self.trace_bits()
+            seq = np.empty(self.order, dtype=np.uint8)
+            for lo in range(0, self.order, _POWER_BLOCK):
+                np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK])
+            self._trace_seq = seq
+        log = self._log if self._log is not None else _log_from_antilog(alog, self.q)
+        return log, self._trace_seq
 
     def coset_labels(self) -> np.ndarray:
         """Fresh int32 array naming the coset x + L of each x by the bits

@@ -14,8 +14,10 @@ field's trace m-sequence s (one byte per entry) and its int32 logs, so the
 writes are sequential and no power map is built.  fwht_inplace runs the
 stages on the low 16 index bits on one 2^16-entry block at a time, which
 stays in L2, and then the stages on the remaining bits over the whole array
-in 2^15-entry chunks.  walsh_spectrum histograms the butterfly output by
-sorting it in place, so the sign table is the only q-sized array it makes.
+in 2^15-entry chunks.  The spectrum routes call fwht(table, out=table.signs),
+which runs it on the sign table itself, and walsh_spectrum histograms the
+butterfly output by sorting it in place, so the sign table is the only
+q-sized array it makes.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -125,8 +127,7 @@ def truth_table(field: Field, d: int) -> TruthTable:
     """Sign table of Tr(x^d) over all x: signs[x] = 1 - 2 s[log(x) * d mod
     (2^m - 1)] with s the field's trace m-sequence, and signs[0] = +1."""
     field.check_exponent(d)
-    log = field.log_table()
-    seq = field.trace_sequence()
+    log, seq = field.log_and_trace_sequence()
     n = field.order
     signs = np.empty(field.q, dtype=np.int32)
     # Gathered in blocks: take() widens its indices to intp, so a whole-array
@@ -150,17 +151,22 @@ def truth_table(field: Field, d: int) -> TruthTable:
 
 
 def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
-    """Butterfly stages over the row index of a C-contiguous (rows, cols) array;
-    scratch holds half of grid's entries and takes each stage's differences."""
+    """Butterfly stages over the row index of a C-contiguous (rows, cols) array.
+    Each stage runs on at most scratch.size pairs at a time, and scratch
+    takes their differences."""
     rows, cols = grid.shape
     h = 1
     while h < rows:
         pairs = grid.reshape(-1, 2, h * cols)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = scratch.reshape(lo.shape)
-        np.subtract(lo, hi, out=diff)
-        np.add(lo, hi, out=lo)
-        np.copyto(hi, diff)
+        groups = max(1, scratch.size // (h * cols))
+        for g in range(0, pairs.shape[0], groups):
+            for c in range(0, h * cols, scratch.size):
+                lo = pairs[g:g + groups, 0, c:c + scratch.size]
+                hi = pairs[g:g + groups, 1, c:c + scratch.size]
+                diff = scratch[:lo.size].reshape(lo.shape)
+                np.subtract(lo, hi, out=diff)
+                np.add(lo, hi, out=lo)
+                np.copyto(hi, diff)
         h *= 2
 
 
@@ -194,28 +200,30 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
         _stages(flipped, scratch)
         np.copyto(grid, flipped.T)
         _stages(grid, scratch)
-    h = size
-    while h < n:
-        for pair in a.reshape(-1, 2, h):
-            for c in range(0, h, scratch.size):
-                lo, hi = pair[0, c:c + scratch.size], pair[1, c:c + scratch.size]
-                np.subtract(lo, hi, out=scratch)
-                np.add(lo, hi, out=lo)
-                np.copyto(hi, scratch)
-        h *= 2
+    _stages(a.reshape(n // size, size), scratch)
     return a
 
 
-def fwht(table: TruthTable) -> np.ndarray:
-    """All butterfly outputs as int32; entry u is W_d(dual_index_inv(u)).
-    Input is not modified."""
-    return fwht_inplace(table.signs.copy())
+def fwht(table: TruthTable, out: np.ndarray | None = None) -> np.ndarray:
+    """All butterfly outputs; entry u is W_d(dual_index_inv(u)).
+
+    The transform is written into out, a C-contiguous signed array of length
+    2^m, and returned; by default out is a fresh int32 array and the table is
+    not modified.  out=table.signs transforms the table in place, which is
+    how the spectrum routes call it.
+    """
+    if out is None:
+        out = table.signs.copy()
+    elif out is not table.signs:
+        np.copyto(out, table.signs)
+    return fwht_inplace(out)
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
     """All W_d(a) indexed by the element a (int32), via the butterfly and dual
     reindexing, gathered in blocks so no q-sized intp index is made."""
-    arr = fwht_inplace(truth_table(field, d).signs)
+    table = truth_table(field, d)
+    arr = fwht(table, out=table.signs)
     dual = field.dual_index_all()
     out = np.empty_like(arr)
     for lo in range(0, field.q, _GATHER_BLOCK):
@@ -226,7 +234,8 @@ def walsh_coefficients(field: Field, d: int) -> np.ndarray:
 def walsh_spectrum(field: Field, d: int) -> Spectrum:
     """Histogram of all 2^m Walsh coefficients, values ascending: the butterfly
     output is sorted in place and its runs counted."""
-    arr = fwht_inplace(truth_table(field, d).signs)
+    table = truth_table(field, d)
+    arr = fwht(table, out=table.signs)
     arr.sort()
     starts = np.r_[0, np.flatnonzero(arr[1:] != arr[:-1]) + 1]
     counts = np.diff(np.append(starts, arr.size))

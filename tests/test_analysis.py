@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 
 from walsh_lab import (
@@ -234,6 +235,18 @@ class TestSubfieldIdentities:
         assert [int(w) for w in walsh] == [
             walsh_coefficient(f, d, a) for a in f.subfield_elements()
         ]
+
+    @pytest.mark.parametrize("m,d", [(7, 11), (10, 67), (12, 7)])
+    def test_tableless_report_matches_tables(self, m, d):
+        # even m reads the signs from power_map, odd m from truth_table
+        ft, fn = make_field(m), make_field(m, table_cap=1)
+        rt, rn = subfield_identities(ft, d), subfield_identities(fn, d)
+        assert (rt.sum_residual, rt.square_sum_residual) == (0, 0)
+        assert (rn.sum_residual, rn.square_sum_residual) == (0, 0)
+        for name in ("subfield_walsh", "character_sums", "points", "lhs", "rhs"):
+            a, b = getattr(rt, name), getattr(rn, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        assert rt.square == rn.square
 
     def test_peak_memory_near_the_spectrum_path(self):
         # the sign table, M_b, the butterfly's transposed copy and its

@@ -318,6 +318,22 @@ class TestTablelessMode:
         for a in {0, 1, ft.q - 1, rng.randrange(ft.q)}:
             assert np.array_equal(ft.scalar_mul_map(a), fn.scalar_mul_map(a))
         assert np.array_equal(ft.dual_index_all(), fn.dual_index_all())
+
+    @pytest.mark.parametrize("m", [2, 7, 12])
+    def test_log_and_trace_sequence_agree_with_tables(self, m):
+        ft = make_field(m)
+        fn = make_field(m, table_cap=1)
+        log_t, seq_t = ft.log_and_trace_sequence()
+        log_n, seq_n = fn.log_and_trace_sequence()
+        assert log_t.dtype == log_n.dtype == np.int32
+        assert seq_t.dtype == seq_n.dtype == np.uint8
+        assert np.array_equal(log_t, log_n) and np.array_equal(seq_t, seq_n)
+        assert log_t[0] == -1
+        assert [int(log_t[ft.exp(i)]) for i in range(ft.order)] == list(range(ft.order))
+        assert [int(seq_t[i]) for i in range(ft.order)] == [ft.trace(ft.exp(i)) for i in range(ft.order)]
+        # the sequence is cached; without tables the logs are built per call
+        assert fn.log_and_trace_sequence()[1] is seq_n
+        assert fn.log_and_trace_sequence()[0] is not log_n
         assert np.array_equal(ft.trace_bits(), fn.trace_bits())
 
     def test_log_needs_tables(self):

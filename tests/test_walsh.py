@@ -206,6 +206,17 @@ class TestFwht:
         fwht(tt)
         assert np.array_equal(tt.signs, before)
 
+    def test_fwht_writes_into_out(self, field6):
+        tt = truth_table(field6, 19)
+        expected = fwht(tt)
+        other = np.empty_like(tt.signs)
+        assert fwht(tt, out=other) is other
+        assert np.array_equal(other, expected)
+        assert np.array_equal(tt.signs, truth_table(field6, 19).signs)
+        # out=table.signs is the in-place route of the spectrum functions
+        assert fwht(tt, out=tt.signs) is tt.signs
+        assert np.array_equal(tt.signs, expected)
+
 
 class TestInt32Exactness:
     """The int32 path where it would break first: the extreme coefficient
