@@ -409,13 +409,15 @@ class Field:
         """The 2^t elements of L = GF(2^t) inside GF(2^m), sorted ascending."""
         t = self.need_even()
         if self._subfield is None:
-            # L* is the unique subgroup of order 2^t - 1, generated by
-            # gamma = alpha^(2^t + 1): one chain of products by gamma
+            # gamma = alpha^(2^t + 1) generates L*, the unique subgroup of
+            # order 2^t - 1, so its minimal polynomial has degree t and
+            # 1, gamma, ..., gamma^(t-1) is a GF(2)-basis of L
             gamma = self.exp((1 << t) + 1)
-            elems = [0, 1]
-            for _ in range((1 << t) - 2):
-                elems.append(self.mul(elems[-1], gamma))
-            self._subfield = tuple(sorted(elems))
+            basis = [1]
+            for _ in range(t - 1):
+                basis.append(self.mul(basis[-1], gamma))
+            elems = np.sort(_xor_span(basis, 1 << t)).tolist()
+            self._subfield = tuple(elems)
             self._subfield_set = frozenset(elems)
         return self._subfield
 

@@ -152,21 +152,22 @@ def truth_table(field: Field, d: int) -> TruthTable:
 
 def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
     """Butterfly stages over the row index of a C-contiguous (rows, cols) array.
-    Each stage runs on at most scratch.size pairs at a time, and scratch
-    takes their differences."""
+    scratch takes each stage's differences, at most scratch.size at a time:
+    a stage larger than that runs on runs of scratch.size pairs."""
     rows, cols = grid.shape
     h = 1
     while h < rows:
         pairs = grid.reshape(-1, 2, h * cols)
-        groups = max(1, scratch.size // (h * cols))
-        for g in range(0, pairs.shape[0], groups):
-            for c in range(0, h * cols, scratch.size):
-                lo = pairs[g:g + groups, 0, c:c + scratch.size]
-                hi = pairs[g:g + groups, 1, c:c + scratch.size]
-                diff = scratch[:lo.size].reshape(lo.shape)
-                np.subtract(lo, hi, out=diff)
-                np.add(lo, hi, out=lo)
-                np.copyto(hi, diff)
+        if pairs.shape[0] * h * cols <= scratch.size:
+            chunks = [(pairs[:, 0], pairs[:, 1])]
+        else:
+            chunks = ((pair[0, c:c + scratch.size], pair[1, c:c + scratch.size])
+                      for pair in pairs for c in range(0, h * cols, scratch.size))
+        for lo, hi in chunks:
+            diff = scratch[:lo.size].reshape(lo.shape)
+            np.subtract(lo, hi, out=diff)
+            np.add(lo, hi, out=lo)
+            np.copyto(hi, diff)
         h *= 2
 
 

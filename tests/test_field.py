@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from walsh_lab import (
+    DEFAULT_TABLE_CAP,
     PRIMITIVE_POLY,
     DomainError,
     Field,
@@ -134,6 +135,15 @@ class TestSubfield:
             for y in s:
                 assert x ^ y in s
                 assert field6.mul(x, y) in s
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 12])
+    def test_subfield_is_the_fixed_field_of_x_to_2_to_t(self, m, random_modulus):
+        rng = random.Random(50 + m)
+        for modulus in (None, random_modulus(m, rng)):
+            for cap in (DEFAULT_TABLE_CAP, 1):
+                f = make_field(m, modulus, table_cap=cap)
+                fixed = [x for x in range(f.q) if f.pow(x, 1 << (m // 2)) == x]
+                assert list(f.subfield_elements()) == fixed
 
     def test_in_subfield_mask_matches_set(self, field6):
         s = set(field6.subfield_elements())
