@@ -12,9 +12,7 @@ from .field import DEFAULT_TABLE_CAP, PRIMITIVE_POLY, Field, make_field, mod_inv
 from .walsh import (
     Histogram,
     Spectrum,
-    TruthTable,
     fwht,
-    fwht_inplace,
     subfield_sum_check,
     truth_table,
     walsh_coefficient,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, mod_inverse, parity
-from .walsh import Histogram, fwht, fwht_inplace, truth_table, walsh_coefficient, walsh_spectrum
+from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
 
 # Entries per block of the coset sums and the pairing matrix.
 _BLOCK = 1 << 16
@@ -292,11 +292,11 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     """
     field.check_exponent(d)
     if field.t is None:
-        signs, cosets = truth_table(field, d).signs, None
+        signs, cosets = truth_table(field, d), None
     else:
         # the boundary counts need x^d itself, so the signs are read from it
         signs, *cosets = _coset_sums(field, field.power_map(d))
-    arr = fwht_inplace(signs)
+    arr = fwht(signs)
     # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
     # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
     # 2^(2m) <= 2^56 and every partial sum is smaller, so int64 is exact.
@@ -480,8 +480,7 @@ def check_bound(field: Field, d: int) -> BoundCheck:
     strict minimum-distance bound for the associated code.)"""
     t = field.need_even()
     field.check_invertible(d)
-    table = truth_table(field, d)
-    arr = fwht(table, out=table.signs)
+    arr = fwht(truth_table(field, d))
     return BoundCheck(d=d, max_walsh=int(arr[1:].max()),
                       bound=(1 << t) + (1 << (t // 2)))
 
@@ -503,8 +502,7 @@ def check_sarwate(field: Field, d: int) -> SarwateCheck:
     the witness is cross-checked against the direct-summation oracle."""
     t = field.need_even()
     field.check_invertible(d)
-    table = truth_table(field, d)
-    arr = fwht(table, out=table.signs)
+    arr = fwht(truth_table(field, d))
     threshold = 1 << (t + 1)
     mx = int(arr[1:].max())
     witness = None

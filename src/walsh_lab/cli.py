@@ -294,7 +294,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _emit_error(str(exc), "resource")
         return 3
-    except (WalshLabError, ValueError) as exc:
+    except (WalshLabError, ValueError, OSError) as exc:
+        # OSError: an --output path that cannot be written
         _emit_error(str(exc), "usage")
         return 2
 

@@ -189,10 +189,10 @@ class Field:
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
-        if modulus.bit_length() != m + 1:
-            raise DomainError(
-                f"modulus 0x{modulus:x} does not have degree {m}"
-            )
+        # not bit_length: a negative modulus has the right one too, and the
+        # reduction loops never end on it
+        if modulus >> m != 1:
+            raise DomainError(f"modulus {modulus:#x} does not have degree {m}")
         self.m = m
         self.t = m // 2 if m % 2 == 0 else None
         self.modulus = modulus
@@ -538,12 +538,6 @@ class Field:
         return _xor_span(cols, self.q)
 
     # -- misc ------------------------------------------------------------------
-
-    def format_elem(self, x: int) -> str:
-        """Hex bitmask, with the power-of-alpha form appended when tables exist."""
-        if x == 0 or self._log is None:
-            return f"0x{x:x}"
-        return f"0x{x:x} (a^{int(self._log[x])})"
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus=0x{self.modulus:x})"

@@ -2,7 +2,7 @@
 
 Two independent routes exist on purpose.  walsh_coefficient sums the
 character values directly from the definition, one coefficient at a time;
-it is the oracle.  truth_table + fwht_inplace computes all 2^m coefficients
+it is the oracle.  fwht(truth_table(field, d)) computes all 2^m coefficients
 with the Walsh-Hadamard butterfly in O(m 2^m), in int32 throughout: every
 partial sum of the butterfly is at most 2^m <= 2^28 < 2^31 in absolute value,
 so int32 is exact for every supported degree.  A caller that squares or
@@ -11,13 +11,12 @@ multiplies coefficients must widen to int64 first.
 The fast route works in cache-sized blocks and in place.  truth_table
 gathers signs[x] = 1 - 2 s[log(x) * d mod (2^m - 1)] block by block from the
 field's trace m-sequence s (one byte per entry) and its int32 logs, so the
-writes are sequential and no power map is built.  fwht_inplace runs the
+writes are sequential and no power map is built.  fwht runs in place: the
 stages on the low 16 index bits on one 2^16-entry block at a time, which
 stays in L2, and then the stages on the remaining bits over the whole array
-in 2^15-entry chunks.  The spectrum routes call fwht(table, out=table.signs),
-which runs it on the sign table itself, and walsh_spectrum histograms the
-butterfly output by sorting it in place, so the sign table is the only
-q-sized array it makes.
+in 2^15-entry chunks.  Every route runs it on the sign table itself, and
+walsh_spectrum histograms the butterfly output by sorting it in place, so
+the sign table is the only q-sized array it makes.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -72,16 +71,6 @@ class Histogram:
 
 
 @dataclass(frozen=True)
-class TruthTable:
-    """Sign table of f(x) = Tr(x^d): signs[x] = +1 if Tr(x^d) = 0 else -1."""
-
-    m: int
-    d: int
-    modulus: int
-    signs: np.ndarray  # int32, length 2^m
-
-
-@dataclass(frozen=True)
 class Spectrum(Histogram):
     """Walsh value histogram: entries = ((value, multiplicity), ...) sorted by value."""
 
@@ -123,9 +112,10 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     return out
 
 
-def truth_table(field: Field, d: int) -> TruthTable:
-    """Sign table of Tr(x^d) over all x: signs[x] = 1 - 2 s[log(x) * d mod
-    (2^m - 1)] with s the field's trace m-sequence, and signs[0] = +1."""
+def truth_table(field: Field, d: int) -> np.ndarray:
+    """Sign table of Tr(x^d) over all x, int32 of length 2^m: signs[x] =
+    1 - 2 s[log(x) * d mod (2^m - 1)] with s the field's trace m-sequence,
+    and signs[0] = +1."""
     field.check_exponent(d)
     log, seq = field.log_and_trace_sequence()
     n = field.order
@@ -147,7 +137,7 @@ def truth_table(field: Field, d: int) -> TruthTable:
         np.multiply(bits, -2, out=block, dtype=np.int32)
         block += 1
     signs[0] = 1
-    return TruthTable(m=field.m, d=d, modulus=field.modulus, signs=signs)
+    return signs
 
 
 def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
@@ -171,9 +161,11 @@ def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
         h *= 2
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over the parity pairing; a must be
-    C-contiguous, of length 2^k and of a signed dtype, which the result keeps.
+def fwht(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly over the parity pairing, returning a;
+    a must be C-contiguous, of length 2^k and of a signed dtype, which the
+    result keeps.  On a sign table, entry u of the result is
+    W_d(dual_index_inv(u)).
 
     The stages on the low min(k, 16) index bits run on each block of
     B = 2^min(k, 16) entries in turn.  A block is viewed as (row, col) with
@@ -205,26 +197,10 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def fwht(table: TruthTable, out: np.ndarray | None = None) -> np.ndarray:
-    """All butterfly outputs; entry u is W_d(dual_index_inv(u)).
-
-    The transform is written into out, a C-contiguous signed array of length
-    2^m, and returned; by default out is a fresh int32 array and the table is
-    not modified.  out=table.signs transforms the table in place, which is
-    how the spectrum routes call it.
-    """
-    if out is None:
-        out = table.signs.copy()
-    elif out is not table.signs:
-        np.copyto(out, table.signs)
-    return fwht_inplace(out)
-
-
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
     """All W_d(a) indexed by the element a (int32), via the butterfly and dual
     reindexing, gathered in blocks so no q-sized intp index is made."""
-    table = truth_table(field, d)
-    arr = fwht(table, out=table.signs)
+    arr = fwht(truth_table(field, d))
     dual = field.dual_index_all()
     out = np.empty_like(arr)
     for lo in range(0, field.q, _GATHER_BLOCK):
@@ -235,8 +211,7 @@ def walsh_coefficients(field: Field, d: int) -> np.ndarray:
 def walsh_spectrum(field: Field, d: int) -> Spectrum:
     """Histogram of all 2^m Walsh coefficients, values ascending: the butterfly
     output is sorted in place and its runs counted."""
-    table = truth_table(field, d)
-    arr = fwht(table, out=table.signs)
+    arr = fwht(truth_table(field, d))
     arr.sort()
     starts = np.r_[0, np.flatnonzero(arr[1:] != arr[:-1]) + 1]
     counts = np.diff(np.append(starts, arr.size))

@@ -251,9 +251,20 @@ class TestErrorsAndGuards:
         assert payload["error"].startswith("identities at m = 30")
 
     def test_bad_poly(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--m", "6", "--d", "19",
-                           "--poly", "0x45")
-        assert code == 2
+        # 0x45 is not primitive; -0x43 has no degree at all
+        for poly in ("0x45", "-0x43"):
+            code, out, err = run(capsys, "spectrum", "--m", "6", "--d", "19",
+                                 f"--poly={poly}")
+            assert code == 2 and out == ""
+            assert json.loads(err)["kind"] == "usage"
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        # exit 1 means a failed verification, so a file error is a usage error
+        for target in (tmp_path, tmp_path / "missing" / "spec.json"):
+            code, out, err = run(capsys, "spectrum", "--m", "6", "--d", "19",
+                                 "--output", str(target))
+            assert code == 2 and out == ""
+            assert json.loads(err)["kind"] == "usage"
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -25,6 +25,14 @@ GF8_POWERS = [1, 2, 4, 3, 6, 7, 5]
 GF8_TRACE = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
 
 
+class TestModulus:
+    @pytest.mark.parametrize("modulus", [-0x43, 0x23, 0x83, -1, 0])
+    def test_rejects_a_modulus_not_of_degree_m(self, modulus):
+        # a negative modulus has bit_length m + 1 too
+        with pytest.raises(DomainError):
+            make_field(6, modulus)
+
+
 class TestScalarArithmetic:
     def test_alpha_power_sequence(self):
         f = make_field(3)

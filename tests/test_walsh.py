@@ -11,7 +11,6 @@ import pytest
 from walsh_lab import (
     DomainError,
     fwht,
-    fwht_inplace,
     make_field,
     subfield_identities,
     subfield_sum_check,
@@ -111,14 +110,14 @@ class TestSpectrumInvariants:
 
 class TestTruthTable:
     def test_signs_are_plus_minus_one(self, field6):
-        tt = truth_table(field6, 19)
-        assert set(np.unique(tt.signs)) == {-1, 1}
-        assert tt.signs[0] == 1  # Tr(0) = 0
+        signs = truth_table(field6, 19)
+        assert set(np.unique(signs)) == {-1, 1}
+        assert signs[0] == 1  # Tr(0) = 0
 
     def test_sign_at_each_point(self, field6):
-        tt = truth_table(field6, 19)
+        signs = truth_table(field6, 19)
         for x in range(64):
-            assert int(tt.signs[x]) == 1 - 2 * field6.trace(field6.pow(x, 19))
+            assert int(signs[x]) == 1 - 2 * field6.trace(field6.pow(x, 19))
 
     @pytest.mark.parametrize("m", [9, 17, 19, 20])
     def test_log_gather_matches_scalar_trace(self, m, random_modulus):
@@ -130,7 +129,7 @@ class TestTruthTable:
             for table_cap in (1 << m, 1):
                 f = make_field(m, modulus, table_cap=table_cap)
                 for d in (3, (1 << (m // 2)) + 3, rng.randrange(1, f.q - 1), f.q - 2):
-                    signs = truth_table(f, d).signs
+                    signs = truth_table(f, d)
                     assert signs.dtype == np.int32 and signs.size == f.q
                     assert [int(signs[x]) for x in xs] == \
                         [1 - 2 * f.trace(f.pow(x, d)) for x in xs], \
@@ -153,30 +152,30 @@ def _radix2_reference(x: np.ndarray) -> np.ndarray:
 
 class TestFwht:
     def test_tiny_frozen_example(self):
-        out = fwht_inplace(np.array([1, 1, 1, -1], dtype=np.int64))
+        out = fwht(np.array([1, 1, 1, -1], dtype=np.int64))
         assert list(out) == [2, 2, 2, -2]
 
     def test_involution(self):
         rng = np.random.default_rng(8)
         x = rng.integers(-5, 6, size=64).astype(np.int64)
-        once = fwht_inplace(x.copy())
-        twice = fwht_inplace(once.copy())
+        once = fwht(x.copy())
+        twice = fwht(once.copy())
         assert np.array_equal(twice, 64 * x)
 
     def test_rejects_bad_length(self):
         for n in (12, 0):
             with pytest.raises(DomainError):
-                fwht_inplace(np.zeros(n, dtype=np.int64))
+                fwht(np.zeros(n, dtype=np.int64))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.bool_])
     def test_rejects_unsigned(self, dtype):
         with pytest.raises(DomainError):
-            fwht_inplace(np.ones(8, dtype=dtype))
+            fwht(np.ones(8, dtype=dtype))
 
     def test_rejects_strided_view(self):
         # a reshape of a strided view is a copy, so the result would be lost
         with pytest.raises(DomainError):
-            fwht_inplace(np.ones(16, dtype=np.int32)[::2])
+            fwht(np.ones(16, dtype=np.int32)[::2])
 
     @pytest.mark.parametrize("k", range(13))
     def test_involution_in_int32(self, k):
@@ -184,8 +183,8 @@ class TestFwht:
         # stage count; |x| <= 64 keeps n^2 * |x| inside int32
         n = 1 << k
         x = np.random.default_rng(k).integers(-64, 65, size=n).astype(np.int32)
-        once = fwht_inplace(x.copy())
-        twice = fwht_inplace(once.copy())
+        once = fwht(x.copy())
+        twice = fwht(once.copy())
         assert once.dtype == twice.dtype == np.int32
         assert np.array_equal(twice, n * x)
 
@@ -194,28 +193,17 @@ class TestFwht:
         # past the 2^16-entry block: local stages on each block, then k - 16
         # whole-array stages; |x| <= 1000 keeps n * |x| inside int32
         x = np.random.default_rng(k).integers(-1000, 1001, size=1 << k).astype(np.int32)
-        once = fwht_inplace(x.copy())
+        once = fwht(x.copy())
         assert once.dtype == np.int32
         assert np.array_equal(once, _radix2_reference(x))
         # the second pass's partial sums pass 2^31, so it runs in int64
-        assert np.array_equal(fwht_inplace(once.astype(np.int64)), (1 << k) * x.astype(np.int64))
+        assert np.array_equal(fwht(once.astype(np.int64)), (1 << k) * x.astype(np.int64))
 
-    def test_fwht_does_not_mutate_table(self, field6):
-        tt = truth_table(field6, 19)
-        before = tt.signs.copy()
-        fwht(tt)
-        assert np.array_equal(tt.signs, before)
-
-    def test_fwht_writes_into_out(self, field6):
-        tt = truth_table(field6, 19)
-        expected = fwht(tt)
-        other = np.empty_like(tt.signs)
-        assert fwht(tt, out=other) is other
-        assert np.array_equal(other, expected)
-        assert np.array_equal(tt.signs, truth_table(field6, 19).signs)
-        # out=table.signs is the in-place route of the spectrum functions
-        assert fwht(tt, out=tt.signs) is tt.signs
-        assert np.array_equal(tt.signs, expected)
+    def test_fwht_runs_in_place(self, field6):
+        signs = truth_table(field6, 19)
+        assert fwht(signs) is signs
+        assert np.array_equal(signs[field6.dual_index_all()],
+                              walsh_coefficients_naive(field6, 19))
 
 
 class TestInt32Exactness:
@@ -239,7 +227,7 @@ class TestInt32Exactness:
             f = make_field(m, modulus)
             d = rng.randrange(1, f.q - 1)
             arr = fwht(truth_table(f, d))
-            assert arr.dtype == np.int32 and truth_table(f, d).signs.dtype == np.int32
+            assert arr.dtype == np.int32 and truth_table(f, d).dtype == np.int32
             assert np.array_equal(arr[f.dual_index_all()], walsh_coefficients_naive(f, d)), \
                 f"m={m} modulus={modulus} d={d}"
 

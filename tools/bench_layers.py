@@ -9,7 +9,7 @@ Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
 
 * Layers: ``make_field`` and ``trace_bits`` (a fresh field per run),
-  ``truth_table``, ``fwht_inplace`` (on a fresh copy of the signs) and
+  ``truth_table``, ``fwht`` (on a fresh copy of the signs) and
   ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the median
   wall time of several runs and the tracemalloc peak of one more;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
@@ -57,8 +57,8 @@ def _measure_layers() -> dict:
     import tracemalloc
 
     import numpy as np
-    from walsh_lab import (cli, fwht, fwht_inplace, make_field, subfield_identities,
-                           truth_table, walsh_spectrum)
+    from walsh_lab import (cli, fwht, make_field, subfield_identities, truth_table,
+                           walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
         walls = []
@@ -78,21 +78,21 @@ def _measure_layers() -> dict:
     for m in LAYER_M:
         runs = 7 if m < 22 else 5
         field = make_field(m)
-        table = truth_table(field, LAYER_D)
+        signs = truth_table(field, LAYER_D)
         out[f"m={m}"] = {
             "make_field": timed(lambda _: make_field(m), runs=runs),
             "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
             "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
-            "fwht_inplace": timed(fwht_inplace, lambda: table.signs.copy(), runs),
+            "fwht": timed(fwht, signs.copy, runs),
             "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
-            "dtype": {"signs": str(table.signs.dtype), "fwht": str(fwht(table).dtype),
+            "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype),
                       "dual_index_all": str(field.dual_index_all().dtype)},
         }
         if m in IDENTITIES_M:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
-        del field, table
+        del field, signs
     with contextlib.redirect_stdout(io.StringIO()):
         verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
     out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
