@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .field import Field, mod_inverse, parity
+from .field import Field, check_exponent_range, mod_inverse, parity
 from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
 
 # Entries per block of the coset sums and the pairing matrix.
@@ -70,9 +70,8 @@ class ExponentProfile:
 def exponent_profile(m: int, d: int) -> ExponentProfile:
     """Classify an exponent: invertibility, Niho property, membership in the
     1 + 2^i + 2^(i+t) family up to cyclotomic shift (smallest i wins)."""
+    check_exponent_range(m, d)
     order = (1 << m) - 1
-    if not 1 <= d <= order - 1:
-        raise DomainError(f"exponent d must be in [1, {order - 1}], got {d}")
     g = gcd(d, order)
     inv_d = mod_inverse(d, order) if g == 1 else None
     is_niho: bool | None = None
@@ -415,7 +414,7 @@ def sextic_census(field: Field) -> CensusReport:
     """Count, for every w, the solutions z of z^6 + z = w; the field IS GF(2^t)."""
     t = field.m
     q = field.q
-    w = field.power_map(6) ^ np.arange(q, dtype=np.int64)
+    w = field.power_map(6) ^ np.arange(q, dtype=np.int32)
     per_target = np.bincount(w, minlength=q)
     class_hist = np.bincount(per_target)
     counts = {k: int(n) for k, n in enumerate(class_hist) if n}

@@ -7,9 +7,12 @@ i.e. the int 2.
 
 When the field is small enough (2^m <= table_cap, default 2^22 entries) an
 int32 log/antilog table pair over alpha is built once and multiplicative work
-becomes exponent arithmetic modulo 2^m - 1.  Above the cap the scalar
-operations fall back to shift-and-reduce polynomial multiplication, and
-power_map and log_and_trace_sequence build a transient antilog for each call.
+becomes exponent arithmetic modulo 2^m - 1.  The antilog is filled by
+doubling, alog[k:2k] = alpha^k * alog[:k], each product by the constant
+alpha^k read from two small tables because it is GF(2)-linear; the log is its
+blocked inverse scatter.  Above the cap the scalar operations fall back to
+shift-and-reduce polynomial multiplication, and power_map and
+log_and_trace_sequence build a transient antilog for each call.
 scalar_mul_map, dual_index_all and coset_labels need no tables: all are
 GF(2)-linear maps, filled by doubling over the polynomial basis.
 
@@ -28,8 +31,10 @@ rejects any modulus that fails.
 
 Additive characters are tied to bitmask indices through the trace bilinear
 form: dual_index(a) is the bitmask u with Tr(a*x) = parity(u & x) for every
-x, computed from the m x m bit matrix G[i][j] = Tr(alpha^(i+j)).  G is
-invertible (the trace form is non-degenerate), so dual_index is a bijection
+x, computed from the m x m bit matrix G[i][j] = Tr(alpha^(i+j)).  Its
+entries Tr(alpha^k), k <= 2m - 2, are power sums of the roots of the modulus,
+read off its coefficients by Newton's identities with no field arithmetic.  G
+is invertible (the trace form is non-degenerate), so dual_index is a bijection
 and dual_index_inv recovers a from u.  walsh.py leans on this to reconcile
 the Walsh-Hadamard butterfly, which natively uses the parity pairing, with
 the field's trace pairing.
@@ -136,13 +141,37 @@ def _xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
 
 
 def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
-    """int32 inverse of the antilog over [0, q): log[alog[i]] = i, log[0] = -1."""
+    """int32 inverse of the antilog over [0, q): log[alog[i]] = i, log[0] = -1.
+    Scattered in blocks through one reused intp index buffer and one int32
+    ramp that advances by a block each pass."""
     log = np.empty(q, dtype=np.int32)
     log[0] = -1
-    for lo in range(0, alog.size, _POWER_BLOCK):
-        hi = min(lo + _POWER_BLOCK, alog.size)
-        log[alog[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+    idx = np.empty(min(_POWER_BLOCK, alog.size), dtype=np.intp)
+    ramp = np.arange(idx.size, dtype=np.int32)
+    for lo in range(0, alog.size, idx.size):
+        n = min(idx.size, alog.size - lo)
+        idx[:n] = alog[lo:lo + n]
+        np.put(log, idx[:n], ramp[:n])
+        ramp += idx.size
     return log
+
+
+def _trace_powers(modulus: int, m: int, n: int) -> list[int]:
+    """Tr(alpha^k) for 0 <= k < n, from Newton's identities over GF(2).
+
+    Tr(alpha^k) is the k-th power sum p_k of the roots of the modulus, whose
+    elementary symmetric functions e_i are its coefficients: e_i is bit m - i.
+    With p_0 = m mod 2, p_k = sum_{i<k} e_i p_(k-i) + (k mod 2) e_k for
+    k <= m, and p_k = sum_{i<=m} e_i p_(k-i) above m.
+    """
+    e = [(modulus >> (m - i)) & 1 for i in range(m + 1)]
+    p = [m & 1]
+    for k in range(1, n):
+        s = (k & 1) & e[k] if k <= m else 0
+        for i in range(1, min(k, m + 1)):
+            s ^= e[i] & p[k - i]
+        p.append(s)
+    return p
 
 
 def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
@@ -160,6 +189,12 @@ def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
                 left[r] ^= left[col]
                 right[r] ^= right[col]
     return right
+
+
+def check_exponent_range(m: int, d: int) -> None:
+    """DomainError unless 1 <= d <= 2^m - 2, the exponents of GF(2^m)."""
+    if not 1 <= d <= (1 << m) - 2:
+        raise DomainError(f"exponent d must be in [1, {(1 << m) - 2}], got {d}")
 
 
 class TraceBundle(NamedTuple):
@@ -187,6 +222,10 @@ class Field:
     """Immutable context for one GF(2^m); see the module docstring for conventions."""
 
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
+        """Check m and the degree of the modulus (ValueError, DomainError),
+        verify that alpha has order 2^m - 1, build the log/antilog tables
+        if 2^m <= table_cap, and derive the trace mask and the dual-index
+        matrix from Tr(alpha^k) by Newton's identities."""
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
         # not bit_length: a negative modulus has the right one too, and the
@@ -208,13 +247,9 @@ class Field:
         if self.q <= table_cap:
             self._build_tables()
 
-        # Powers of alpha up to alpha^(2m-2) feed the trace mask and the
-        # dual-indexing matrix; computed with raw arithmetic so they do not
-        # depend on the tables existing.
-        pw = [1]
-        for _ in range(2 * m - 2):
-            pw.append(self._mulx(pw[-1]))
-        tr = [self._raw_trace(p) for p in pw]
+        # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
+        # dual-indexing matrix.
+        tr = _trace_powers(modulus, m, 2 * m - 1)
         self.trace_mask = sum(tr[i] << i for i in range(m))
         self._dual_rows = [
             sum(tr[i + j] << i for i in range(m)) for j in range(m)
@@ -245,18 +280,6 @@ class Field:
             e >>= 1
         return r
 
-    def _raw_trace(self, x: int) -> int:
-        s = x
-        z = x
-        for _ in range(self.m - 1):
-            z = _polymul_mod(z, z, self.modulus, self.m)
-            s ^= z
-        if s not in (0, 1):
-            raise DomainError(
-                f"trace of 0x{x:x} landed outside GF(2); modulus 0x{self.modulus:x} is not irreducible"
-            )
-        return s
-
     def _verify_primitive(self) -> None:
         # alpha must have order exactly 2^m - 1: that single fact certifies the
         # modulus irreducible and primitive, since a ring with a unit of that
@@ -272,28 +295,40 @@ class Field:
     def _antilog(self) -> np.ndarray:
         """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1.
 
-        Laid out as rows of width B = 2^ceil(m/2): a scalar chain of products
-        by alpha^B gives the row starts, then all rows advance together, one
-        vector multiply-by-x per column.  Columns are built 16 at a time in a
-        small buffer and transposed into place, so no second q-sized array
-        is made.
+        Filled by doubling: alog[k:2k] = alpha^k * alog[:k] for k = 1, 2,
+        4, ...  Multiplication by a constant c is GF(2)-linear, so c * y is
+        lo[y mod 2^h] ^ hi[y >> h] with h = m // 2, where lo and hi are the
+        XOR spans of the columns c * alpha^j for j < h and j >= h.  Each step
+        runs in blocks through one reused intp index buffer, so the result
+        is the only q-sized array.  The indices are in range, and
+        mode="wrap" spares take the buffered copy that mode="raise" makes.
         """
-        m, modulus = self.m, self.modulus
-        width = 1 << ((m + 1) // 2)
-        jump = self._raw_pow(self.alpha, width)
-        starts = [1]
-        for _ in range(self.q // width - 1):
-            starts.append(_polymul_mod(starts[-1], jump, modulus, m))
-        cur = np.array(starts, dtype=np.int32)
-        grid = np.empty((cur.size, width), dtype=np.int32)
-        cols = np.empty((min(width, 16), cur.size), dtype=np.int32)
-        for j0 in range(0, width, cols.shape[0]):
-            for col in cols:
-                col[:] = cur
-                cur <<= 1
-                cur ^= (cur >> m) * modulus
-            grid[:, j0:j0 + cols.shape[0]] = cols.T
-        return grid.reshape(-1)[: self.order]
+        m, n = self.m, self.order
+        h = m // 2
+        alog = np.empty(n, dtype=np.int32)
+        alog[0] = 1
+        idx = np.empty(min(_POWER_BLOCK, n), dtype=np.intp)
+        part = np.empty(idx.size, dtype=np.int32)
+        c, k = self.alpha, 1
+        while k < n:
+            cols = [c]
+            for _ in range(m - 1):
+                cols.append(self._mulx(cols[-1]))
+            low = _xor_span(cols[:h], 1 << h, np.int32)
+            high = _xor_span(cols[h:], 1 << (m - h), np.int32)
+            width = min(k, n - k)
+            for lo in range(0, width, idx.size):
+                hi = min(lo + idx.size, width)
+                src, dst = alog[lo:hi], alog[k + lo:k + hi]
+                ix, tmp = idx[:hi - lo], part[:hi - lo]
+                np.bitwise_and(src, (1 << h) - 1, out=ix)
+                np.take(low, ix, out=dst, mode="wrap")
+                np.right_shift(src, h, out=ix)
+                np.take(high, ix, out=tmp, mode="wrap")
+                dst ^= tmp
+            c = _polymul_mod(c, c, self.modulus, m)
+            k <<= 1
+        return alog
 
     def _build_tables(self) -> None:
         self._alog = self._antilog()
@@ -303,8 +338,7 @@ class Field:
 
     def check_exponent(self, d: int) -> None:
         """DomainError unless 1 <= d <= 2^m - 2."""
-        if not 1 <= d <= self.q - 2:
-            raise DomainError(f"exponent d must be in [1, {self.q - 2}], got {d}")
+        check_exponent_range(self.m, d)
 
     def check_element(self, x: int, name: str = "a") -> None:
         """DomainError unless x is a field element, i.e. 0 <= x < 2^m."""
@@ -549,8 +583,6 @@ def make_field(m: int, modulus: int | None = None, table_cap: int = DEFAULT_TABL
     An explicit modulus is verified the same way as a built-in one: alpha must
     have multiplicative order exactly 2^m - 1, otherwise DomainError.
     """
-    if not MIN_DEGREE <= m <= MAX_DEGREE:
-        raise ValueError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
     if modulus is None:
-        modulus = PRIMITIVE_POLY[m]
+        modulus = PRIMITIVE_POLY.get(m)
     return Field(m, modulus, table_cap=table_cap)

@@ -1,10 +1,12 @@
 """Field arithmetic against hand-computed GF(8)/GF(4) facts and cross-route checks."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import walsh_lab.field as field_module
 from walsh_lab import (
     DEFAULT_TABLE_CAP,
     PRIMITIVE_POLY,
@@ -287,6 +289,73 @@ class TestAntilog:
                 x = f._mulx(x)
             assert x == 1
             assert alog.tolist() == chain
+
+
+    @pytest.mark.parametrize("m", range(2, 23))
+    def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):
+        rng = random.Random(2000 + m)
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            f = Field(m, modulus, table_cap=1)
+            alog = f._antilog()
+            assert alog.dtype == np.int32 and alog.shape == (f.order,)
+            assert alog[0] == 1
+            prev = alog[:-1]
+            assert np.array_equal(alog[1:], (prev << 1) ^ ((prev >> (m - 1)) & 1) * modulus)
+            assert f._mulx(int(alog[-1])) == 1
+            seen = np.zeros(f.q, dtype=bool)
+            seen[alog] = True
+            assert not seen[0] and seen[1:].all()
+            log = field_module._log_from_antilog(alog, f.q)
+            assert log.dtype == np.int32 and log[0] == -1
+            assert np.array_equal(log[alog], np.arange(f.order))
+
+
+def _frobenius_trace(f: Field, x: int) -> int:
+    """Tr(x) = x + x^2 + ... + x^(2^(m-1)) by repeated squaring."""
+    s = z = x
+    for _ in range(f.m - 1):
+        z = field_module._polymul_mod(z, z, f.modulus, f.m)
+        s ^= z
+    assert s in (0, 1)
+    return s
+
+
+class TestTraceSetup:
+    @pytest.mark.parametrize("m", range(2, 29))
+    def test_newton_traces_match_frobenius_sums(self, m, random_modulus):
+        rng = random.Random(3000 + m)
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            f = Field(m, modulus, table_cap=1)
+            tr = []
+            x = 1
+            for _ in range(2 * m - 1):
+                tr.append(_frobenius_trace(f, x))
+                x = f._mulx(x)
+            assert f.trace_mask == sum(tr[i] << i for i in range(m))
+            assert f._dual_rows == [sum(tr[i + j] << i for i in range(m)) for j in range(m)]
+
+    def test_construction_makes_few_scalar_products(self, monkeypatch):
+        calls = 0
+        polymul = field_module._polymul_mod
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return polymul(*args)
+
+        monkeypatch.setattr(field_module, "_polymul_mod", counted)
+        f = make_field(22)
+        assert f.has_tables
+        assert calls < 400
+
+    def test_tables_are_the_only_q_sized_arrays(self):
+        tracemalloc.start()
+        try:
+            f = make_field(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 4 * f.q + (1 << 20)
 
 
 class TestTablelessMaps:

@@ -8,10 +8,12 @@ against a baseline checkout, written as one BENCH_*.json.
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
 
-* Layers: ``make_field`` and ``trace_bits`` (a fresh field per run),
-  ``truth_table``, ``fwht`` (on a fresh copy of the signs) and
-  ``walsh_spectrum`` (field warm) at m in {12, 16, 20, 22}, each the median
-  wall time of several runs and the tracemalloc peak of one more;
+* Layers: ``make_field``, ``make_field_tableless`` (``table_cap=1``) and
+  ``trace_bits`` (a fresh field per run), ``truth_table``, ``fwht`` (on a
+  fresh copy of the signs), ``walsh_spectrum`` (field warm) and
+  ``walsh_spectrum_cold`` (on a fresh ``make_field(m)``, what one CLI call
+  pays) at m in {12, 16, 20, 22}, each the median wall time of several runs
+  and the tracemalloc peak of one more;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20.
 * ``spectrum --m 24 --d 8195`` (no tables; d = 3 + 2^13 is the paper's
@@ -81,10 +83,13 @@ def _measure_layers() -> dict:
         signs = truth_table(field, LAYER_D)
         out[f"m={m}"] = {
             "make_field": timed(lambda _: make_field(m), runs=runs),
+            "make_field_tableless": timed(lambda _: make_field(m, table_cap=1), runs=runs),
             "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
             "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
             "fwht": timed(fwht, signs.copy, runs),
             "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
+            "walsh_spectrum_cold": timed(lambda _: walsh_spectrum(make_field(m), LAYER_D),
+                                         runs=runs),
             "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype),
                       "dual_index_all": str(field.dual_index_all().dtype)},
