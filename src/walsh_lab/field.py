@@ -297,10 +297,10 @@ class Field:
 
         Filled by doubling: alog[k:2k] = alpha^k * alog[:k] for k = 1, 2,
         4, ...  Multiplication by a constant c is GF(2)-linear, so c * y is
-        lo[y mod 2^h] ^ hi[y >> h] with h = m // 2, where lo and hi are the
-        XOR spans of the columns c * alpha^j for j < h and j >= h.  Each step
-        runs in blocks through one reused intp index buffer, so the result
-        is the only q-sized array.  The indices are in range, and
+        low[y mod 2^h] ^ high[y >> h] with h = m // 2, where low and high
+        are the XOR spans of the columns c * alpha^j for j < h and j >= h.
+        Each step runs in blocks through one reused intp index buffer, so
+        the result is the only q-sized array.  The indices are in range, and
         mode="wrap" spares take the buffered copy that mode="raise" makes.
         """
         m, n = self.m, self.order

@@ -290,7 +290,6 @@ class TestAntilog:
             assert x == 1
             assert alog.tolist() == chain
 
-
     @pytest.mark.parametrize("m", range(2, 23))
     def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):
         rng = random.Random(2000 + m)
