@@ -21,10 +21,10 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .field import Field, check_exponent_range, mod_inverse, parity
+from .field import Field, check_exponent_range, mod_inverse, xor_span
 from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
 
-# Entries per block of the coset sums and the pairing matrix.
+# Entries per block of the coset sums.
 _BLOCK = 1 << 16
 
 
@@ -216,11 +216,11 @@ class SquareIdentitySummary:
         return self.total_identity and self.coset_identity
 
 
-def _coset_sums(field: Field, powers: np.ndarray) -> tuple:
+def _coset_sums(field: Field, powers: np.ndarray, points: np.ndarray) -> tuple:
     """The sign table of Tr(x^d) read from powers, M_b for every b, the 2^t
-    coset sums S (M_b = S[coset_labels()[b]]) and the two boundary counts.
-    b and b ^ 1 give one (b+1)^d + b^d and lie in one coset of L, so each
-    adjacent pair of powers is read once and counts twice."""
+    coset sums S (M_b = S[coset_labels()[b]]), the boundary counts and the
+    labels of points.  b and b ^ 1 give one (b+1)^d + b^d and lie in one
+    coset of L, so each adjacent pair of powers is read once and counts twice."""
     labels = field.coset_labels()
     trace = field.trace_bits()
     signs = np.empty(field.q, dtype=np.int32)
@@ -235,10 +235,11 @@ def _coset_sums(field: Field, powers: np.ndarray) -> tuple:
         in_l = labels[pair[:, 0] ^ pair[:, 1]] == 0
         boundary += 2 * int(in_l.sum())
         off += 2 * int((in_l & (labels[block][::2] != 0)).sum())
+    point_labels = labels[points]
     # the labels are overwritten with the sums they name
     for lo in range(0, field.q, _BLOCK):
         labels[lo:lo + _BLOCK] = sums[labels[lo:lo + _BLOCK]]
-    return signs, labels, sums, boundary, off
+    return signs, labels, sums, boundary, off, point_labels
 
 
 def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
@@ -280,53 +281,54 @@ class SubfieldIdentities:
 
 def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     """Lemma moments, weighted identities and square identities from one truth
-    table and one butterfly.
+    table, one butterfly over F and one over L.
 
     M_b and the square identities come from the sign table by coset sums,
     before the butterfly runs on it in place.  M_b is not read from the
     butterfly: L is its own trace dual, so
     M_b = 2^-t sum_{a in L} W_d(a) (-1)^Tr(a*b), and taking both sides from
     one transform would make the weighted identity hold by construction.
-    W_d(a) is read from the butterfly at dual_index(a).
+
+    W_d on L is gathered in the coordinates of field.subfield_basis(), and
+    the pairing sums sum_{a in L} W_d(a) (-1)^Tr(a*b) are its 2^t-point
+    butterfly read at the coset labels of the points.  L and the points
+    b = u*c are reported in ascending order of a and of u.
     """
     field.check_exponent(d)
-    if field.t is None:
-        signs, cosets = truth_table(field, d), None
+    t = field.t
+    if t is None:
+        signs = truth_table(field, d)
     else:
+        basis = field.subfield_basis()
+        order = np.argsort(xor_span(basis, 1 << t))
+        c, _ = _resolve_c(field, None, None, prefer_five=False)
+        points = xor_span([field.mul(c, g) for g in basis], 1 << t)[order[1:]]
         # the boundary counts need x^d itself, so the signs are read from it
-        signs, *cosets = _coset_sums(field, field.power_map(d))
+        signs, msums, sums, boundary, off, point_labels = _coset_sums(
+            field, field.power_map(d), points)
     arr = fwht(signs)
     # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
     # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
     # 2^(2m) <= 2^56 and every partial sum is smaller, so int64 is exact.
     sum_residual = int(arr.sum(dtype=np.int64)) - field.q
     square_sum_residual = int(np.einsum("i,i->", arr, arr, dtype=np.int64)) - field.q * field.q
-    if cosets is None:
+    if t is None:
         return SubfieldIdentities(sum_residual, square_sum_residual)
-    msums, sums, boundary, off = cosets
-    elems = field.subfield_elements()
-    w_sub = arr[[field.dual_index(a) for a in elems]]
-    c, _ = _resolve_c(field, None, None, prefer_five=False)
-    points = np.array([field.mul(u, c) for u in elems if u], dtype=np.int64)
+    w_k = arr[xor_span([field.dual_index(g) for g in basis], 1 << t)]
+    w_sub = w_k[order]
+    # each partial sum of this butterfly is at most 2^m in size, like W_d's
+    paired = fwht(w_k)[point_labels]
 
-    # sum_{a in L} W_d(a) (-1)^Tr(b*a) with Tr(b*a) = parity(dual_index(b) & a),
-    # over the (2^t - 1) x 2^t matrix in blocks of about _BLOCK entries
-    sub = np.array(elems, dtype=np.int64)
-    duals = np.array([field.dual_index(int(b)) for b in points], dtype=np.int64)
-    rows = max(1, _BLOCK >> field.t)
-    paired = np.concatenate([(1 - 2 * parity(duals[lo:lo + rows, None] & sub)) @ w_sub
-                             for lo in range(0, duals.size, rows)])
-
-    mb = msums[points].astype(np.int64)
+    mb = sums[point_labels]
     eps = np.where(mb <= 0, 1, -1)
     # sum_b M_b^2 has 2^t equal terms per coset
-    square = SquareIdentitySummary(t=field.t, total=(1 << field.t) * int((sums * sums).sum()),
+    square = SquareIdentitySummary(t=t, total=(1 << t) * int((sums * sums).sum()),
                                    coset_total=int((mb * mb).sum()),
                                    boundary_count=boundary, off_subfield_boundary=off, c=c)
     return SubfieldIdentities(sum_residual, square_sum_residual,
                               subfield_walsh=w_sub, character_sums=msums, points=points,
                               lhs=w_sub.sum() - eps * paired,
-                              rhs=field.q + (1 << field.t) * np.abs(mb), square=square)
+                              rhs=field.q + (1 << t) * np.abs(mb), square=square)
 
 
 # -- solution-set route to Walsh coefficients ----------------------------------

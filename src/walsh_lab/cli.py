@@ -183,6 +183,7 @@ def cmd_scan(args) -> int:
     m = _resolve_m(args)
     _guard(m, args.force, "scan")
     fld = _make_field(args, m)
+    fld.need_even()  # odd m is refused before the exponent list is built
     checker = check_sarwate if args.check == "sarwate" else check_bound
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
     if threads == 1:

@@ -14,7 +14,12 @@ blocked inverse scatter.  Above the cap the scalar operations fall back to
 shift-and-reduce polynomial multiplication, and power_map and
 log_and_trace_sequence build a transient antilog for each call.
 scalar_mul_map, dual_index_all and coset_labels need no tables: all are
-GF(2)-linear maps, filled by doubling over the polynomial basis.
+GF(2)-linear maps, filled by doubling over the polynomial basis (xor_span).
+
+For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
+sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
+the bits Tr(x * gamma^i).  So Tr(a*x) = parity(k & label(x)), and a 2^t-point
+butterfly over L in k order pairs L with every coset at once.
 
 The sign table of Tr(x^d) is read from two arrays that do not depend on d:
 the logs and the trace m-sequence s[i] = Tr(alpha^i), cached as uint8.  For
@@ -121,16 +126,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of a non-negative integer array below 2^32.
-    Its one caller pairs the identities' coset points with the subfield."""
-    v = v ^ (v >> 16)
-    for shift in (8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
-def _xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
+def xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
     """Array S over [0, q) of the given dtype with S[x] = XOR of cols[j] over
     the set bits j of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j]."""
     out = np.zeros(q, dtype=dtype)
@@ -260,7 +256,6 @@ class Field:
         self._subfield_set: frozenset[int] | None = None
         self._trace_bits: np.ndarray | None = None
         self._trace_seq: np.ndarray | None = None
-        self._in_subfield: np.ndarray | None = None
         self._dual_all: np.ndarray | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -314,8 +309,8 @@ class Field:
             cols = [c]
             for _ in range(m - 1):
                 cols.append(self._mulx(cols[-1]))
-            low = _xor_span(cols[:h], 1 << h, np.int32)
-            high = _xor_span(cols[h:], 1 << (m - h), np.int32)
+            low = xor_span(cols[:h], 1 << h, np.int32)
+            high = xor_span(cols[h:], 1 << (m - h), np.int32)
             width = min(k, n - k)
             for lo in range(0, width, idx.size):
                 hi = min(lo + idx.size, width)
@@ -439,18 +434,18 @@ class Field:
             raise DomainError("subfield trace left GF(2); field internals are inconsistent")
         return s
 
+    def subfield_basis(self) -> tuple[int, ...]:
+        """gamma^i for i < t: the basis of L whose coordinates k index it,
+        a = sum_i k_i gamma^i.  gamma = alpha^(2^t + 1) generates L*, the
+        unique subgroup of order 2^t - 1, so its minimal polynomial has degree t."""
+        step = (1 << self.need_even()) + 1
+        return tuple(self.exp(i * step) for i in range(self.t))
+
     def subfield_elements(self) -> tuple[int, ...]:
         """The 2^t elements of L = GF(2^t) inside GF(2^m), sorted ascending."""
         t = self.need_even()
         if self._subfield is None:
-            # gamma = alpha^(2^t + 1) generates L*, the unique subgroup of
-            # order 2^t - 1, so its minimal polynomial has degree t and
-            # 1, gamma, ..., gamma^(t-1) is a GF(2)-basis of L
-            gamma = self.exp((1 << t) + 1)
-            basis = [1]
-            for _ in range(t - 1):
-                basis.append(self.mul(basis[-1], gamma))
-            elems = np.sort(_xor_span(basis, 1 << t)).tolist()
+            elems = np.sort(xor_span(self.subfield_basis(), 1 << t)).tolist()
             self._subfield = tuple(elems)
             self._subfield_set = frozenset(elems)
         return self._subfield
@@ -505,19 +500,13 @@ class Field:
         is GF(2)-linear, so this is the XOR span of the bits of trace_mask."""
         if self._trace_bits is None:
             bits = [(self.trace_mask >> j) & 1 for j in range(self.m)]
-            self._trace_bits = _xor_span(bits, self.q, np.uint8)
+            self._trace_bits = xor_span(bits, self.q, np.uint8)
         return self._trace_bits
-
-    def in_subfield_mask(self) -> np.ndarray:
-        """bool array over all elements marking membership in L."""
-        if self._in_subfield is None:
-            self._in_subfield = self.coset_labels() == 0
-        return self._in_subfield
 
     def dual_index_all(self) -> np.ndarray:
         """int32 array with dual_index_all()[a] = dual_index(a) (values below 2^m)."""
         if self._dual_all is None:
-            self._dual_all = _xor_span(self._dual_rows, self.q, np.int32)
+            self._dual_all = xor_span(self._dual_rows, self.q, np.int32)
         return self._dual_all
 
     def log_and_trace_sequence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -534,20 +523,21 @@ class Field:
         if self._trace_seq is None:
             tr = self.trace_bits()
             seq = np.empty(self.order, dtype=np.uint8)
+            # indices in [1, q): mode="wrap" spares the copy, as in _antilog
             for lo in range(0, self.order, _POWER_BLOCK):
-                np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK])
+                np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK],
+                        mode="wrap")
             self._trace_seq = seq
         log = self._log if self._log is not None else _log_from_antilog(alog, self.q)
         return log, self._trace_seq
 
     def coset_labels(self) -> np.ndarray:
-        """Fresh int32 array naming the coset x + L of each x by the bits
-        Tr(x * gamma^i), i < t, gamma = alpha^(2^t + 1) generating L*.  L is
-        its own trace dual, so the labels are 0 exactly on L."""
-        step = (1 << self.need_even()) + 1
-        cols = [sum(self.trace(self.exp(j + i * step)) << i for i in range(self.t))
-                for j in range(self.m)]
-        return _xor_span(cols, self.q, np.int32)
+        """Fresh int32 array naming the coset x + L of each x: bit i of its
+        label is Tr(x * gamma^i) = parity(dual_index(gamma^i) & x) over
+        subfield_basis().  L is its own trace dual, so the labels are 0 exactly on L."""
+        duals = [self.dual_index(g) for g in self.subfield_basis()]
+        cols = [sum(((u >> j) & 1) << i for i, u in enumerate(duals)) for j in range(self.m)]
+        return xor_span(cols, self.q, np.int32)
 
     def power_map(self, d: int) -> np.ndarray:
         """int32 array P with P[x] = x^d (values below 2^m <= 2^28), built by
@@ -569,7 +559,7 @@ class Field:
         cols = [a]
         for _ in range(self.m - 1):
             cols.append(self._mulx(cols[-1]))
-        return _xor_span(cols, self.q)
+        return xor_span(cols, self.q)
 
     # -- misc ------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walsh_lab import (
     Field,
@@ -194,14 +195,18 @@ class TestSquareIdentities:
         assert failing == []
 
 
-# (m, modulus, d): the default and one other primitive modulus per m; each d
-# list has an exponent with gcd(d, 2^t - 1) > 1.
+# (m, modulus, d): the default and one other primitive modulus per m > 2; at
+# m >= 4 each d list has an exponent with gcd(d, 2^t - 1) > 1.  m = 2 and 4
+# give the smallest butterflies over L, m = 12 the largest here.
 ONE_PASS_CASES = [
     (m, modulus, d)
     for m, moduli, ds in (
+        (2, (None,), (1, 2)),
+        (4, (None, 0x19), (7, 3, 5)),
         (6, (None, 0x61), (19, 7, 21)),
         (8, (None, 0x12B), (35, 3, 5)),
         (10, (None, 0x41B), (67, 31, 93)),
+        (12, (None, 0x107B), (7,)),
     )
     for modulus in moduli
     for d in ds
@@ -235,6 +240,29 @@ class TestSubfieldIdentities:
         assert [int(w) for w in walsh] == [
             walsh_coefficient(f, d, a) for a in f.subfield_elements()
         ]
+
+    @pytest.mark.parametrize("m,modulus,d", ONE_PASS_CASES)
+    def test_points_are_one_per_nonzero_coset_in_order_of_u(self, m, modulus, d):
+        f = make_field(m, modulus)
+        points = subfield_identities(f, d).points
+        c = f.designated_generator((1 << (m // 2)) + 1)
+        assert points.tolist() == [f.mul(u, c) for u in f.subfield_elements() if u]
+        labels = f.coset_labels()[points]
+        assert sorted(labels.tolist()) == list(range(1, 1 << (m // 2)))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_drawn_points_match_oracles(self, data, random_modulus):
+        m = data.draw(st.sampled_from([2, 4, 6, 8, 10]), "m")
+        seed = data.draw(st.integers(0, 1 << 16), "seed")
+        f = make_field(m, random_modulus(m, random.Random(seed)))
+        d = data.draw(st.integers(1, f.q - 2), "d")
+        rep = subfield_identities(f, d)
+        i = data.draw(st.integers(0, rep.points.size - 1), "i")
+        chk = weighted_walsh_identity(f, d, int(rep.points[i]))
+        assert (rep.lhs[i], rep.rhs[i]) == (chk.lhs, chk.rhs)
+        x = data.draw(st.integers(0, f.q - 1), "x")
+        assert rep.character_sums[x] == subfield_character_sum(f, d, x).value
 
     @pytest.mark.parametrize("m,d", [(7, 11), (10, 67), (12, 7)])
     def test_tableless_report_matches_tables(self, m, d):

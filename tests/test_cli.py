@@ -173,6 +173,15 @@ class TestScanCommand:
             assert code == 2
             assert json.loads(err)["kind"] == "usage"
 
+    def test_odd_m_is_refused_before_any_exponent_is_listed(self, capsys, monkeypatch):
+        def listed(*args):
+            raise AssertionError("scan listed an exponent for odd m")
+
+        monkeypatch.setattr(cli, "gcd", listed)
+        code, out, err = run(capsys, "scan", "--m", "9", "--check", "bound", "--threads", "1")
+        assert (code, out) == (2, "")
+        assert err == '{"error": "operation needs m = 2t, but m = 9 is odd", "kind": "usage"}\n'
+
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALSH_LAB_THREADS", "3")
         code, out, _ = run(capsys, "scan", "--m", "6", "--check", "bound",

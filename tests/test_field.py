@@ -155,11 +155,21 @@ class TestSubfield:
                 fixed = [x for x in range(f.q) if f.pow(x, 1 << (m // 2)) == x]
                 assert list(f.subfield_elements()) == fixed
 
-    def test_in_subfield_mask_matches_set(self, field6):
-        s = set(field6.subfield_elements())
-        mask = field6.in_subfield_mask()
-        for x in range(64):
-            assert bool(mask[x]) == (x in s)
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+    def test_coset_labels_pair_with_the_subfield_basis(self, m, random_modulus):
+        # bit i of the label of x is Tr(x * gamma^i), and the basis spans L
+        rng = random.Random(70 + m)
+        for modulus in (None, random_modulus(m, rng)):
+            for cap in (DEFAULT_TABLE_CAP, 1):
+                f = make_field(m, modulus, table_cap=cap)
+                basis = f.subfield_basis()
+                assert len(basis) == m // 2
+                span = field_module.xor_span(basis, 1 << (m // 2))
+                assert sorted(span.tolist()) == list(f.subfield_elements())
+                labels = f.coset_labels()
+                for x in range(f.q):
+                    assert int(labels[x]) == sum(
+                        f.trace(f.mul(x, g)) << i for i, g in enumerate(basis)), x
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
     def test_coset_labels_name_the_cosets_of_L(self, m, random_modulus):
