@@ -4,7 +4,6 @@ cyclic codes whose two nonzeros are alpha^-d and alpha^-1."""
 from .errors import (
     DomainError,
     NonInvertibleError,
-    ResourceLimitError,
     UnsupportedError,
     WalshLabError,
 )
@@ -43,7 +42,6 @@ from .analysis import (
     SquareIdentitySummary,
     SubfieldIdentities,
     character_sum_from_multiset,
-    character_sum_square_identities,
     check_bound,
     check_no_six,
     check_sarwate,

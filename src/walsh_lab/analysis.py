@@ -188,6 +188,11 @@ def character_sum_from_multiset(field: Field, mult: PowerMultiset, u: int) -> in
 
 @dataclass(frozen=True)
 class SquareIdentitySummary:
+    """Both square-sum identities, each side as a field:
+    total = sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F
+    (boundary_count), and coset_total = sum_{u in L*} M_(uc)^2 =
+    2^t * #{b outside L : (1+b)^d + b^d in L} (off_subfield_boundary)."""
+
     t: int
     total: int
     coset_total: int
@@ -242,14 +247,6 @@ def _coset_sums(field: Field, powers: np.ndarray, points: np.ndarray) -> tuple:
     return signs, labels, sums, boundary, off, point_labels
 
 
-def character_sum_square_identities(field: Field, d: int) -> SquareIdentitySummary:
-    """Both square-sum identities, as subfield_identities computes them:
-    sum_b M_b^2 = 2^(2t) * #{b : (1+b)^d + b^d in L} over all b in F, and
-    sum_{u in L*} M_(uc)^2 = 2^t * #{b outside L : (1+b)^d + b^d in L}."""
-    field.need_even()
-    return subfield_identities(field, d).square
-
-
 # -- all identities in one pass ------------------------------------------------
 
 
@@ -261,8 +258,8 @@ class SubfieldIdentities:
     For even m, subfield_walsh holds W_d(a) for a over subfield_elements(),
     character_sums holds M_b (int32) indexed by the element b, lhs and rhs
     are the two sides of weighted_walsh_identity at each b in points (b = u*c
-    for u in L*, c the designated generator of order 2^t + 1), and square is
-    character_sum_square_identities.  All of these are None for odd m.
+    for u in L*, c the designated generator of order 2^t + 1), and square
+    checks the two square-sum identities.  All of these are None for odd m.
     """
 
     sum_residual: int

@@ -3,7 +3,7 @@
 Subcommands: spectrum, weights, verify, census, scan, identities.
 Data goes to stdout (JSON by default, CSV where --format csv is accepted);
 errors are single-line JSON objects on stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 resource guard refusal.
+1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from math import gcd
 from . import __version__
 from .analysis import check_bound, check_sarwate, sextic_census, subfield_identities
 from .code import is_degenerate_exponent, weight_distribution
-from .errors import DomainError, ResourceLimitError, WalshLabError
-from .field import DEFAULT_TABLE_CAP, make_field
+from .errors import DomainError, WalshLabError
+from .field import DEFAULT_TABLE_CAP, check_degree, make_field
 from .predict import compare, predicted_spectrum_t_even, predicted_spectrum_t_odd
 from .walsh import walsh_spectrum
-
-SPECTRUM_GUARD_M = 28
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,12 +77,6 @@ def _resolve_m(args) -> int:
     return args.m if args.m is not None else 2 * args.t
 
 
-def _guard(m: int, force: bool, what: str) -> None:
-    if m > SPECTRUM_GUARD_M and not force:
-        raise ResourceLimitError(f"{what} at m = {m} exceeds the size guard "
-                                 f"m <= {SPECTRUM_GUARD_M}; pass --force to proceed")
-
-
 def _thread_count(args) -> int:
     """--threads, else WALSH_LAB_THREADS, else min(8, cpu count); either
     setting must be a positive integer."""
@@ -109,7 +101,6 @@ def _make_field(args, m: int):
 
 def cmd_spectrum(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, "spectrum")
     fld = _make_field(args, m)
     spec = walsh_spectrum(fld, args.d)
     meta = {
@@ -122,7 +113,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_weights(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, "weight distribution")
     fld = _make_field(args, m)
     dist = weight_distribution(fld, args.d)
     min_dist = min(w for w, _ in dist.entries if w > 0)
@@ -136,11 +126,12 @@ def cmd_weights(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the closed forms do big-integer work in 2^(2t), so m is checked first
+    check_degree(2 * args.t)
     if args.theorem == "todd":
         pred = predicted_spectrum_t_odd(args.t)
     else:
         pred = predicted_spectrum_t_even(args.t)
-    _guard(pred.m, args.force, "verification spectrum")
     fld = _make_field(args, pred.m)
     actual = walsh_spectrum(fld, pred.d)
     cmp = compare(actual, pred)
@@ -158,7 +149,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    _guard(args.t, args.force, "census")
     fld = _make_field(args, args.t)
     rep = sextic_census(fld)
     entries = sorted(rep.counts.items())
@@ -181,7 +171,6 @@ def cmd_census(args) -> int:
 def cmd_scan(args) -> int:
     threads = _thread_count(args)
     m = _resolve_m(args)
-    _guard(m, args.force, "scan")
     fld = _make_field(args, m)
     fld.need_even()  # odd m is refused before the exponent list is built
     checker = check_sarwate if args.check == "sarwate" else check_bound
@@ -206,7 +195,6 @@ def cmd_scan(args) -> int:
 
 def cmd_identities(args) -> int:
     m = _resolve_m(args)
-    _guard(m, args.force, "identities")
     fld = _make_field(args, m)
     rep = subfield_identities(fld, args.d)
     meta: dict = {
@@ -240,7 +228,6 @@ def _add_common(p, with_d=False, with_m=True, with_format=False):
                    help="field polynomial override as bitmask (e.g. 0x43)")
     p.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                    help="max table size (entries) for log/antilog tables")
-    p.add_argument("--force", action="store_true", help="override resource guards")
     p.add_argument("--output", default=None, help="write result to a file instead of stdout")
     if with_format:
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -292,9 +279,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        _emit_error(str(exc), "resource")
-        return 3
     except (WalshLabError, ValueError, OSError) as exc:
         # OSError: an --output path that cannot be written
         _emit_error(str(exc), "usage")

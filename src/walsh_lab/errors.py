@@ -22,7 +22,3 @@ class NonInvertibleError(DomainError):
         self.d = d
         self.n = n
         self.gcd = gcd
-
-
-class ResourceLimitError(WalshLabError, RuntimeError):
-    """A size guard refused to start a computation; pass force=True to override."""

@@ -48,7 +48,6 @@ the field's trace pairing.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
 
 import numpy as np
 
@@ -187,16 +186,16 @@ def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
     return right
 
 
+def check_degree(m: int) -> None:
+    """DomainError unless MIN_DEGREE <= m <= MAX_DEGREE, the degrees PRIMITIVE_POLY covers."""
+    if not MIN_DEGREE <= m <= MAX_DEGREE:
+        raise DomainError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
+
+
 def check_exponent_range(m: int, d: int) -> None:
     """DomainError unless 1 <= d <= 2^m - 2, the exponents of GF(2^m)."""
     if not 1 <= d <= (1 << m) - 2:
         raise DomainError(f"exponent d must be in [1, {(1 << m) - 2}], got {d}")
-
-
-class TraceBundle(NamedTuple):
-    tr_abs: int
-    tr_rel: int
-    norm_rel: int
 
 
 def mod_inverse(d: int, n: int) -> int:
@@ -218,12 +217,11 @@ class Field:
     """Immutable context for one GF(2^m); see the module docstring for conventions."""
 
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
-        """Check m and the degree of the modulus (ValueError, DomainError),
+        """Check m and the degree of the modulus (DomainError),
         verify that alpha has order 2^m - 1, build the log/antilog tables
         if 2^m <= table_cap, and derive the trace mask and the dual-index
         matrix from Tr(alpha^k) by Newton's identities."""
-        if not MIN_DEGREE <= m <= MAX_DEGREE:
-            raise ValueError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
+        check_degree(m)
         # not bit_length: a negative modulus has the right one too, and the
         # reduction loops never end on it
         if modulus >> m != 1:
@@ -416,9 +414,6 @@ class Field:
         """Relative norm onto L: x^(1 + 2^t)."""
         t = self.need_even()
         return self.mul(x, self.pow(x, 1 << t))
-
-    def traces(self, x: int) -> TraceBundle:
-        return TraceBundle(self.trace(x), self.trace_rel(x), self.norm_rel(x))
 
     def subfield_trace(self, y: int) -> int:
         """Absolute trace of the subfield L = GF(2^t), for y in L."""

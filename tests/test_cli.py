@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, canonical JSON, CSV layout, guards, env wiring."""
+"""CLI behavior: exit codes, canonical JSON, CSV layout, the field range, env wiring."""
 
 import json
 
@@ -15,6 +15,9 @@ def run(capsys, *argv):
 
 def parse(out):
     return json.loads(out)
+
+
+COMMANDS = ["spectrum", "weights", "scan", "identities", "verify", "census"]
 
 
 class TestSpectrumCommand:
@@ -121,6 +124,21 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(err)["kind"] == "usage"
 
+    @pytest.mark.parametrize("theorem", ["todd", "teven"])
+    @pytest.mark.parametrize("t", [15, 20000001])
+    def test_field_range_is_checked_before_the_closed_form(self, capsys, monkeypatch,
+                                                           theorem, t):
+        # the closed forms compute with 2^(2t)-sized integers
+        def predicted(*args):
+            raise AssertionError("verify built a closed form outside the field range")
+
+        monkeypatch.setattr(cli, "predicted_spectrum_t_odd", predicted)
+        monkeypatch.setattr(cli, "predicted_spectrum_t_even", predicted)
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--t", str(t))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"m must be in [2, 28], got {2 * t}",
+                                   "kind": "usage"}
+
 
 class TestCensusCommand:
     def test_t6(self, capsys):
@@ -200,8 +218,8 @@ class TestIdentitiesCommand:
         assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
 
     def test_m16_runs_without_force(self, capsys):
-        # gcd(259, 2^16 - 1) = gcd(259, 2^8 - 1) = 1, and m = 16 is within the
-        # square-sum guard
+        # gcd(259, 2^16 - 1) = gcd(259, 2^8 - 1) = 1, so the square
+        # identities apply
         code, out, _ = run(capsys, "identities", "--m", "16", "--d", "259")
         assert code == 0
         meta = parse(out)["meta"]
@@ -233,18 +251,8 @@ class TestErrorsAndGuards:
         assert code == 2
         assert json.loads(err)["kind"] == "usage"
 
-    def test_resource_guard(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--m", "30", "--d", "3")
-        assert code == 3
-        assert json.loads(err)["kind"] == "resource"
-
-    def test_guard_override_hits_hard_limit(self, capsys):
-        # --force skips the guard, after which the field layer itself refuses
-        code, _, err = run(capsys, "spectrum", "--m", "30", "--d", "3", "--force")
-        assert code == 2
-
     def test_identities_m18_runs_without_force(self, capsys):
-        # identities obeys the spectrum guard alone, like every other command
+        # identities is bounded by the field's range alone, like every other command
         code, out, _ = run(capsys, "identities", "--m", "18", "--d", "5")
         assert code == 0
         meta = parse(out)["meta"]
@@ -252,12 +260,33 @@ class TestErrorsAndGuards:
         assert meta["weighted"] == {"checked": 511, "max_abs_residual": 0}
         assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
 
-    def test_identities_guard_names_the_command(self, capsys):
-        code, out, err = run(capsys, "identities", "--m", "30", "--d", "5")
-        assert code == 3 and out == ""
-        payload = json.loads(err)
-        assert payload["kind"] == "resource"
-        assert payload["error"].startswith("identities at m = 30")
+    @pytest.mark.parametrize("argv,m", [
+        (("spectrum", "--m", "30", "--d", "3"), 30),
+        (("weights", "--m", "30", "--d", "3"), 30),
+        (("scan", "--m", "30", "--check", "bound"), 30),
+        (("identities", "--m", "30", "--d", "5"), 30),
+        (("verify", "--theorem", "todd", "--t", "15"), 30),
+        (("census", "--t", "29"), 29),
+    ], ids=COMMANDS)
+    def test_field_range_is_the_one_refusal(self, capsys, argv, m):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"m must be in [2, 28], got {m}",
+                                   "kind": "usage"}
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--m", "6", "--d", "19"),
+        ("weights", "--m", "6", "--d", "19"),
+        ("scan", "--m", "6", "--check", "bound"),
+        ("identities", "--m", "6", "--d", "19"),
+        ("verify", "--theorem", "todd", "--t", "3"),
+        ("census", "--t", "6"),
+    ], ids=COMMANDS)
+    def test_force_is_an_unknown_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--force")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "unrecognized arguments: --force",
+                                   "kind": "usage"}
 
     def test_bad_poly(self, capsys):
         # 0x45 is not primitive; -0x43 has no degree at all

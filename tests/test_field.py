@@ -120,13 +120,6 @@ class TestTraces:
         with pytest.raises(DomainError):
             field6.subfield_trace(outsider)
 
-    def test_traces_bundle(self, field6):
-        for x in (0, 1, 7, 33, 63):
-            b = field6.traces(x)
-            assert b.tr_abs == field6.trace(x)
-            assert b.tr_rel == field6.trace_rel(x)
-            assert b.norm_rel == field6.norm_rel(x)
-
     def test_relative_ops_need_even_degree(self):
         f = make_field(5)
         with pytest.raises(UnsupportedError):
@@ -441,7 +434,7 @@ class TestTablelessMode:
 class TestConstruction:
     def test_degree_limits(self):
         for bad in (0, 1, 29, 64):
-            with pytest.raises(ValueError):
+            with pytest.raises(DomainError, match=r"m must be in \[2, 28\]"):
                 make_field(bad)
 
     def test_modulus_must_match_degree(self):

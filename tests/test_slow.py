@@ -1,4 +1,4 @@
-"""Opt-in runs at the large m the guards promise; run with pytest -m slow."""
+"""Opt-in runs at the large m the field supports; run with pytest -m slow."""
 
 import json
 
@@ -18,7 +18,7 @@ def test_verify_todd_t13(capsys):
 
 
 def test_identities_m26(capsys):
-    # within the spectrum guard, so no --force: M_b by coset sums is O(q)
+    # M_b by coset sums is O(q), like the spectrum path
     code = cli.main(["identities", "--m", "26", "--d", "5"])
     meta = json.loads(capsys.readouterr().out)["meta"]
     assert code == 0
@@ -28,7 +28,7 @@ def test_identities_m26(capsys):
 
 
 def test_verify_teven_t14(capsys):
-    # m = 28, the largest table the guard allows: the seven-valued spectrum
+    # m = 28, the largest table the field supports: the seven-valued spectrum
     # at t = 14, about 30 s and 2.6 GiB
     code = cli.main(["verify", "--theorem", "teven", "--t", "14"])
     payload = json.loads(capsys.readouterr().out)
