@@ -12,6 +12,7 @@ from .walsh import (
     Histogram,
     Spectrum,
     fwht,
+    fwht_columns,
     subfield_sum_check,
     truth_table,
     walsh_coefficient,
@@ -35,6 +36,7 @@ from .analysis import (
     CensusReport,
     CharacterSum,
     ExponentProfile,
+    FamilySpectrum,
     NoSixReport,
     PowerMultiset,
     SarwateCheck,
@@ -49,6 +51,7 @@ from .analysis import (
     dickson_is_permutation,
     dickson_value,
     exponent_profile,
+    family_spectrum,
     sextic_census,
     subfield_character_sum,
     subfield_identities,

@@ -1,7 +1,8 @@
 """Structural checks around the spectra: exponent classification, subfield
 character sums and their square identities, solution-set evaluation of Walsh
-coefficients, the sextic census, Dickson permutation tests, and the two
-spectral lower-bound checks used by the scan subcommand.
+coefficients, the sextic census, the spectrum of the family
+d = 1 + 2^i + 2^(i+t) from GF(2^t) alone, Dickson permutation tests, and the
+two spectral lower-bound checks used by the scan subcommand.
 
 Conventions shared by everything here:
   * L is the index-2 subfield GF(2^t) of GF(2^m), m = 2t.
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, check_exponent_range, mod_inverse, xor_span
-from .walsh import Histogram, fwht, truth_table, walsh_coefficient, walsh_spectrum
+from .walsh import (Histogram, fwht, fwht_columns, truth_table, walsh_coefficient,
+                    walsh_spectrum)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -409,12 +411,19 @@ def _census_closed_form(t: int) -> dict[int, int]:
     return {0: zero, 1: one, 2: 1 << (t - 2), 6: six}
 
 
+def _fibres(field: Field, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, sizes) for phi(z) = z^(2+e) + z over the field: phi[z] for every
+    z (int32), and sizes[w] = #phi^-1(w), the size of the fibre over w (int64)."""
+    phi = field.power_map(2 + e)
+    for lo in range(0, field.q, _BLOCK):
+        phi[lo:lo + _BLOCK] ^= np.arange(lo, min(lo + _BLOCK, field.q), dtype=np.int32)
+    return phi, np.bincount(phi, minlength=field.q)
+
+
 def sextic_census(field: Field) -> CensusReport:
     """Count, for every w, the solutions z of z^6 + z = w; the field IS GF(2^t)."""
     t = field.m
-    q = field.q
-    w = field.power_map(6) ^ np.arange(q, dtype=np.int32)
-    per_target = np.bincount(w, minlength=q)
+    w, per_target = _fibres(field, 4)
     class_hist = np.bincount(per_target)
     counts = {k: int(n) for k, n in enumerate(class_hist) if n}
     for k in (0, 1, 2, 6):
@@ -433,6 +442,128 @@ def sextic_census(field: Field) -> CensusReport:
         witnesses[k] = (w0, sols)
     return CensusReport(t=t, modulus=field.modulus, counts=dict(sorted(counts.items())),
                         closed_form=closed, closed_form_match=match, witnesses=witnesses)
+
+
+# -- the family spectrum from the fibres of phi ----------------------------------
+
+
+@dataclass(frozen=True)
+class FamilySpectrum(Histogram):
+    """Walsh value histogram of Tr(x^d) over GF(2^m), m = 2t and
+    d = 1 + 2^i + 2^(i+t), computed in GF(2^t): entries as in Spectrum."""
+
+    t: int
+    i: int
+    m: int
+    d: int
+    entries: tuple[tuple[int, int], ...]
+
+
+def _span_coordinates(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, coords) for an (n, k) int32 array of elements: the GF(2) rank of
+    each row, and the coordinates of its entries over a basis of the row's
+    span, as bitmasks below 2^rank.  Elimination runs one column at a time on
+    all rows at once: a column is reduced by the basis vectors before it, and
+    if anything is left it joins the basis with its lowest set bit as pivot."""
+    n, k = z.shape
+    basis = np.zeros_like(z)   # the reduced column, 0 unless it joined the basis
+    pivot = np.zeros_like(z)
+    bit = np.zeros_like(z)     # its coordinate bit
+    coords = np.empty_like(z)
+    rank = np.zeros(n, dtype=z.dtype)
+    for j in range(k):
+        x = z[:, j].copy()
+        c = np.zeros(n, dtype=z.dtype)
+        for col in range(j):
+            hit = (x & pivot[:, col]) != 0
+            x ^= basis[:, col] * hit
+            c |= bit[:, col] * hit
+        new = x != 0
+        basis[:, j] = x
+        pivot[:, j] = x & -x
+        bit[:, j] = np.left_shift(new, rank, dtype=z.dtype)
+        coords[:, j] = c | bit[:, j]
+        rank += new
+    return rank, coords
+
+
+def family_spectrum(field: Field, i: int = 1) -> FamilySpectrum:
+    """Walsh spectrum of Tr(x^d) over GF(2^2t), d = 1 + 2^i + 2^(i+t), from
+    arithmetic in field = L = GF(2^t) alone; i = 1 is the paper's 3 + 2^(t+1).
+
+    With e = 2^(i+1), phi(z) = z^(2+e) + z and any theta in L with
+    Tr_t(1/theta) = 1 (walsh_from_solutions is the scalar form), for a, b in L
+
+        W_d(a + b*cbar) = 2^t * sum over z in phi^-1((b*theta)^e) of
+                          eps_z (-1)^Tr_t(a*z),  eps_z = (-1)^Tr_t(z^(1+e) theta^-e).
+
+    As b runs over L so does w = (b*theta)^e, so the spectrum is 2^t times
+    the union over the fibres Z = phi^-1(w) of the multiset over a in L of
+    sum_{z in Z} eps_z (-1)^Tr_t(a*z).  As a runs over L, (Tr_t(a*z))_z runs
+    2^(t-r) times over a 2^r-point space, r = rank(Z); so the multiset is the
+    2^r-point butterfly of the signs placed at the coordinates of Z over a
+    basis of its span, each value 2^(t-r) times.
+
+    Empty fibres give 2^t zeros.  A fibre of one or two nonzero elements has
+    full rank, so its multiset does not depend on the signs: +-1 each
+    2^(t-1) times, or +-2 each 2^(t-2) times and 0 2^(t-1) times.  The other
+    fibres, the one over w = 0 (it holds z = 0) and those of size 3 or more,
+    are taken in blocks of equal size: elimination and the butterfly run on
+    every fibre of a block at once.  theta = 1/u with u = 2^j for the lowest
+    set bit j of the trace mask, so Tr_t(u) = 1.
+    """
+    t = field.m
+    if not 1 <= i <= t - 2:
+        raise DomainError(f"need 0 < i < t - 1 = {t - 1}, got i = {i}")
+    e = 1 << (i + 1)
+    phi, sizes = _fibres(field, e)
+    classes = np.bincount(sizes).tolist() + [0, 0]
+    k0 = int(sizes[0])  # the fibre over 0 holds z = 0
+    ones = classes[1] - (k0 == 1)
+    twos = classes[2] - (k0 == 2)
+    # hist[v] counts the coefficients W = v * 2^t
+    hist = Counter({0: (classes[0] << t) + (twos << (t - 1)),
+                    1: ones << (t - 1), -1: ones << (t - 1),
+                    2: twos << (t - 2), -2: twos << (t - 2)})
+
+    general = sizes >= 3
+    general[0] = True
+    z = np.concatenate([lo + np.flatnonzero(general[phi[lo:lo + _BLOCK]])
+                        for lo in range(0, field.q, _BLOCK)])
+    w = phi[z]
+    k = sizes[w]
+    del phi, sizes, general
+    order = np.lexsort((w, k))  # each fibre contiguous, fibres of one size together
+    z, k = z[order].astype(np.int32), k[order]
+    del w, order
+
+    log, seq = field.log_and_trace_sequence()
+    u = field.trace_mask & -field.trace_mask
+    arg = log[z].astype(np.int64) * (1 + e) + e * int(log[u])
+    eps = 1 - 2 * seq[arg % field.order].astype(np.int32)
+    eps[z == 0] = 1
+    del log, arg
+
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]).tolist() + [z.size]
+    for lo, hi in zip(starts, starts[1:]):
+        size = int(k[lo])
+        fibres, signs = z[lo:hi].reshape(-1, size), eps[lo:hi].reshape(-1, size)
+        # the butterfly input of a block stays within 2^20 entries
+        step = max(1, (1 << 20) >> size)
+        for b in range(0, len(fibres), step):
+            rank, coords = _span_coordinates(fibres[b:b + step])
+            for r in np.unique(rank).tolist():
+                rows = rank == r
+                # column f holds the signs of fibre f at its coordinates
+                vec = np.zeros((1 << r, int(rows.sum())), dtype=np.int32)
+                vec[coords[rows], np.arange(vec.shape[1])[:, None]] = signs[b:b + step][rows]
+                counts = np.bincount(fwht_columns(vec).ravel() + size)
+                for v in np.flatnonzero(counts).tolist():
+                    hist[v - size] += int(counts[v]) << (t - r)
+
+    d = 1 + (1 << i) + (1 << (i + t))
+    return FamilySpectrum(t=t, i=i, m=2 * t, d=d,
+                          entries=tuple((v << t, n) for v, n in sorted(hist.items()) if n))
 
 
 # -- Dickson polynomials -------------------------------------------------------

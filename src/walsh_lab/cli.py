@@ -16,10 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 from . import __version__
-from .analysis import check_bound, check_sarwate, sextic_census, subfield_identities
+from .analysis import (check_bound, check_sarwate, family_spectrum, sextic_census,
+                       subfield_identities)
 from .code import is_degenerate_exponent, weight_distribution
 from .errors import DomainError, WalshLabError
-from .field import DEFAULT_TABLE_CAP, check_degree, make_field
+from .field import DEFAULT_TABLE_CAP, MAX_DEGREE, check_degree, check_even, make_field
 from .predict import compare, predicted_spectrum_t_even, predicted_spectrum_t_odd
 from .walsh import walsh_spectrum
 
@@ -126,14 +127,24 @@ def cmd_weights(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the closed forms do big-integer work in 2^(2t), so m is checked first
-    check_degree(2 * args.t)
+    # The spectrum needs only L = GF(2^t).  GF(2^2t) is built, without
+    # tables, to check --poly and report its modulus while 2t is in the
+    # field's range; above it only t is checked.  The closed forms do
+    # big-integer work in 2^(2t), so the degree is checked first.
+    m = 2 * args.t
+    check_degree(m if m <= MAX_DEGREE else args.t)
     if args.theorem == "todd":
         pred = predicted_spectrum_t_odd(args.t)
     else:
         pred = predicted_spectrum_t_even(args.t)
-    fld = _make_field(args, pred.m)
-    actual = walsh_spectrum(fld, pred.d)
+    if m <= MAX_DEGREE:
+        poly = make_field(m, modulus=args.poly, table_cap=1).modulus
+    elif args.poly is None:
+        poly = None
+    else:
+        raise DomainError(f"--poly names a modulus of GF(2^2t), which verify builds "
+                          f"only for t <= {MAX_DEGREE // 2}; got t = {args.t}")
+    actual = family_spectrum(make_field(args.t, table_cap=args.table_cap))
     cmp = compare(actual, pred)
     meta = {
         "theorem": args.theorem,
@@ -144,7 +155,7 @@ def cmd_verify(args) -> int:
         ],
         "predicted": [{"value": v, "count": n} for v, n in pred.entries],
     }
-    _write_out(args, _payload(pred.m, pred.d, fld.modulus, "spectrum", actual.entries, meta))
+    _write_out(args, _payload(pred.m, pred.d, poly, "spectrum", actual.entries, meta))
     return 0 if cmp.equal else 1
 
 
@@ -171,8 +182,10 @@ def cmd_census(args) -> int:
 def cmd_scan(args) -> int:
     threads = _thread_count(args)
     m = _resolve_m(args)
+    # odd m is refused before the field or the exponent list is built
+    check_degree(m)
+    check_even(m)
     fld = _make_field(args, m)
-    fld.need_even()  # odd m is refused before the exponent list is built
     checker = check_sarwate if args.check == "sarwate" else check_bound
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
     if threads == 1:

@@ -192,6 +192,13 @@ def check_degree(m: int) -> None:
         raise DomainError(f"m must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {m}")
 
 
+def check_even(m: int) -> int:
+    """t for m = 2t; UnsupportedError for odd m."""
+    if m % 2:
+        raise UnsupportedError(f"operation needs m = 2t, but m = {m} is odd")
+    return m // 2
+
+
 def check_exponent_range(m: int, d: int) -> None:
     """DomainError unless 1 <= d <= 2^m - 2, the exponents of GF(2^m)."""
     if not 1 <= d <= (1 << m) - 2:
@@ -346,9 +353,7 @@ class Field:
 
     def need_even(self) -> int:
         """t for m = 2t; UnsupportedError for odd m."""
-        if self.t is None:
-            raise UnsupportedError(f"operation needs m = 2t, but m = {self.m} is odd")
-        return self.t
+        return check_even(self.m)
 
     # -- scalar arithmetic ----------------------------------------------------
 

@@ -7,9 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NonInvertibleError
 from .walsh import Histogram, Spectrum
+
+if TYPE_CHECKING:
+    from .analysis import FamilySpectrum
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class SpectrumComparison:
     diffs: tuple[tuple[int, int, int], ...]  # (value, actual count, predicted count)
 
 
-def compare(actual: Spectrum, predicted: PredictedSpectrum) -> SpectrumComparison:
+def compare(actual: Spectrum | FamilySpectrum, predicted: PredictedSpectrum) -> SpectrumComparison:
     """Exact multiset comparison; (m, d) of the two sides must agree."""
     if actual.m != predicted.m or actual.d != predicted.d:
         raise DomainError(

@@ -161,6 +161,18 @@ def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
         h *= 2
 
 
+def _check_butterfly_input(a: np.ndarray, n: int, name: str) -> None:
+    """DomainError unless the transform length n is a power of two and a is
+    signed and C-contiguous (a reshape of anything else is a copy, and the
+    result would be lost)."""
+    if n == 0 or n & (n - 1):
+        raise DomainError(f"{name} needs a power-of-two length, got {n}")
+    if a.dtype.kind in "bu":
+        raise DomainError(f"{name} needs a signed dtype, got {a.dtype}")
+    if not a.flags.c_contiguous:
+        raise DomainError(f"{name} works in place and needs a C-contiguous array")
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly over the parity pairing, returning a;
     a must be C-contiguous, of length 2^k and of a signed dtype, which the
@@ -177,12 +189,7 @@ def fwht(a: np.ndarray) -> np.ndarray:
     result.
     """
     n = a.size
-    if n == 0 or n & (n - 1):
-        raise DomainError(f"fwht needs a power-of-two length, got {n}")
-    if a.dtype.kind in "bu":
-        raise DomainError(f"fwht needs a signed dtype, got {a.dtype}")
-    if not a.flags.c_contiguous:
-        raise DomainError("fwht works in place and needs a C-contiguous array")
+    _check_butterfly_input(a, n, "fwht")
     size = min(n, _BUTTERFLY_BLOCK)
     cols = 1 << ((size.bit_length() - 1) // 2)
     scratch = np.empty(size // 2, dtype=a.dtype)
@@ -194,6 +201,15 @@ def fwht(a: np.ndarray) -> np.ndarray:
         np.copyto(grid, flipped.T)
         _stages(grid, scratch)
     _stages(a.reshape(n // size, size), scratch)
+    return a
+
+
+def fwht_columns(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly down each column of a C-contiguous
+    (2^r, n) array of a signed dtype, returning a: n transforms of 2^r
+    points at once, every stage on whole rows."""
+    _check_butterfly_input(a, a.shape[0], "fwht_columns")
+    _stages(a, np.empty(max(1, a.size // 2), dtype=a.dtype))
     return a
 
 

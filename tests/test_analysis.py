@@ -22,6 +22,7 @@ from walsh_lab import (
     dickson_is_permutation,
     dickson_value,
     exponent_profile,
+    family_spectrum,
     make_field,
     sextic_census,
     subfield_character_sum,
@@ -29,8 +30,11 @@ from walsh_lab import (
     walsh_coefficient,
     walsh_from_solutions,
     walsh_solution_set,
+    walsh_spectrum,
     weighted_walsh_identity,
 )
+from walsh_lab import analysis
+from walsh_lab.predict import predicted_spectrum
 
 CENSUS_T6 = {0: 21, 1: 26, 2: 16, 6: 1}
 CENSUS_T10 = {0: 341, 1: 410, 2: 256, 6: 17}
@@ -381,6 +385,60 @@ class TestSexticCensus:
             assert len(sols) == k
             for z in sols:
                 assert f.pow(z, 6) ^ z == w
+
+
+FAMILY_PAIRS = [(t, i) for t in range(3, 11) for i in range(1, t - 1)] + [(11, 1), (12, 1)]
+
+
+class TestFamilySpectrum:
+    @pytest.mark.parametrize("t,i", FAMILY_PAIRS)
+    def test_equals_the_butterfly(self, t, i):
+        # invertible d or not: the identity holds for every i in [1, t - 2]
+        d = 1 + (1 << i) + (1 << (i + t))
+        spec = family_spectrum(make_field(t), i)
+        assert (spec.m, spec.d) == (2 * t, d)
+        assert spec.entries == walsh_spectrum(make_field(2 * t), d).entries
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_any_primitive_modulus_of_l(self, data, random_modulus):
+        t = data.draw(st.integers(3, 12), "t")
+        i = data.draw(st.integers(1, t - 2), "i")
+        seed = data.draw(st.integers(0, 1 << 16), "seed")
+        cap = data.draw(st.sampled_from([1, 1 << 22]), "table_cap")
+        other = make_field(t, random_modulus(t, random.Random(seed)), table_cap=cap)
+        assert family_spectrum(other, i) == family_spectrum(make_field(t), i)
+
+    @pytest.mark.parametrize("t", range(15, 21))
+    def test_parseval_sums_beyond_the_butterfly(self, t):
+        spec = family_spectrum(make_field(t))
+        m = 2 * t
+        assert spec.total() == 1 << m
+        assert spec.moment(1) == 1 << m
+        assert spec.moment(2) == 1 << (2 * m)
+
+    @pytest.mark.parametrize("t", [13, 14, 15, 17, 18, 21])
+    def test_closed_form_tables(self, t):
+        assert family_spectrum(make_field(t)).entries == predicted_spectrum(t).entries
+
+    def test_no_loop_over_the_fibres(self, monkeypatch):
+        # t = 18 has (2^16 - 1) / 15 = 4369 fibres of size 6 and one over w = 0;
+        # each size is reduced in one block
+        calls = []
+        reduce = analysis._span_coordinates
+
+        def counted(z):
+            calls.append(z.shape)
+            return reduce(z)
+
+        monkeypatch.setattr(analysis, "_span_coordinates", counted)
+        family_spectrum(make_field(18))
+        assert sorted(calls) == [(1, 2), (4369, 6)]
+
+    def test_i_out_of_range(self, field6):
+        for i in (0, 5):
+            with pytest.raises(DomainError):
+                family_spectrum(field6, i)
 
 
 class TestDickson:

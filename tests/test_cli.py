@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walsh_lab import cli
+from walsh_lab import cli, make_field
 
 
 def run(capsys, *argv):
@@ -125,10 +125,11 @@ class TestVerifyCommand:
         assert json.loads(err)["kind"] == "usage"
 
     @pytest.mark.parametrize("theorem", ["todd", "teven"])
-    @pytest.mark.parametrize("t", [15, 20000001])
+    @pytest.mark.parametrize("t", [29, 20000001])
     def test_field_range_is_checked_before_the_closed_form(self, capsys, monkeypatch,
                                                            theorem, t):
-        # the closed forms compute with 2^(2t)-sized integers
+        # the closed forms compute with 2^(2t)-sized integers; above t = 14
+        # the range checked is that of L = GF(2^t)
         def predicted(*args):
             raise AssertionError("verify built a closed form outside the field range")
 
@@ -136,8 +137,40 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "predicted_spectrum_t_even", predicted)
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--t", str(t))
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": f"m must be in [2, 28], got {2 * t}",
+        assert json.loads(err) == {"error": f"m must be in [2, 28], got {t}",
                                    "kind": "usage"}
+
+    @pytest.mark.parametrize("theorem,t", [("todd", 15), ("teven", 18)])
+    def test_closed_forms_above_the_butterfly_range(self, capsys, theorem, t):
+        # m = 30 and 36: GF(2^2t) is never built, so there is no modulus to report
+        code, out, _ = run(capsys, "verify", "--theorem", theorem, "--t", str(t))
+        payload = parse(out)
+        assert code == 0
+        assert (payload["m"], payload["poly"]) == (2 * t, None)
+        assert payload["meta"]["equal"] is True and payload["meta"]["diff"] == []
+
+    def test_poly_above_the_butterfly_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "todd", "--t", "15",
+                             "--poly", "0x40000003")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "--poly names a modulus of GF(2^2t), which verify builds only "
+                     "for t <= 14; got t = 15",
+            "kind": "usage"}
+
+    def test_spectrum_is_computed_in_the_half_degree_field(self, capsys, monkeypatch):
+        # GF(2^2t) is built once, without tables, only to check --poly
+        built = []
+
+        def tracked(m, modulus=None, table_cap=cli.DEFAULT_TABLE_CAP):
+            built.append((m, table_cap))
+            return make_field(m, modulus, table_cap)
+
+        monkeypatch.setattr(cli, "make_field", tracked)
+        code, out, _ = run(capsys, "verify", "--theorem", "teven", "--t", "10",
+                           "--table-cap", "512")
+        assert code == 0 and parse(out)["poly"] == "0x100009"
+        assert sorted(built) == [(10, 512), (20, 1)]
 
 
 class TestCensusCommand:
@@ -199,6 +232,15 @@ class TestScanCommand:
         code, out, err = run(capsys, "scan", "--m", "9", "--check", "bound", "--threads", "1")
         assert (code, out) == (2, "")
         assert err == '{"error": "operation needs m = 2t, but m = 9 is odd", "kind": "usage"}\n'
+
+    def test_odd_m_is_refused_before_the_field_is_built(self, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("scan built a field for odd m")
+
+        monkeypatch.setattr(cli, "make_field", built)
+        code, out, err = run(capsys, "scan", "--m", "21", "--check", "bound", "--threads", "1")
+        assert (code, out) == (2, "")
+        assert err == '{"error": "operation needs m = 2t, but m = 21 is odd", "kind": "usage"}\n'
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALSH_LAB_THREADS", "3")
@@ -265,7 +307,7 @@ class TestErrorsAndGuards:
         (("weights", "--m", "30", "--d", "3"), 30),
         (("scan", "--m", "30", "--check", "bound"), 30),
         (("identities", "--m", "30", "--d", "5"), 30),
-        (("verify", "--theorem", "todd", "--t", "15"), 30),
+        (("verify", "--theorem", "todd", "--t", "29"), 29),
         (("census", "--t", "29"), 29),
     ], ids=COMMANDS)
     def test_field_range_is_the_one_refusal(self, capsys, argv, m):

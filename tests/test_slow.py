@@ -4,17 +4,24 @@ import json
 
 import pytest
 
-from walsh_lab import cli
+from walsh_lab import cli, family_spectrum, make_field, predicted_spectrum, walsh_spectrum
 
 pytestmark = pytest.mark.slow
 
 
-def test_verify_todd_t13(capsys):
-    # m = 26 is above the default table cap: the tableless route end to end
-    code = cli.main(["verify", "--theorem", "todd", "--t", "13"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["m"] == 26 and payload["meta"]["equal"] is True
+def _three_routes_agree(t):
+    # the butterfly over GF(2^2t) is the fibre route's oracle; verify runs
+    # only the fibre route
+    pred = predicted_spectrum(t)
+    butterfly = walsh_spectrum(make_field(2 * t), pred.d)
+    assert butterfly.entries == pred.entries
+    assert family_spectrum(make_field(t)).entries == pred.entries
+
+
+def test_verify_todd_t13():
+    # m = 26 is above the default table cap: the tableless butterfly, about
+    # 6 s and 0.7 GiB
+    _three_routes_agree(13)
 
 
 def test_identities_m26(capsys):
@@ -27,10 +34,17 @@ def test_identities_m26(capsys):
     assert meta["square"] == {"coset_residual": 0, "total_residual": 0}
 
 
-def test_verify_teven_t14(capsys):
-    # m = 28, the largest table the field supports: the seven-valued spectrum
-    # at t = 14, about 30 s and 2.6 GiB
-    code = cli.main(["verify", "--theorem", "teven", "--t", "14"])
+def test_verify_teven_t14():
+    # m = 28, the largest GF(2^m) the field supports: the seven-valued
+    # spectrum at t = 14 by the butterfly, about 30 s and 2.6 GiB
+    _three_routes_agree(14)
+
+
+@pytest.mark.parametrize("theorem,t", [("teven", 22), ("todd", 23)])
+def test_verify_beyond_the_butterfly(capsys, theorem, t):
+    # m = 44 and 46: only L = GF(2^t) is built, so there is no modulus to report
+    code = cli.main(["verify", "--theorem", theorem, "--t", str(t)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["m"] == 28 and payload["meta"]["equal"] is True
+    assert (payload["m"], payload["poly"]) == (2 * t, None)
+    assert payload["meta"]["equal"] is True

@@ -11,6 +11,7 @@ import pytest
 from walsh_lab import (
     DomainError,
     fwht,
+    fwht_columns,
     make_field,
     subfield_identities,
     subfield_sum_check,
@@ -204,6 +205,24 @@ class TestFwht:
         assert fwht(signs) is signs
         assert np.array_equal(signs[field6.dual_index_all()],
                               walsh_coefficients_naive(field6, 19))
+
+
+class TestFwhtColumns:
+    @pytest.mark.parametrize("r,n", [(0, 3), (1, 1), (5, 7), (6, 300)])
+    def test_each_column_is_one_butterfly(self, r, n):
+        x = np.random.default_rng(r).integers(-6, 7, size=(1 << r, n)).astype(np.int32)
+        out = fwht_columns(x.copy())
+        assert out.dtype == np.int32
+        for col in range(n):
+            assert np.array_equal(out[:, col], fwht(x[:, col].copy()))
+
+    def test_runs_in_place_and_rejects_what_fwht_rejects(self):
+        x = np.ones((4, 2), dtype=np.int64)
+        assert fwht_columns(x) is x
+        for bad in (np.ones((6, 2), dtype=np.int64), np.ones((4, 2), dtype=np.uint8),
+                    np.ones((4, 4), dtype=np.int32)[:, ::2]):
+            with pytest.raises(DomainError):
+                fwht_columns(bad)
 
 
 class TestInt32Exactness:

@@ -1,9 +1,9 @@
 """Layer timings of the spectrum path and benchmark medians, for this checkout
 against a baseline checkout, written as one BENCH_*.json.
 
-    python3 tools/bench_layers.py --baseline ../base --out BENCH_7.json \\
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_12.json \\
         --pairs table-field=10 --pairs exponent-sweep=4 --seconds 25 --seed 21 \\
-        --slow --run "verify --theorem teven --t 14"
+        --slow --run "verify --theorem teven --t 22" --run "verify --theorem todd --t 27"
 
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
@@ -15,12 +15,12 @@ checkout's ``src``.
   pays) at m in {12, 16, 20, 22}, each the median wall time of several runs
   and the tracemalloc peak of one more;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
-  m = 20.
+  m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
+  warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
 * ``spectrum --m 24 --d 8195`` (no tables; d = 3 + 2^13 is the paper's
   exponent at t = 12, which the teven table does not cover): its
-  tracemalloc peak, and 16 times that as the estimate for
-  ``verify --theorem teven --t 14`` (m = 28, the same spectrum path), where
-  every q-sized array is 16 times larger.
+  tracemalloc peak, and 16 times that as the estimate for the same
+  butterfly at m = 28, where every q-sized array is 16 times larger.
 * ``--pairs WORKLOAD=N`` runs N baseline/change pairs of that benchmark
   workload through each checkout's own ``benchmarks/run.py --trace 0``, one
   seed per pair from ``--seed`` up, the side that goes first alternating.
@@ -30,6 +30,11 @@ checkout's ``src``.
   records its wall time and peak RSS.
 * ``--run "ARGS"`` runs that CLI call once in this checkout only (for calls
   the baseline refuses or would take far longer on) and records the same.
+  With any ``--run``, ``family_spectrum(make_field(t))`` also runs once per
+  t in {22, 23, 24} in a fresh interpreter, and its peak RSS, linear in 2^t
+  through t = 23 and 24 (both without log tables), gives an estimate at
+  larger t.  A ``verify`` call at t > 24 whose estimate exceeds 5 GB, most
+  of the 7 GB box, is recorded as skipped instead of run.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYER_M = (12, 16, 20, 22)
 IDENTITIES_M = (12, 16, 20)
 LAYER_D = 7
+FIBRE_T = (10, 14, 18, 22)
+PEAK_T = (22, 23, 24)
+MAX_ESTIMATE_MB = 5 * 1024
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 
@@ -59,6 +67,7 @@ def _measure_layers() -> dict:
     import tracemalloc
 
     import numpy as np
+    import walsh_lab
     from walsh_lab import (cli, fwht, make_field, subfield_identities, truth_table,
                            walsh_spectrum)
 
@@ -98,6 +107,12 @@ def _measure_layers() -> dict:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
         del field, signs
+    # a checkout without the fibre route records no such layer
+    family_spectrum = getattr(walsh_lab, "family_spectrum", None)
+    for t in FIBRE_T if family_spectrum else ():
+        half = make_field(t)
+        out[f"t={t}"] = {"family_spectrum": timed(lambda _: family_spectrum(half),
+                                                  runs=3 if t >= 22 else 7)}
     with contextlib.redirect_stdout(io.StringIO()):
         verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
     out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
@@ -170,6 +185,27 @@ def cli_run(checkout: Path, argv: list[str]) -> dict:
             "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
+def fibre_peaks(checkout: Path) -> dict:
+    """Wall time and peak RSS of family_spectrum(make_field(t)), each t in a
+    fresh interpreter, and the peak extrapolated to t = 25..28."""
+    code = ("import sys; from walsh_lab import family_spectrum, make_field; "
+            "family_spectrum(make_field(int(sys.argv[1])))")
+    out = {}
+    for t in PEAK_T:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", code, str(t)], env=_side_env(checkout))
+        _, status, usage = os.wait4(proc.pid, 0)
+        if os.waitstatus_to_exitcode(status):
+            raise RuntimeError(f"family_spectrum at t = {t} failed")
+        out[f"t={t}"] = {"wall_s": round(time.perf_counter() - start, 2),
+                         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+    lo, hi = out[f"t={PEAK_T[-2]}"]["peak_rss_mb"], out[f"t={PEAK_T[-1]}"]["peak_rss_mb"]
+    per_q = (hi - lo) / (1 << PEAK_T[-2])
+    out["estimate_mb"] = {f"t={t}": round(hi + per_q * ((1 << t) - (1 << PEAK_T[-1])), 1)
+                          for t in range(PEAK_T[-1] + 1, 29)}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--measure-layers", action="store_true", help=argparse.SUPPRESS)
@@ -207,7 +243,17 @@ def main() -> int:
     if args.slow:
         record["slow"] = {side: cli_run(checkout, SLOW_ARGV) for side, checkout in sides.items()}
     if args.run:
-        record["runs"] = [cli_run(ROOT, spec.split()) for spec in args.run]
+        peaks = fibre_peaks(ROOT)
+        record["fibre_peaks"] = peaks
+        record["runs"] = []
+        for spec in args.run:
+            argv = spec.split()
+            t = int(argv[argv.index("--t") + 1]) if argv[0] == "verify" else 0
+            estimate = peaks["estimate_mb"].get(f"t={t}")
+            if estimate is not None and estimate > MAX_ESTIMATE_MB:
+                record["runs"].append({"argv": argv, "skipped": True, "estimate_mb": estimate})
+            else:
+                record["runs"].append({**cli_run(ROOT, argv), "estimate_mb": estimate})
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
