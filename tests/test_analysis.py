@@ -425,11 +425,11 @@ class TestFamilySpectrum:
         # t = 18 has (2^16 - 1) / 15 = 4369 fibres of size 6 and one over w = 0;
         # each size is reduced in one block
         calls = []
-        reduce = analysis._span_coordinates
+        original = analysis._span_coordinates
 
         def counted(z):
             calls.append(z.shape)
-            return reduce(z)
+            return original(z)
 
         monkeypatch.setattr(analysis, "_span_coordinates", counted)
         family_spectrum(make_field(18))
