@@ -300,8 +300,12 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     else:
         basis = field.subfield_basis()
         order = np.argsort(xor_span(basis, 1 << t))
-        c, _ = _resolve_c(field, None, None, prefer_five=False)
-        points = xor_span([field.mul(c, g) for g in basis], 1 << t)[order[1:]]
+        # c = alpha^((2^m - 1)/(2^t + 1)) and gamma^i = alpha^(i (2^t + 1)), so
+        # the products c * gamma^i are read off the antilog, with no log table
+        step = (1 << t) + 1
+        c = field.designated_generator(step)
+        points = xor_span([field.exp(field.order // step + i * step) for i in range(t)],
+                          1 << t)[order[1:]]
         # the boundary counts need x^d itself, so the signs are read from it
         signs, msums, sums, boundary, off, point_labels = _coset_sums(
             field, field.power_map(d), points)

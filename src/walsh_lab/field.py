@@ -5,14 +5,15 @@ x^j in the residue class modulo a fixed primitive polynomial, so addition is
 XOR and zero/one are the ints 0 and 1.  The generator alpha is the class of x,
 i.e. the int 2.
 
-When the field is small enough (2^m <= table_cap, default 2^22 entries) an
-int32 log/antilog table pair over alpha is built once and multiplicative work
-becomes exponent arithmetic modulo 2^m - 1.  The antilog is filled by
-doubling, alog[k:2k] = alpha^k * alog[:k], each product by the constant
-alpha^k read from two small tables because it is GF(2)-linear; the log is its
-blocked inverse scatter.  Above the cap the scalar operations fall back to
-shift-and-reduce polynomial multiplication, and power_map and
-log_and_trace_sequence build a transient antilog for each call.
+When the field is small enough (2^m <= table_cap, default 2^22 entries) the
+int32 antilog alog[i] = alpha^i is built once.  It is filled by doubling,
+alog[k:2k] = alpha^k * alog[:k], each product by the constant alpha^k read
+from two small tables because it is GF(2)-linear.  The int32 log, its
+blocked inverse scatter, is built on the first scalar operation that needs
+it (mul, inv, pow, log_of) or on log_and_trace_sequence; nothing on the
+spectrum path does.  Above the cap the scalar operations fall back to
+shift-and-reduce polynomial multiplication, and antilog() builds a transient
+table for each caller (power_map, log_and_trace_sequence, the sign tables).
 scalar_mul_map, dual_index_all and coset_labels need no tables: all are
 GF(2)-linear maps, filled by doubling over the polynomial basis (xor_span).
 
@@ -20,13 +21,6 @@ For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
 the bits Tr(x * gamma^i).  So Tr(a*x) = parity(k & label(x)), and a 2^t-point
 butterfly over L in k order pairs L with every coset at once.
-
-The sign table of Tr(x^d) is read from two arrays that do not depend on d:
-the logs and the trace m-sequence s[i] = Tr(alpha^i), cached as uint8.  For
-x != 0, Tr(x^d) = s[log(x) * d mod (2^m - 1)], so walsh.truth_table gathers
-from a q-byte array and writes sequentially.  Without tables the logs are
-built for each call, and the antilog they come from is dropped before the
-caller allocates the sign table.
 
 PRIMITIVE_POLY holds the lexicographically smallest primitive polynomial of
 each degree 2..28 as an integer bitmask (0x43 = x^6 + x + 1).  Construction
@@ -40,9 +34,12 @@ x, computed from the m x m bit matrix G[i][j] = Tr(alpha^(i+j)).  Its
 entries Tr(alpha^k), k <= 2m - 2, are power sums of the roots of the modulus,
 read off its coefficients by Newton's identities with no field arithmetic.  G
 is invertible (the trace form is non-degenerate), so dual_index is a bijection
-and dual_index_inv recovers a from u.  walsh.py leans on this to reconcile
-the Walsh-Hadamard butterfly, which natively uses the parity pairing, with
-the field's trace pairing.
+and dual_index_inv recovers a from u.  dual_indices maps an array of
+elements at once, through the XOR spans of the low and high halves of the
+rows of G.  walsh.py leans on this twice: Tr(y*x) = parity(dual_index(y) & x)
+gives the values of the sign table without logs, and placing the signs at
+dual coordinates makes the Walsh-Hadamard butterfly, which natively uses the
+parity pairing, return coefficients indexed by the element.
 """
 
 from __future__ import annotations
@@ -59,6 +56,10 @@ DEFAULT_TABLE_CAP = 1 << 22
 # to this many entries, so the only q-sized arrays are the inputs and the
 # result.  Indices are widened to intp one block at a time.
 _POWER_BLOCK = 1 << 16
+
+# The same for the antilog's doubling steps, smaller: at 12 bytes of
+# temporaries per entry, building GF(2^20) peaks at 1.06 times its antilog.
+_ANTILOG_BLOCK = 1 << 14
 
 # Lexicographically smallest primitive polynomial per degree, as bitmask.
 # Regenerable by scanning odd candidates upward and keeping the first whose
@@ -225,9 +226,10 @@ class Field:
 
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
         """Check m and the degree of the modulus (DomainError),
-        verify that alpha has order 2^m - 1, build the log/antilog tables
-        if 2^m <= table_cap, and derive the trace mask and the dual-index
-        matrix from Tr(alpha^k) by Newton's identities."""
+        verify that alpha has order 2^m - 1, build the antilog if
+        2^m <= table_cap (the log waits for its first use), and derive the
+        trace mask and the dual-index matrix from Tr(alpha^k) by Newton's
+        identities."""
         check_degree(m)
         # not bit_length: a negative modulus has the right one too, and the
         # reduction loops never end on it
@@ -243,10 +245,8 @@ class Field:
 
         self._verify_primitive()
 
-        self._alog: np.ndarray | None = None
+        self._alog = self._antilog() if self.q <= table_cap else None
         self._log: np.ndarray | None = None
-        if self.q <= table_cap:
-            self._build_tables()
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix.
@@ -262,6 +262,7 @@ class Field:
         self._trace_bits: np.ndarray | None = None
         self._trace_seq: np.ndarray | None = None
         self._dual_all: np.ndarray | None = None
+        self._dual_halves: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -307,7 +308,7 @@ class Field:
         h = m // 2
         alog = np.empty(n, dtype=np.int32)
         alog[0] = 1
-        idx = np.empty(min(_POWER_BLOCK, n), dtype=np.intp)
+        idx = np.empty(min(_ANTILOG_BLOCK, n), dtype=np.intp)
         part = np.empty(idx.size, dtype=np.int32)
         c, k = self.alpha, 1
         while k < n:
@@ -330,9 +331,17 @@ class Field:
             k <<= 1
         return alog
 
-    def _build_tables(self) -> None:
-        self._alog = self._antilog()
-        self._log = _log_from_antilog(self._alog, self.q)
+    def _logs(self) -> np.ndarray:
+        """The int32 log table, scattered from the antilog on first use;
+        only for a field with tables."""
+        if self._log is None:
+            self._log = _log_from_antilog(self._alog, self.q)
+        return self._log
+
+    def antilog(self) -> np.ndarray:
+        """int32 alpha^i for 0 <= i < 2^m - 1: the stored table, which
+        callers must not modify, or without tables one built for this call."""
+        return self._alog if self._alog is not None else self._antilog()
 
     # -- validation -----------------------------------------------------------
 
@@ -368,14 +377,15 @@ class Field:
         if x == 0 or y == 0:
             return 0
         if self._alog is not None:
-            return int(self._alog[(int(self._log[x]) + int(self._log[y])) % self.order])
+            log = self._logs()
+            return int(self._alog[(int(log[x]) + int(log[y])) % self.order])
         return _polymul_mod(x, y, self.modulus, self.m)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise DomainError("0 has no multiplicative inverse")
         if self._alog is not None:
-            return int(self._alog[(self.order - int(self._log[x])) % self.order])
+            return int(self._alog[(self.order - int(self._logs()[x])) % self.order])
         return self._raw_pow(x, self.order - 1)
 
     def pow(self, x: int, e: int) -> int:
@@ -388,7 +398,7 @@ class Field:
             raise DomainError("0 has no negative powers")
         e %= self.order
         if self._alog is not None:
-            return int(self._alog[(int(self._log[x]) * e) % self.order])
+            return int(self._alog[(int(self._logs()[x]) * e) % self.order])
         return self._raw_pow(x, e)
 
     def exp(self, i: int) -> int:
@@ -400,9 +410,9 @@ class Field:
     def log_of(self, x: int) -> int:
         if x == 0:
             raise DomainError("log of 0 is undefined")
-        if self._log is None:
+        if self._alog is None:
             raise UnsupportedError("discrete logs need log tables (2^m exceeds table_cap)")
-        return int(self._log[x])
+        return int(self._logs()[x])
 
     # -- traces and subfield --------------------------------------------------
 
@@ -509,17 +519,33 @@ class Field:
             self._dual_all = xor_span(self._dual_rows, self.q, np.int32)
         return self._dual_all
 
-    def log_and_trace_sequence(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, s), the two arrays the sign table of Tr(x^d) is gathered from
-        for every d: int32 discrete logs to base alpha with log[0] = -1, and
-        the uint8 trace m-sequence s[i] = Tr(alpha^i), 0 <= i < 2^m - 1.
-        For x != 0, Tr(x^d) = s[log[x] * d mod (2^m - 1)].
+    def dual_indices(self, x: np.ndarray) -> np.ndarray:
+        """int32 array of dual_index(y) for each entry y of the int32 array x.
+        dual_index is GF(2)-linear, so it is low[y mod 2^h] ^ high[y >> h]
+        with h = m // 2, from the XOR spans of the dual rows below and above
+        h (cached, 2^h entries each); in blocks, so the intp indices stay small."""
+        h = self.m // 2
+        if self._dual_halves is None:
+            self._dual_halves = (xor_span(self._dual_rows[:h], 1 << h, np.int32),
+                                 xor_span(self._dual_rows[h:], 1 << (self.m - h), np.int32))
+        low, high = self._dual_halves
+        out = np.empty(x.shape, dtype=np.int32)
+        for lo in range(0, x.size, _POWER_BLOCK):
+            ix = x[lo:lo + _POWER_BLOCK].astype(np.intp)
+            out[lo:lo + _POWER_BLOCK] = low[ix & ((1 << h) - 1)] ^ high[ix >> h]
+        return out
 
-        s is cached.  log is the stored table, which callers must not modify;
-        without tables it is built for this call from a transient antilog,
-        the same one s is first read from, and dropped with it.
+    def log_and_trace_sequence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, s): int32 discrete logs to base alpha with log[0] = -1, and
+        the uint8 trace m-sequence s[i] = Tr(alpha^i), 0 <= i < 2^m - 1, so
+        that Tr(x^d) = s[log[x] * d mod (2^m - 1)] for x != 0 and any d.
+
+        s is cached.  log is the stored table, built on the first call, which
+        callers must not modify; without tables it is built for this call
+        from a transient antilog, the same one s is first read from, and
+        dropped with it.
         """
-        alog = self._alog if self._alog is not None else self._antilog()
+        alog = self.antilog()
         if self._trace_seq is None:
             tr = self.trace_bits()
             seq = np.empty(self.order, dtype=np.uint8)
@@ -528,7 +554,7 @@ class Field:
                 np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK],
                         mode="wrap")
             self._trace_seq = seq
-        log = self._log if self._log is not None else _log_from_antilog(alog, self.q)
+        log = self._logs() if self._alog is not None else _log_from_antilog(alog, self.q)
         return log, self._trace_seq
 
     def coset_labels(self) -> np.ndarray:
@@ -542,15 +568,37 @@ class Field:
     def power_map(self, d: int) -> np.ndarray:
         """int32 array P with P[x] = x^d (values below 2^m <= 2^28), built by
         exponent arithmetic: P[alpha^i] = alpha^(i*d mod (2^m - 1)).  Without
-        tables the antilog is built for this call and dropped after it."""
+        tables the antilog is built for this call and dropped after it.
+
+        Block by block, the exponents lo*d + j*d come from one int64 ramp of
+        j*d.  They stay below n^2 + n < 2^(2m) for n = 2^m - 1, so two folds
+        x -> (x & n) + (x >> m), which keep x mod n because 2^m = 1 mod n,
+        bring them to at most n + 1, and the antilog gather's mode="wrap"
+        finishes the reduction.  The buffers are reused across blocks.
+        """
         if d < 1:
             raise DomainError(f"exponent must be positive, got {d}")
-        alog = self._alog if self._alog is not None else self._antilog()
-        d %= self.order
+        alog = self.antilog()
+        m, n = self.m, self.order
+        d %= n
         out = np.zeros(self.q, dtype=np.int32)
-        for lo in range(0, self.order, _POWER_BLOCK):
-            hi = min(lo + _POWER_BLOCK, self.order)
-            out[alog[lo:hi]] = alog[np.arange(lo, hi, dtype=np.int64) * d % self.order]
+        size = min(_POWER_BLOCK, n)
+        ramp = np.arange(size, dtype=np.int64) * d
+        exps = np.empty(size, dtype=np.int64)
+        high = np.empty_like(exps)
+        idx = np.empty(size, dtype=np.intp)
+        vals = np.empty(size, dtype=np.int32)
+        for lo in range(0, n, size):
+            k = min(size, n - lo)
+            e, ix, v = exps[:k], idx[:k], vals[:k]
+            np.add(ramp[:k], lo * d % n, out=e)
+            for _ in range(2):
+                np.right_shift(e, m, out=high[:k])
+                e &= n
+                e += high[:k]
+            alog.take(e, out=v, mode="wrap")
+            ix[:] = alog[lo:lo + k]
+            out[ix] = v
         return out
 
     def scalar_mul_map(self, a: int) -> np.ndarray:

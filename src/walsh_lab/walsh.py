@@ -8,28 +8,34 @@ partial sum of the butterfly is at most 2^m <= 2^28 < 2^31 in absolute value,
 so int32 is exact for every supported degree.  A caller that squares or
 multiplies coefficients must widen to int64 first.
 
-The fast route works in cache-sized blocks and in place.  truth_table
-gathers signs[x] = 1 - 2 s[log(x) * d mod (2^m - 1)] block by block from the
-field's trace m-sequence s (one byte per entry) and its int32 logs, so the
-writes are sequential and no power map is built.  fwht runs in place: the
-stages on the low 16 index bits on one 2^16-entry block at a time, which
-stays in L2, and then the stages on the remaining bits over the whole array
-in 2^15-entry chunks.  Every route runs it on the sign table itself, and
-walsh_spectrum histograms the butterfly output by sorting it in place, so
-the sign table is the only q-sized array it makes.
+The fast route needs no discrete logs and no power map.  The sign of
+x = alpha^i is (-1)^Tr(alpha^(i*d)).  With beta = alpha^d, W = 2^ceil(m/2)
+and i = r*W + j, Tr(alpha^(i*d)) = Tr(beta^(r*W) * beta^j) =
+parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
+arrays of about sqrt(q) entries, read from the antilog, give every value by
+one AND and one popcount, for every d.  _scatter_signs places the values of
+a block of rows through the antilog, signs[alpha^i], as bytes, and widens
+them to int32 signs at the end.  fwht runs in place: the stages on the low
+16 index bits on one 2^16-entry block at a time, which stays in L2, and then
+the stages on the remaining bits over the whole array in 2^15-entry chunks.
+Every route runs it on the sign table itself, and walsh_spectrum histograms
+the butterfly output by sorting it in place, so the sign table and its
+bytes are the only q-sized arrays it makes.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
-the trace pairing (-1)^Tr(a*x).  With u = Field.dual_index(a) these agree:
-W_d(a) = F(dual_index(a)), so fwht output at index u is the coefficient of
-the element dual_index_inv(u).  dual_index is a bijection, hence the output
+the trace pairing (-1)^Tr(a*x) = (-1)^parity(a & dual_index(x)), as the
+trace form is symmetric.  So on the sign table in the polynomial basis
+W_d(a) = F(dual_index(a)): dual_index is a bijection, hence the output
 multiset of fwht equals the coefficient multiset and walsh_spectrum can
-histogram the raw butterfly output.
+histogram the raw butterfly output.  walsh_coefficients places each sign at
+dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -37,9 +43,8 @@ import numpy as np
 from .errors import DomainError
 from .field import Field
 
-# Entries per gather in truth_table and walsh_coefficients, so index
-# temporaries stay this small.
-_GATHER_BLOCK = 1 << 14
+# Values per block of the sign scatter, so its temporaries stay this small.
+_SCATTER_BLOCK = 1 << 14
 
 # Entries per block of the local butterfly: 256 KiB of int32, within L2.
 _BUTTERFLY_BLOCK = 1 << 16
@@ -90,10 +95,9 @@ def walsh_coefficient(field: Field, d: int, a: int) -> int:
     field.check_exponent(d)
     field.check_element(a)
     if field.has_tables:
-        signs = 1 - 2 * field.trace_bits().astype(np.int64)
-        powers = field.power_map(d)
-        ax = field.scalar_mul_map(a)
-        return int(signs[powers ^ ax].sum())
+        # q minus twice the number of x with Tr(x^d + a*x) = 1
+        ones = np.count_nonzero(field.trace_bits()[field.power_map(d) ^ field.scalar_mul_map(a)])
+        return field.q - 2 * int(ones)
     total = 0
     for x in range(field.q):
         e = field.pow(x, d) ^ field.mul(a, x)
@@ -112,32 +116,52 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _exponent_ramp(m: int) -> np.ndarray:
+    """int64 [0, 1, ..., W - 1] followed by [0, W, ..., (R - 1) W], with
+    W = 2^ceil(m/2) and R = 2^m / W: times d, the exponents of b_j and of
+    the row heads beta^(r*W) (see the module docstring)."""
+    w = 1 << ((m + 1) // 2)
+    ramp = np.concatenate([np.arange(w), np.arange(0, 1 << m, w)]).astype(np.int64)
+    ramp.flags.writeable = False  # shared by every caller
+    return ramp
+
+
+def _scatter_signs(field: Field, d: int, alog: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """int32 table with entry pos[i] = (-1)^Tr(alpha^(i*d)) for
+    0 <= i < 2^m - 1 and entry 0 = +1, where alog is the field's antilog and
+    pos a permutation of its values (alog itself, or their dual indices).
+
+    Row r of the values, i = r*W + j for j < W, is parity(v_r & b_j).  The
+    rows run R*W = 2^m entries, one past the last exponent; that one is
+    dropped.  Each block of rows is popcounted into bytes and scattered; the
+    parities become signs in one pass at the end.
+    """
+    n = field.order
+    w = 1 << ((field.m + 1) // 2)
+    exps = _exponent_ramp(field.m) * d
+    exps %= n
+    powers = alog[exps]
+    b, v = powers[:w], field.dual_indices(powers[w:])[:, None]
+    rows = max(1, _SCATTER_BLOCK // w)
+    bits = np.empty(field.q, dtype=np.uint8)
+    bits[0] = 0
+    for r in range(0, v.size, rows):
+        lo, hi = r * w, min((r + rows) * w, n)
+        counts = np.bitwise_count(v[r:r + rows] & b).reshape(-1)
+        bits[pos[lo:hi].astype(np.intp)] = counts[:hi - lo]
+    bits &= 1
+    signs = np.multiply(bits, -2, dtype=np.int32)
+    signs += 1
+    return signs
+
+
 def truth_table(field: Field, d: int) -> np.ndarray:
     """Sign table of Tr(x^d) over all x, int32 of length 2^m: signs[x] =
-    1 - 2 s[log(x) * d mod (2^m - 1)] with s the field's trace m-sequence,
-    and signs[0] = +1."""
+    (-1)^Tr(x^d), placed through the antilog, and signs[0] = +1."""
     field.check_exponent(d)
-    log, seq = field.log_and_trace_sequence()
-    n = field.order
-    signs = np.empty(field.q, dtype=np.int32)
-    # Gathered in blocks: take() widens its indices to intp, so a whole-array
-    # gather would make a q-sized int64 index array.
-    idx = np.empty(min(_GATHER_BLOCK, field.q), dtype=np.int64)
-    quot = np.empty_like(idx)
-    bits = np.empty(idx.size, dtype=np.uint8)
-    for lo in range(0, field.q, idx.size):
-        np.multiply(log[lo:lo + idx.size], d, out=idx, dtype=np.int64)
-        # idx mod n as idx - (idx // n) * n: floor division by a scalar is
-        # about twice as fast as np.remainder; log[0] = -1 still lands in range
-        np.floor_divide(idx, n, out=quot)
-        quot *= n
-        idx -= quot
-        np.take(seq, idx, out=bits)
-        block = signs[lo:lo + idx.size]
-        np.multiply(bits, -2, out=block, dtype=np.int32)
-        block += 1
-    signs[0] = 1
-    return signs
+    alog = field.antilog()
+    return _scatter_signs(field, d, alog, alog)
 
 
 def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
@@ -214,14 +238,11 @@ def fwht_columns(a: np.ndarray) -> np.ndarray:
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
-    """All W_d(a) indexed by the element a (int32), via the butterfly and dual
-    reindexing, gathered in blocks so no q-sized intp index is made."""
-    arr = fwht(truth_table(field, d))
-    dual = field.dual_index_all()
-    out = np.empty_like(arr)
-    for lo in range(0, field.q, _GATHER_BLOCK):
-        np.take(arr, dual[lo:lo + _GATHER_BLOCK], out=out[lo:lo + _GATHER_BLOCK])
-    return out
+    """All W_d(a) indexed by the element a (int32): the sign of x is placed
+    at dual_index(x), so the butterfly's entry a is W_d(a) with no gather."""
+    field.check_exponent(d)
+    alog = field.antilog()
+    return fwht(_scatter_signs(field, d, alog, field.dual_indices(alog)))
 
 
 def walsh_spectrum(field: Field, d: int) -> Spectrum:

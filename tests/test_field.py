@@ -16,6 +16,8 @@ from walsh_lab import (
     UnsupportedError,
     make_field,
     mod_inverse,
+    truth_table,
+    walsh_coefficients,
 )
 
 
@@ -358,6 +360,97 @@ class TestTraceSetup:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 4 * f.q + (1 << 20)
+
+
+def _oracle_pow(f: Field, x: int, e: int) -> int:
+    """x^e by square-and-multiply over shift-and-reduce products, no tables."""
+    r = 1
+    while e:
+        if e & 1:
+            r = field_module._polymul_mod(r, x, f.modulus, f.m)
+        x = field_module._polymul_mod(x, x, f.modulus, f.m)
+        e >>= 1
+    return r
+
+
+class TestLazyLog:
+    def test_make_field_builds_only_the_antilog(self):
+        tracemalloc.start()
+        try:
+            f = make_field(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.has_tables and f._log is None
+        assert peak <= 1.1 * 4 * f.q, f"peak {peak / (4 * f.q):.3f} x 4q"
+
+    @pytest.mark.parametrize("first", ["mul", "inv", "pow", "log_of"])
+    def test_scalar_ops_build_the_log_once(self, first, monkeypatch, random_modulus):
+        built = []
+        scatter = field_module._log_from_antilog
+
+        def counted(alog, q):
+            built.append(q)
+            return scatter(alog, q)
+
+        monkeypatch.setattr(field_module, "_log_from_antilog", counted)
+        rng = random.Random(first)
+        m = 13
+        f = make_field(m, random_modulus(m, rng))
+        assert f._log is None
+
+        def check(op, x, y):
+            if op == "mul":
+                assert f.mul(x, y) == field_module._polymul_mod(x, y, f.modulus, m)
+            elif op == "inv":
+                assert field_module._polymul_mod(x, f.inv(x), f.modulus, m) == 1
+            elif op == "pow":
+                e = y - (1 << (m - 1))  # negative exponents too
+                assert f.pow(x, e) == _oracle_pow(f, x, e % f.order)
+            else:
+                k = f.log_of(x)
+                assert 0 <= k < f.order and _oracle_pow(f, f.alpha, k) == x
+
+        # the first call builds the log; every later one reads the same table
+        check(first, rng.randrange(1, f.q), rng.randrange(1, f.q))
+        log = f._log
+        assert built == [f.q] and log is not None
+        for _ in range(50):
+            for op in ("mul", "inv", "pow", "log_of"):
+                check(op, rng.randrange(1, f.q), rng.randrange(1, f.q))
+        assert built == [f.q] and f._log is log
+        assert f.mul(0, 5) == 0 and f.pow(0, 3) == 0
+
+    def test_spectrum_path_leaves_the_log_unbuilt(self):
+        f = make_field(12)
+        truth_table(f, 7)
+        walsh_coefficients(f, 7)
+        f.power_map(7)
+        f.exp(100)
+        assert f._log is None
+
+    def test_log_of_without_tables_is_still_unsupported(self):
+        fn = make_field(12, table_cap=1 << 11)
+        with pytest.raises(UnsupportedError):
+            fn.log_of(3)
+
+
+class TestPowerMap:
+    @pytest.mark.parametrize("m", [2, 5, 12, 17])
+    def test_matches_scalar_pow(self, m, random_modulus):
+        # m = 17 runs two blocks of the ramp
+        rng = random.Random(6000 + m)
+        modulus = random_modulus(m, rng)
+        q = 1 << m
+        xs = sorted({0, 1, q - 1, *(rng.randrange(q) for _ in range(150))})
+        for table_cap in (DEFAULT_TABLE_CAP, 1):
+            f = make_field(m, modulus, table_cap=table_cap)
+            for d in (1, 6, q - 2, rng.randrange(1, q - 1)):
+                pm = f.power_map(d)
+                assert pm.dtype == np.int32 and pm.size == q
+                assert [int(pm[x]) for x in xs] == \
+                    [_oracle_pow(f, x, d) if x else 0 for x in xs], \
+                    f"m={m} tables={f.has_tables} d={d}"
 
 
 class TestTablelessMaps:

@@ -57,8 +57,9 @@ class TestOracleAgreement:
             ), f"d={d}"
 
     def test_sampled_points_past_the_gather_blocks(self, random_modulus):
-        # m = 18 spans 16 gather blocks of the dual reindexing and 4 butterfly
-        # blocks; the oracle is checked at points spread over all of them
+        # m = 18 spans 16 blocks of the sign scatter, 4 of the dual indices
+        # and 4 butterfly blocks; the oracle is checked at points spread
+        # over all of them
         rng = random.Random(18)
         f = make_field(18, random_modulus(18, rng))
         d = 3 + (1 << 10)
@@ -66,6 +67,20 @@ class TestOracleAgreement:
         assert fast.dtype == np.int32
         for a in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(13)]:
             assert int(fast[a]) == walsh_coefficient(f, d, a), f"a={a}"
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_random_moduli_with_and_without_tables(self, m, random_modulus):
+        # the signs are placed at dual coordinates, so the butterfly's entry a
+        # must be W_d(a) itself, for any modulus and with a transient antilog
+        rng = random.Random(7000 + m)
+        modulus = random_modulus(m, rng)
+        for table_cap in (1 << m, 1):
+            f = make_field(m, modulus, table_cap=table_cap)
+            for d in {1, f.q - 2, rng.randrange(1, f.q - 1)}:
+                fast = walsh_coefficients(f, d)
+                assert fast.dtype == np.int32
+                assert np.array_equal(fast, walsh_coefficients_naive(f, d)), \
+                    f"m={m} tables={f.has_tables} d={d}"
 
     def test_single_coefficient_matches_tableless_loop(self):
         ft = make_field(4)
@@ -122,8 +137,8 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("m", [9, 17, 19, 20])
     def test_log_gather_matches_scalar_trace(self, m, random_modulus):
-        # the gather s[log(x) * d mod (2^m - 1)] against Tr(x^d) computed by
-        # scalar arithmetic, with and without log tables
+        # the popcount rows scattered through the antilog against Tr(x^d)
+        # computed by scalar arithmetic, with and without tables
         rng = random.Random(4000 + m)
         xs = [0, 1, (1 << m) - 1] + [rng.randrange(1 << m) for _ in range(197)]
         for modulus in (None, random_modulus(m, rng)):
@@ -135,6 +150,21 @@ class TestTruthTable:
                     assert [int(signs[x]) for x in xs] == \
                         [1 - 2 * f.trace(f.pow(x, d)) for x in xs], \
                         f"m={m} modulus={modulus} tables={f.has_tables} d={d}"
+
+    @pytest.mark.parametrize("m,ds", [(12, (3, 35, 65, 4080)), (18, (3, 133, 219, 262140))])
+    def test_non_invertible_exponents(self, m, ds, random_modulus):
+        # gcd(d, 2^m - 1) > 1: x -> x^d is not a permutation, and the rows
+        # parity(v_r & b_j) must still give Tr(x^d) at every x
+        rng = random.Random(5000 + m)
+        ft = make_field(m, random_modulus(m, rng))
+        fn = make_field(m, ft.modulus, table_cap=1)
+        xs = range(ft.q) if m <= 12 else [0, 1, ft.q - 1] + [rng.randrange(ft.q) for _ in range(300)]
+        for d in ds:
+            assert gcd(d, ft.order) > 1
+            expected = [1 - 2 * ft.trace(ft.pow(x, d)) for x in xs]
+            for f in (ft, fn):
+                signs = truth_table(f, d)
+                assert [int(signs[x]) for x in xs] == expected, f"m={m} d={d} tables={f.has_tables}"
 
 
 def _radix2_reference(x: np.ndarray) -> np.ndarray:

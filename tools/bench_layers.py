@@ -1,26 +1,31 @@
 """Layer timings of the spectrum path and benchmark medians, for this checkout
 against a baseline checkout, written as one BENCH_*.json.
 
-    python3 tools/bench_layers.py --baseline ../base --out BENCH_12.json \\
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_13.json \\
         --pairs table-field=10 --pairs exponent-sweep=4 --seconds 25 --seed 21 \\
         --slow --run "verify --theorem teven --t 22" --run "verify --theorem todd --t 27"
 
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
 
-* Layers: ``make_field``, ``make_field_tableless`` (``table_cap=1``) and
-  ``trace_bits`` (a fresh field per run), ``truth_table``, ``fwht`` (on a
-  fresh copy of the signs), ``walsh_spectrum`` (field warm) and
-  ``walsh_spectrum_cold`` (on a fresh ``make_field(m)``, what one CLI call
-  pays) at m in {12, 16, 20, 22}, each the median wall time of several runs
-  and the tracemalloc peak of one more;
+* Layers: ``make_field`` (the antilog; the log waits for its first use),
+  ``make_field_tableless`` (``table_cap=1``), ``trace_bits`` and
+  ``log_build`` (the first ``log_of`` on a fresh field, which builds the
+  log where it is lazy), ``truth_table`` (field warm) and
+  ``truth_table_cold`` (a fresh field per run), ``fwht`` (on a fresh copy
+  of the signs), ``walsh_spectrum`` and ``walsh_coefficients`` (field warm)
+  and their ``_cold`` variants (on a fresh ``make_field(m)``, what one CLI
+  call or library op pays) at m in {12, 16, 20, 22}, each the median wall
+  time of several runs (201 at m = 12, where a call takes microseconds) and
+  the tracemalloc peak of one more;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
 * ``spectrum --m 24 --d 8195`` (no tables; d = 3 + 2^13 is the paper's
   exponent at t = 12, which the teven table does not cover): its
   tracemalloc peak, and 16 times that as the estimate for the same
-  butterfly at m = 28, where every q-sized array is 16 times larger.
+  butterfly at m = 28, where every q-sized array is 16 times larger; and
+  once per side in a fresh interpreter, its wall time and peak RSS.
 * ``--pairs WORKLOAD=N`` runs N baseline/change pairs of that benchmark
   workload through each checkout's own ``benchmarks/run.py --trace 0``, one
   seed per pair from ``--seed`` up, the side that goes first alternating.
@@ -69,7 +74,7 @@ def _measure_layers() -> dict:
     import numpy as np
     import walsh_lab
     from walsh_lab import (cli, fwht, make_field, subfield_identities, truth_table,
-                           walsh_spectrum)
+                           walsh_coefficients, walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
         walls = []
@@ -87,18 +92,25 @@ def _measure_layers() -> dict:
 
     out = {}
     for m in LAYER_M:
-        runs = 7 if m < 22 else 5
+        runs = 201 if m == 12 else 7 if m < 22 else 5
         field = make_field(m)
         signs = truth_table(field, LAYER_D)
         out[f"m={m}"] = {
             "make_field": timed(lambda _: make_field(m), runs=runs),
             "make_field_tableless": timed(lambda _: make_field(m, table_cap=1), runs=runs),
             "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
+            "log_build": timed(lambda f: f.log_of(2), lambda: make_field(m), runs),
             "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
+            "truth_table_cold": timed(lambda f: truth_table(f, LAYER_D), lambda: make_field(m),
+                                      runs),
             "fwht": timed(fwht, signs.copy, runs),
             "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
             "walsh_spectrum_cold": timed(lambda _: walsh_spectrum(make_field(m), LAYER_D),
                                          runs=runs),
+            "walsh_coefficients": timed(lambda _: walsh_coefficients(field, LAYER_D),
+                                        runs=runs),
+            "walsh_coefficients_cold": timed(
+                lambda _: walsh_coefficients(make_field(m), LAYER_D), runs=runs),
             "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype),
                       "dual_index_all": str(field.dual_index_all().dtype)},
@@ -240,6 +252,8 @@ def main() -> int:
         workload, _, n = spec.partition("=")
         record["benchmark"][workload] = workload_pairs(base, ROOT, workload, int(n or 1),
                                                        args.seed, args.seconds)
+    record["estimate_run"] = {side: cli_run(checkout, ESTIMATE_ARGV)
+                              for side, checkout in sides.items()}
     if args.slow:
         record["slow"] = {side: cli_run(checkout, SLOW_ARGV) for side, checkout in sides.items()}
     if args.run:
