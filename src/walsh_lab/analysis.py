@@ -513,8 +513,11 @@ def family_spectrum(field: Field, i: int = 1) -> FamilySpectrum:
     2^(t-1) times, or +-2 each 2^(t-2) times and 0 2^(t-1) times.  The other
     fibres, the one over w = 0 (it holds z = 0) and those of size 3 or more,
     are taken in blocks of equal size: elimination and the butterfly run on
-    every fibre of a block at once.  theta = 1/u with u = 2^j for the lowest
-    set bit j of the trace mask, so Tr_t(u) = 1.
+    every fibre of a block at once.  theta = 1/u with u = 2^j = alpha^j for
+    the lowest set bit j of the trace mask, so Tr_t(u) = 1 and theta^-e =
+    alpha^(j*e).  The sign is then eps_z = (-1)^parity(v & z^(1+e)) with
+    v = dual_index(alpha^(j*e)) and z^(1+e) read from power_map(1 + e), so
+    no discrete log is taken.
     """
     t = field.m
     if not 1 <= i <= t - 2:
@@ -541,12 +544,10 @@ def family_spectrum(field: Field, i: int = 1) -> FamilySpectrum:
     z, k = z[order].astype(np.int32), k[order]
     del w, order
 
-    log, seq = field.log_and_trace_sequence()
-    u = field.trace_mask & -field.trace_mask
-    arg = log[z].astype(np.int64) * (1 + e) + e * int(log[u])
-    eps = 1 - 2 * seq[arg % field.order].astype(np.int32)
-    eps[z == 0] = 1
-    del log, arg
+    j = (field.trace_mask & -field.trace_mask).bit_length() - 1
+    pz = field.power_map(1 + e)[z] & field.dual_index(field.exp(j * e))
+    eps = 1 - 2 * (np.bitwise_count(pz) & 1).astype(np.int32)
+    del pz
 
     starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]).tolist() + [z.size]
     for lo, hi in zip(starts, starts[1:]):

@@ -28,7 +28,7 @@ from .walsh import walsh_spectrum
 class _Parser(argparse.ArgumentParser):
     # usage failures must come out as machine-readable JSON on stderr
     def error(self, message):
-        print(json.dumps({"error": message, "kind": "usage"}), file=sys.stderr)
+        _emit_error(message, "usage")
         raise SystemExit(2)
 
 

@@ -9,13 +9,13 @@ When the field is small enough (2^m <= table_cap, default 2^22 entries) the
 int32 antilog alog[i] = alpha^i is built once.  It is filled by doubling,
 alog[k:2k] = alpha^k * alog[:k], each product by the constant alpha^k read
 from two small tables because it is GF(2)-linear.  The int32 log, its
-blocked inverse scatter, is built on the first scalar operation that needs
-it (mul, inv, pow, log_of) or on log_and_trace_sequence; nothing on the
-spectrum path does.  Above the cap the scalar operations fall back to
-shift-and-reduce polynomial multiplication, and antilog() builds a transient
-table for each caller (power_map, log_and_trace_sequence, the sign tables).
-scalar_mul_map, dual_index_all and coset_labels need no tables: all are
-GF(2)-linear maps, filled by doubling over the polynomial basis (xor_span).
+blocked inverse scatter, serves scalar arithmetic only: it is built on the
+first mul, inv, pow or log_of, and no vector map reads it.  Above the cap the
+scalar operations fall back to shift-and-reduce polynomial multiplication,
+and antilog() builds a transient table for each caller (power_map, the sign
+tables).  trace_bits, scalar_mul_map, dual_indices and coset_labels need no
+tables: all are GF(2)-linear maps, filled by doubling over the polynomial
+basis (xor_span).
 
 For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
@@ -260,8 +260,6 @@ class Field:
         self._subfield: tuple[int, ...] | None = None
         self._subfield_set: frozenset[int] | None = None
         self._trace_bits: np.ndarray | None = None
-        self._trace_seq: np.ndarray | None = None
-        self._dual_all: np.ndarray | None = None
         self._dual_halves: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -513,12 +511,6 @@ class Field:
             self._trace_bits = xor_span(bits, self.q, np.uint8)
         return self._trace_bits
 
-    def dual_index_all(self) -> np.ndarray:
-        """int32 array with dual_index_all()[a] = dual_index(a) (values below 2^m)."""
-        if self._dual_all is None:
-            self._dual_all = xor_span(self._dual_rows, self.q, np.int32)
-        return self._dual_all
-
     def dual_indices(self, x: np.ndarray) -> np.ndarray:
         """int32 array of dual_index(y) for each entry y of the int32 array x.
         dual_index is GF(2)-linear, so it is low[y mod 2^h] ^ high[y >> h]
@@ -534,28 +526,6 @@ class Field:
             ix = x[lo:lo + _POWER_BLOCK].astype(np.intp)
             out[lo:lo + _POWER_BLOCK] = low[ix & ((1 << h) - 1)] ^ high[ix >> h]
         return out
-
-    def log_and_trace_sequence(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, s): int32 discrete logs to base alpha with log[0] = -1, and
-        the uint8 trace m-sequence s[i] = Tr(alpha^i), 0 <= i < 2^m - 1, so
-        that Tr(x^d) = s[log[x] * d mod (2^m - 1)] for x != 0 and any d.
-
-        s is cached.  log is the stored table, built on the first call, which
-        callers must not modify; without tables it is built for this call
-        from a transient antilog, the same one s is first read from, and
-        dropped with it.
-        """
-        alog = self.antilog()
-        if self._trace_seq is None:
-            tr = self.trace_bits()
-            seq = np.empty(self.order, dtype=np.uint8)
-            # indices in [1, q): mode="wrap" spares the copy, as in _antilog
-            for lo in range(0, self.order, _POWER_BLOCK):
-                np.take(tr, alog[lo:lo + _POWER_BLOCK], out=seq[lo:lo + _POWER_BLOCK],
-                        mode="wrap")
-            self._trace_seq = seq
-        log = self._logs() if self._alog is not None else _log_from_antilog(alog, self.q)
-        return log, self._trace_seq
 
     def coset_labels(self) -> np.ndarray:
         """Fresh int32 array naming the coset x + L of each x: bit i of its

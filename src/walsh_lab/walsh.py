@@ -89,20 +89,15 @@ class Spectrum(Histogram):
 def walsh_coefficient(field: Field, d: int, a: int) -> int:
     """W_d(a) = sum over x of (-1)^Tr(x^d + a*x), by direct summation.
 
-    This is the reference oracle: no butterfly, no dual indexing.  Vectorized
-    over x when log tables exist, else a plain scalar loop.
+    This is the reference oracle: no butterfly, no dual indexing.  It is
+    vectorized over x through power_map, scalar_mul_map and trace_bits, none
+    of which needs log tables: W_d(a) is q minus twice the number of x with
+    Tr(x^d + a*x) = 1.
     """
     field.check_exponent(d)
     field.check_element(a)
-    if field.has_tables:
-        # q minus twice the number of x with Tr(x^d + a*x) = 1
-        ones = np.count_nonzero(field.trace_bits()[field.power_map(d) ^ field.scalar_mul_map(a)])
-        return field.q - 2 * int(ones)
-    total = 0
-    for x in range(field.q):
-        e = field.pow(x, d) ^ field.mul(a, x)
-        total += 1 - 2 * field.trace(e)
-    return total
+    ones = np.count_nonzero(field.trace_bits()[field.power_map(d) ^ field.scalar_mul_map(a)])
+    return field.q - 2 * int(ones)
 
 
 def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:

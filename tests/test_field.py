@@ -14,8 +14,13 @@ from walsh_lab import (
     Field,
     NonInvertibleError,
     UnsupportedError,
+    check_bound,
+    check_sarwate,
+    family_spectrum,
     make_field,
     mod_inverse,
+    sextic_census,
+    subfield_identities,
     truth_table,
     walsh_coefficients,
 )
@@ -234,14 +239,14 @@ class TestDualIndexing:
             assert lhs == field6.trace(field6.mul(a, x))
 
     def test_vectorized_dual_matches_scalar(self, field6):
-        du = field6.dual_index_all()
+        du = field6.dual_indices(np.arange(64, dtype=np.int32))
         for a in range(64):
             assert int(du[a]) == field6.dual_index(a)
 
     @pytest.mark.parametrize("m", [8, 16, 20])
     def test_vectorized_dual_matches_scalar_sampled(self, m):
         f = make_field(m)
-        du = f.dual_index_all()
+        du = f.dual_indices(np.arange(f.q, dtype=np.int32))
         rng = random.Random(m)
         for a in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(200)]:
             assert int(du[a]) == f.dual_index(a)
@@ -428,6 +433,15 @@ class TestLazyLog:
         f.power_map(7)
         f.exp(100)
         assert f._log is None
+        # the vector routes of every CLI command: verify, census, scan, identities
+        half = make_field(12)
+        family_spectrum(half)
+        sextic_census(half)
+        assert half._log is None
+        check_sarwate(f, 11)
+        check_bound(f, 11)
+        subfield_identities(f, 7)
+        assert f._log is None
 
     def test_log_of_without_tables_is_still_unsupported(self):
         fn = make_field(12, table_cap=1 << 11)
@@ -499,23 +513,8 @@ class TestTablelessMode:
             assert np.array_equal(ft.power_map(d), fn.power_map(d))
         for a in {0, 1, ft.q - 1, rng.randrange(ft.q)}:
             assert np.array_equal(ft.scalar_mul_map(a), fn.scalar_mul_map(a))
-        assert np.array_equal(ft.dual_index_all(), fn.dual_index_all())
-
-    @pytest.mark.parametrize("m", [2, 7, 12])
-    def test_log_and_trace_sequence_agree_with_tables(self, m):
-        ft = make_field(m)
-        fn = make_field(m, table_cap=1)
-        log_t, seq_t = ft.log_and_trace_sequence()
-        log_n, seq_n = fn.log_and_trace_sequence()
-        assert log_t.dtype == log_n.dtype == np.int32
-        assert seq_t.dtype == seq_n.dtype == np.uint8
-        assert np.array_equal(log_t, log_n) and np.array_equal(seq_t, seq_n)
-        assert log_t[0] == -1
-        assert [int(log_t[ft.exp(i)]) for i in range(ft.order)] == list(range(ft.order))
-        assert [int(seq_t[i]) for i in range(ft.order)] == [ft.trace(ft.exp(i)) for i in range(ft.order)]
-        # the sequence is cached; without tables the logs are built per call
-        assert fn.log_and_trace_sequence()[1] is seq_n
-        assert fn.log_and_trace_sequence()[0] is not log_n
+        everything = np.arange(ft.q, dtype=np.int32)
+        assert np.array_equal(ft.dual_indices(everything), fn.dual_indices(everything))
         assert np.array_equal(ft.trace_bits(), fn.trace_bits())
 
     def test_log_needs_tables(self):

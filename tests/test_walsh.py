@@ -10,6 +10,7 @@ import pytest
 
 from walsh_lab import (
     DomainError,
+    Field,
     fwht,
     fwht_columns,
     make_field,
@@ -88,6 +89,23 @@ class TestOracleAgreement:
         for d in (1, 3, 7, 11):
             for a in range(16):
                 assert walsh_coefficient(ft, d, a) == walsh_coefficient(fn, d, a)
+
+    def test_tableless_coefficient_takes_no_scalar_products(self, monkeypatch):
+        # one vectorized summation for every field: without tables it must
+        # not fall back to a shift-and-reduce product per point
+        ft = make_field(10)
+        fn = make_field(10, table_cap=1)
+        assert not fn.has_tables
+        rng = random.Random(10)
+        cases = [(d, a) for d in (1, 3, 7, 35, 1021) for a in (0, 1, 1023, rng.randrange(1024))]
+        expected = [walsh_coefficient(ft, d, a) for d, a in cases]
+
+        def refuse(*args):
+            raise AssertionError("walsh_coefficient called a scalar field product")
+
+        monkeypatch.setattr(Field, "mul", refuse)
+        monkeypatch.setattr(Field, "pow", refuse)
+        assert [walsh_coefficient(fn, d, a) for d, a in cases] == expected
 
 
 class TestSpectrumInvariants:
@@ -233,7 +251,7 @@ class TestFwht:
     def test_fwht_runs_in_place(self, field6):
         signs = truth_table(field6, 19)
         assert fwht(signs) is signs
-        assert np.array_equal(signs[field6.dual_index_all()],
+        assert np.array_equal(signs[field6.dual_indices(np.arange(64, dtype=np.int32))],
                               walsh_coefficients_naive(field6, 19))
 
 
@@ -277,7 +295,8 @@ class TestInt32Exactness:
             d = rng.randrange(1, f.q - 1)
             arr = fwht(truth_table(f, d))
             assert arr.dtype == np.int32 and truth_table(f, d).dtype == np.int32
-            assert np.array_equal(arr[f.dual_index_all()], walsh_coefficients_naive(f, d)), \
+            duals = f.dual_indices(np.arange(f.q, dtype=np.int32))
+            assert np.array_equal(arr[duals], walsh_coefficients_naive(f, d)), \
                 f"m={m} modulus={modulus} d={d}"
 
 

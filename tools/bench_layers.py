@@ -17,7 +17,8 @@ checkout's ``src``.
   and their ``_cold`` variants (on a fresh ``make_field(m)``, what one CLI
   call or library op pays) at m in {12, 16, 20, 22}, each the median wall
   time of several runs (201 at m = 12, where a call takes microseconds) and
-  the tracemalloc peak of one more;
+  the tracemalloc peak of one more, and at each m the dtypes of the sign
+  table, the butterfly output, ``power_map`` and ``dual_indices``;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
@@ -113,7 +114,7 @@ def _measure_layers() -> dict:
                 lambda _: walsh_coefficients(make_field(m), LAYER_D), runs=runs),
             "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype),
-                      "dual_index_all": str(field.dual_index_all().dtype)},
+                      "dual_indices": str(field.dual_indices(field.antilog()).dtype)},
         }
         if m in IDENTITIES_M:
             out[f"m={m}"]["subfield_identities"] = timed(
