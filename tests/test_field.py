@@ -517,6 +517,20 @@ class TestTablelessMode:
         assert np.array_equal(ft.dual_indices(everything), fn.dual_indices(everything))
         assert np.array_equal(ft.trace_bits(), fn.trace_bits())
 
+    @pytest.mark.parametrize("m", [2, 7, 12])
+    def test_antilog_and_trace_bits_agree_with_tables(self, m):
+        ft = make_field(m)
+        fn = make_field(m, table_cap=1)
+        alog_t, alog_n = ft.antilog(), fn.antilog()
+        bits_t, bits_n = ft.trace_bits(), fn.trace_bits()
+        assert alog_t.dtype == alog_n.dtype == np.int32
+        assert bits_t.dtype == bits_n.dtype == np.uint8
+        assert np.array_equal(alog_t, alog_n) and np.array_equal(bits_t, bits_n)
+        assert [ft.log_of(int(x)) for x in alog_t] == list(range(ft.order))
+        # the trace m-sequence Tr(alpha^i), read through the antilog
+        assert bits_t[alog_t].tolist() == [ft.trace(ft.exp(i)) for i in range(ft.order)]
+        assert fn._log is None
+
     def test_log_needs_tables(self):
         fn = make_field(4, table_cap=1)
         with pytest.raises(UnsupportedError):
