@@ -9,6 +9,7 @@ errors are single-line JSON objects on stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -247,51 +248,54 @@ def _add_common(p, with_d=False, with_m=True, with_format=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; ``main`` builds one on its first call and reuses it."""
     parser = _Parser(prog="walsh-lab")
     parser.add_argument("--version", action="version", version=f"walsh-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="Walsh spectrum of Tr(x^d)")
     _add_common(p, with_d=True, with_format=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("weights", help="weight distribution of the two-nonzero cyclic code")
     _add_common(p, with_d=True, with_format=True)
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("verify", help="compare a computed spectrum against its closed-form table")
     p.add_argument("--theorem", choices=("todd", "teven"), required=True)
     p.add_argument("--t", type=int, required=True)
     _add_common(p, with_m=False)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="solution-count census of z^6 + z = w over GF(2^t)")
     p.add_argument("--t", type=int, required=True)
     _add_common(p, with_m=False, with_format=True)
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("scan", help="run a spectral bound check over every invertible d")
     p.add_argument("--check", choices=("sarwate", "bound"), required=True)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: WALSH_LAB_THREADS, else min(8, cpu count))")
     _add_common(p, with_format=True)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("identities", help="spectrum and subfield identity residuals")
     _add_common(p, with_d=True)
-    p.set_defaults(func=cmd_identities)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about as much as a small command, so one
+    # serves every call in the process.  It holds no command function:
+    # ``main`` looks ``cmd_<command>`` up when it runs, so a replaced module
+    # attribute is the one called.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (WalshLabError, ValueError, OSError) as exc:
         # OSError: an --output path that cannot be written
         _emit_error(str(exc), "usage")

@@ -61,6 +61,12 @@ _POWER_BLOCK = 1 << 16
 # temporaries per entry, building GF(2^20) peaks at 1.06 times its antilog.
 _ANTILOG_BLOCK = 1 << 14
 
+# Antilog entries taken from the scalar alpha chain before doubling starts:
+# a doubling step costs some tens of microseconds of numpy calls whatever
+# its width, more than 64 scalar products.  A power of two, so the steps
+# after it still double.
+_ANTILOG_HEAD = 64
+
 # Lexicographically smallest primitive polynomial per degree, as bitmask.
 # Regenerable by scanning odd candidates upward and keeping the first whose
 # root has multiplicative order 2^m - 1 (the same check the constructor runs).
@@ -294,10 +300,12 @@ class Field:
     def _antilog(self) -> np.ndarray:
         """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1.
 
-        Filled by doubling: alog[k:2k] = alpha^k * alog[:k] for k = 1, 2,
-        4, ...  Multiplication by a constant c is GF(2)-linear, so c * y is
-        low[y mod 2^h] ^ high[y >> h] with h = m // 2, where low and high
-        are the XOR spans of the columns c * alpha^j for j < h and j >= h.
+        The first min(2^m - 1, 64) entries come from the scalar chain of
+        products by alpha, the rest by doubling: alog[k:2k] = alpha^k *
+        alog[:k] for k = 64, 128, ...  Multiplication by a constant c is
+        GF(2)-linear, so c * y is low[y mod 2^h] ^ high[y >> h] with
+        h = m // 2, where low and high are the XOR spans of the columns
+        c * alpha^j for j < h and j >= h.
         Each step runs in blocks through one reused intp index buffer, so
         the result is the only q-sized array.  The indices are in range, and
         mode="wrap" spares take the buffered copy that mode="raise" makes.
@@ -305,10 +313,14 @@ class Field:
         m, n = self.m, self.order
         h = m // 2
         alog = np.empty(n, dtype=np.int32)
-        alog[0] = 1
+        k = min(n, _ANTILOG_HEAD)
+        head = [1]
+        for _ in range(k):
+            head.append(self._mulx(head[-1]))
+        alog[:k] = head[:k]
+        c = head[k]  # alpha^k
         idx = np.empty(min(_ANTILOG_BLOCK, n), dtype=np.intp)
         part = np.empty(idx.size, dtype=np.int32)
-        c, k = self.alpha, 1
         while k < n:
             cols = [c]
             for _ in range(m - 1):

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, canonical JSON, CSV layout, the field range, env wiring."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from walsh_lab import cli, make_field
+from walsh_lab.errors import DomainError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -18,6 +22,16 @@ def parse(out):
 
 
 COMMANDS = ["spectrum", "weights", "scan", "identities", "verify", "census"]
+
+# one small call per command, in COMMANDS order
+SMALL_CALLS = [
+    ("spectrum", "--m", "6", "--d", "19"),
+    ("weights", "--m", "6", "--d", "19"),
+    ("scan", "--m", "6", "--check", "bound"),
+    ("identities", "--m", "6", "--d", "19"),
+    ("verify", "--theorem", "todd", "--t", "3"),
+    ("census", "--t", "6"),
+]
 
 
 class TestSpectrumCommand:
@@ -316,14 +330,7 @@ class TestErrorsAndGuards:
         assert json.loads(err) == {"error": f"m must be in [2, 28], got {m}",
                                    "kind": "usage"}
 
-    @pytest.mark.parametrize("argv", [
-        ("spectrum", "--m", "6", "--d", "19"),
-        ("weights", "--m", "6", "--d", "19"),
-        ("scan", "--m", "6", "--check", "bound"),
-        ("identities", "--m", "6", "--d", "19"),
-        ("verify", "--theorem", "todd", "--t", "3"),
-        ("census", "--t", "6"),
-    ], ids=COMMANDS)
+    @pytest.mark.parametrize("argv", SMALL_CALLS, ids=COMMANDS)
     def test_force_is_an_unknown_flag(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--force")
         assert (code, out) == (2, "")
@@ -350,3 +357,69 @@ class TestErrorsAndGuards:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "walsh-lab" in out
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it for the
+    process; the command function and what it calls are looked up per call."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in [*SMALL_CALLS, ("spectrum", "--m", "6"), ("--version",)]:
+                run(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("first", [
+        ("spectrum", "--m", "6"),
+        ("identities", "--m", "12", "--d", "131", "--force"),
+        ("--version",),
+        ("--help",),
+        ("identities", "--help"),
+    ], ids=["missing-flag", "unknown-flag", "version", "help", "command-help"])
+    def test_call_after_an_early_exit_matches_the_golden_file(self, capsys, first):
+        # the early exit repeats byte for byte, and leaves nothing behind
+        # in the parser for the next call to see
+        before = run(capsys, *first)
+        assert run(capsys, *first) == before
+        assert before[0] == (0 if first[-1] in ("--version", "--help") else 2)
+        code, out, err = run(capsys, "identities", "--m", "12", "--d", "131")
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / "identities_m12_d131.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", SMALL_CALLS, ids=COMMANDS)
+    def test_replaced_command_runs(self, capsys, monkeypatch, argv):
+        run(capsys, *argv)
+        seen = []
+
+        def replaced(args):
+            seen.append(args.command)
+            return 7
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", replaced)
+        assert run(capsys, *argv) == (7, "", "")
+        assert seen == [argv[0]]
+
+    def test_replaced_make_field_runs(self, capsys, monkeypatch):
+        run(capsys, "spectrum", "--m", "6", "--d", "19")
+
+        def replaced(*args, **kwargs):
+            raise DomainError("replaced make_field")
+
+        monkeypatch.setattr(cli, "make_field", replaced)
+        code, out, err = run(capsys, "spectrum", "--m", "6", "--d", "19")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "replaced make_field", "kind": "usage"}

@@ -287,6 +287,9 @@ class TestVectorizedMaps:
 class TestAntilog:
     @pytest.mark.parametrize("m", range(2, 17))
     def test_matches_the_mulx_chain(self, m, random_modulus):
+        # m <= 6 lies inside the scalar head of the antilog (fewer than 64
+        # entries); from m = 7 on, doubling continues past it
+        assert 2**6 - 1 < field_module._ANTILOG_HEAD < 2**7 - 1
         rng = random.Random(1000 + m)
         for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
             f = Field(m, modulus, table_cap=1)
@@ -299,6 +302,7 @@ class TestAntilog:
                 x = f._mulx(x)
             assert x == 1
             assert alog.tolist() == chain
+            assert sorted(chain) == list(range(1, f.q))
 
     @pytest.mark.parametrize("m", range(2, 23))
     def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):

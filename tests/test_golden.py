@@ -53,6 +53,16 @@ def test_stdout_and_exit_code(name, capsys):
     assert captured.out.encode() == (GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_second_call_in_the_process_is_identical(name, capsys):
+    # main reuses one parser for the process; a second call must not differ
+    argv, expected_code = CALLS[name]
+    first = cli.main(argv), capsys.readouterr()
+    second = cli.main(argv), capsys.readouterr()
+    assert second == first
+    assert first[0] == expected_code
+
+
 def test_square_residuals_of_the_known_failure(capsys):
     assert cli.main(CALLS["identities_m12_d7"][0]) == 1
     meta = json.loads(capsys.readouterr().out)["meta"]

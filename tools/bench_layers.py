@@ -1,9 +1,9 @@
 """Layer timings of the spectrum path and benchmark medians, for this checkout
 against a baseline checkout, written as one BENCH_*.json.
 
-    python3 tools/bench_layers.py --baseline ../base --out BENCH_13.json \\
-        --pairs table-field=10 --pairs exponent-sweep=4 --seconds 25 --seed 21 \\
-        --slow --run "verify --theorem teven --t 22" --run "verify --theorem todd --t 27"
+    python3 tools/bench_layers.py --baseline ../base --out BENCH_15.json \\
+        --pairs subfield-identities=10 --pairs table-field=4 --pairs tableless-field=4 \\
+        --pairs exponent-sweep=4 --seconds 25
 
 Each side runs in its own interpreters with walsh_lab imported from that
 checkout's ``src``.
@@ -22,6 +22,10 @@ checkout's ``src``.
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
+* In process, 201 runs each: ``cli.build_parser`` and
+  ``cli.main(["identities", "--m", "12", "--d", "131"])`` with stdout
+  captured, the call the ``subfield-identities`` workload repeats; every run
+  after the first is a later CLI call in the same interpreter.
 * ``spectrum --m 24 --d 8195`` (no tables; d = 3 + 2^13 is the paper's
   exponent at t = 12, which the teven table does not cover): its
   tracemalloc peak, and 16 times that as the estimate for the same
@@ -64,6 +68,7 @@ PEAK_T = (22, 23, 24)
 MAX_ESTIMATE_MB = 5 * 1024
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
+IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
 
 
 def _measure_layers() -> dict:
@@ -127,6 +132,9 @@ def _measure_layers() -> dict:
         out[f"t={t}"] = {"family_spectrum": timed(lambda _: family_spectrum(half),
                                                   runs=3 if t >= 22 else 7)}
     with contextlib.redirect_stdout(io.StringIO()):
+        out["cli"] = {"build_parser": timed(lambda _: cli.build_parser(), runs=201),
+                      " ".join(IN_PROCESS_ARGV): timed(lambda _: cli.main(IN_PROCESS_ARGV),
+                                                       runs=201)}
         verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
     out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
     out["numpy"] = np.__version__
