@@ -36,7 +36,6 @@ from .analysis import (
     CensusReport,
     CharacterSum,
     ExponentProfile,
-    FamilySpectrum,
     NoSixReport,
     PowerMultiset,
     SarwateCheck,
@@ -60,7 +59,6 @@ from .analysis import (
     weighted_walsh_identity,
 )
 from .predict import (
-    PredictedSpectrum,
     SpectrumComparison,
     compare,
     predicted_spectrum,

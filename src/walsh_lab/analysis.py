@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, check_exponent_range, mod_inverse, xor_span
-from .walsh import (Histogram, fwht, fwht_columns, truth_table, walsh_coefficient,
-                    walsh_spectrum)
+from .walsh import (Histogram, Spectrum, fwht, fwht_columns, truth_table,
+                    walsh_coefficient, walsh_spectrum)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -451,18 +451,6 @@ def sextic_census(field: Field) -> CensusReport:
 # -- the family spectrum from the fibres of phi ----------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpectrum(Histogram):
-    """Walsh value histogram of Tr(x^d) over GF(2^m), m = 2t and
-    d = 1 + 2^i + 2^(i+t), computed in GF(2^t): entries as in Spectrum."""
-
-    t: int
-    i: int
-    m: int
-    d: int
-    entries: tuple[tuple[int, int], ...]
-
-
 def _span_coordinates(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rank, coords) for an (n, k) int32 array of elements: the GF(2) rank of
     each row, and the coordinates of its entries over a basis of the row's
@@ -491,9 +479,11 @@ def _span_coordinates(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, coords
 
 
-def family_spectrum(field: Field, i: int = 1) -> FamilySpectrum:
+def family_spectrum(field: Field, i: int = 1) -> Spectrum:
     """Walsh spectrum of Tr(x^d) over GF(2^2t), d = 1 + 2^i + 2^(i+t), from
     arithmetic in field = L = GF(2^t) alone; i = 1 is the paper's 3 + 2^(t+1).
+    Returns the Spectrum that walsh_spectrum gives over GF(2^2t), also where
+    2t is above the field's degree range.
 
     With e = 2^(i+1), phi(z) = z^(2+e) + z and any theta in L with
     Tr_t(1/theta) = 1 (walsh_from_solutions is the scalar form), for a, b in L
@@ -567,8 +557,8 @@ def family_spectrum(field: Field, i: int = 1) -> FamilySpectrum:
                     hist[v - size] += int(counts[v]) << (t - r)
 
     d = 1 + (1 << i) + (1 << (i + t))
-    return FamilySpectrum(t=t, i=i, m=2 * t, d=d,
-                          entries=tuple((v << t, n) for v, n in sorted(hist.items()) if n))
+    return Spectrum(m=2 * t, d=d,
+                    entries=tuple((v << t, n) for v, n in sorted(hist.items()) if n))
 
 
 # -- Dickson polynomials -------------------------------------------------------

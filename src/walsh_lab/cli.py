@@ -117,9 +117,8 @@ def cmd_weights(args) -> int:
     m = _resolve_m(args)
     fld = _make_field(args, m)
     dist = weight_distribution(fld, args.d)
-    min_dist = min(w for w, _ in dist.entries if w > 0)
     meta = {
-        "min_distance": min_dist,
+        "min_distance": dist.min_distance,
         "degenerate": dist.degenerate,
         "total_codewords": dist.total(),
     }

@@ -9,9 +9,12 @@ two the code has dimension 2m and its weights come from the Walsh spectrum:
     wt       = 0                               for the zero pair,
 
 and as (a, b) sweeps F* x F* the Walsh argument sweeps F* exactly q - 1 times.
-weight_distribution builds the histogram from the spectrum that way;
-exhaustive_weight_histogram recounts it by materializing every codeword and
-popcounting, which is the independent check.
+spectrum_to_weights folds a spectrum into the histogram that way, from m, d
+and the entries alone: it needs no field, so it also folds the spectra that
+family_spectrum computes from GF(2^t) above the field's degree range.
+weight_distribution folds walsh_spectrum; exhaustive_weight_histogram
+recounts it by materializing every codeword and popcounting, which is the
+independent check.
 
 Exponents d that are powers of two modulo 2^m - 1 make the two nonzeros
 conjugate: the pair map loses injectivity (all q pairs with b = a^(2^(m-j))
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .field import Field, mod_inverse
+from .field import Field, check_invertible, mod_inverse
 from .walsh import Histogram, Spectrum, walsh_coefficient, walsh_spectrum
 
 
@@ -64,9 +66,16 @@ class WeightDistribution(Histogram):
 
     m: int
     d: int
-    modulus: int
     entries: tuple[tuple[int, int], ...]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return is_degenerate_exponent(self.m, self.d)
+
+    @property
+    def min_distance(self) -> int:
+        """Smallest positive weight."""
+        return min(w for w, _ in self.entries if w > 0)
 
 
 def codeword(field: Field, d: int, a: int, b: int) -> Codeword:
@@ -101,12 +110,10 @@ def weight_of_pair(field: Field, d: int, a: int, b: int) -> int:
     return (field.q - walsh_coefficient(field, d, v)) // 2
 
 
-def spectrum_to_weights(field: Field, spectrum: Spectrum) -> WeightDistribution:
+def spectrum_to_weights(spectrum: Spectrum) -> WeightDistribution:
     """Fold a full Walsh spectrum into the code's weight histogram."""
-    if spectrum.m != field.m or spectrum.modulus != field.modulus:
-        raise DomainError("spectrum does not belong to this field")
-    field.check_invertible(spectrum.d)
-    q = field.q
+    check_invertible(spectrum.m, spectrum.d)
+    q = 1 << spectrum.m
     hist: Counter[int] = Counter()
     hist[0] += 1
     hist[q // 2] += 2 * (q - 1)
@@ -118,24 +125,17 @@ def spectrum_to_weights(field: Field, spectrum: Spectrum) -> WeightDistribution:
         if n:
             hist[(q - value) // 2] += n * (q - 1)
     entries = tuple(sorted((w, c) for w, c in hist.items() if c))
-    return WeightDistribution(
-        m=field.m,
-        d=spectrum.d,
-        modulus=field.modulus,
-        entries=entries,
-        degenerate=is_degenerate_exponent(field.m, spectrum.d),
-    )
+    return WeightDistribution(m=spectrum.m, d=spectrum.d, entries=entries)
 
 
 def weight_distribution(field: Field, d: int) -> WeightDistribution:
     field.check_invertible(d)
-    return spectrum_to_weights(field, walsh_spectrum(field, d))
+    return spectrum_to_weights(walsh_spectrum(field, d))
 
 
 def min_distance(field: Field, d: int) -> int:
     """Smallest positive codeword weight; (q - max W)/2 capped by q/2 for clean d."""
-    dist = weight_distribution(field, d)
-    return min(w for w, _ in dist.entries if w > 0)
+    return weight_distribution(field, d).min_distance
 
 
 def exhaustive_weight_histogram(field: Field, d: int) -> dict[int, int]:

@@ -212,6 +212,14 @@ def check_exponent_range(m: int, d: int) -> None:
         raise DomainError(f"exponent d must be in [1, {(1 << m) - 2}], got {d}")
 
 
+def check_invertible(m: int, d: int) -> None:
+    """NonInvertibleError (a DomainError) unless gcd(d, 2^m - 1) = 1."""
+    order = (1 << m) - 1
+    g = gcd(d, order)
+    if g != 1:
+        raise NonInvertibleError(d, order, g)
+
+
 def mod_inverse(d: int, n: int) -> int:
     """Inverse of d modulo n by extended Euclid; NonInvertibleError carries the gcd."""
     if n < 2:
@@ -366,9 +374,7 @@ class Field:
 
     def check_invertible(self, d: int) -> None:
         """NonInvertibleError (a DomainError) unless gcd(d, 2^m - 1) = 1."""
-        g = gcd(d, self.order)
-        if g != 1:
-            raise NonInvertibleError(d, self.order, g)
+        check_invertible(self.m, d)
 
     def need_even(self) -> int:
         """t for m = 2t; UnsupportedError for odd m."""

@@ -1,28 +1,16 @@
 """Closed-form Walsh spectra for the exponent family d = 3 + 2^(t+1) over
-GF(2^2t).  Two regimes: odd t, and t = 2 mod 4 with t >= 6.  Everything is
-exact integer arithmetic; a division that does not come out even is a bug in
-the caller's parameters and raises."""
+GF(2^2t), as Spectrum objects that compare equal to the computed ones.  Two
+regimes: odd t, and t = 2 mod 4 with t >= 6.  Everything is exact integer
+arithmetic; a division that does not come out even is a bug in the caller's
+parameters and raises."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import TYPE_CHECKING
 
-from .errors import DomainError, NonInvertibleError
-from .walsh import Histogram, Spectrum
-
-if TYPE_CHECKING:
-    from .analysis import FamilySpectrum
-
-
-@dataclass(frozen=True)
-class PredictedSpectrum(Histogram):
-    t: int
-    m: int
-    d: int
-    family: str  # "odd-t" or "even-t"
-    entries: tuple[tuple[int, int], ...]
+from .errors import DomainError
+from .field import check_invertible
+from .walsh import Spectrum
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -32,33 +20,26 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _check_coprime(t: int, d: int) -> None:
-    order = (1 << (2 * t)) - 1
-    g = gcd(d, order)
-    if g != 1:
-        raise NonInvertibleError(d, order, g)
-
-
-def predicted_spectrum_t_odd(t: int) -> PredictedSpectrum:
+def predicted_spectrum_t_odd(t: int) -> Spectrum:
     """Three-valued table for odd t >= 3: values 0 and +-2^(t+1)."""
     if t < 3 or t % 2 == 0:
         raise DomainError(f"odd-t table needs odd t >= 3, got {t}")
     d = 3 + (1 << (t + 1))
-    _check_coprime(t, d)
+    check_invertible(2 * t, d)
     entries = (
         (-(1 << (t + 1)), (1 << (2 * t - 3)) - (1 << (t - 2))),
         (0, 3 << (2 * t - 2)),
         (1 << (t + 1), (1 << (2 * t - 3)) + (1 << (t - 2))),
     )
-    return PredictedSpectrum(t=t, m=2 * t, d=d, family="odd-t", entries=entries)
+    return Spectrum(m=2 * t, d=d, entries=entries)
 
 
-def predicted_spectrum_t_even(t: int) -> PredictedSpectrum:
+def predicted_spectrum_t_even(t: int) -> Spectrum:
     """Seven-valued table for t = 2 mod 4, t >= 6: values 0, +-2^t, +-2^(t+1), +-2^(t+2)."""
     if t % 4 != 2 or t < 6:
         raise DomainError(f"even-t table needs t = 2 mod 4 and t >= 6, got {t}")
     d = 3 + (1 << (t + 1))
-    _check_coprime(t, d)
+    check_invertible(2 * t, d)
     n_zero = (1 << (2 * t - 1)) - (1 << (2 * t - 5)) - (1 << (t - 1)) + (1 << (t - 3))
     n_single = _exact_div((1 << (2 * t)) + (1 << t), 5)
     n_double_plus = (1 << (2 * t - 4)) + (1 << (t - 2))
@@ -73,10 +54,10 @@ def predicted_spectrum_t_even(t: int) -> PredictedSpectrum:
         (1 << (t + 1), n_double_plus),
         (1 << (t + 2), n_quad),
     )
-    return PredictedSpectrum(t=t, m=2 * t, d=d, family="even-t", entries=entries)
+    return Spectrum(m=2 * t, d=d, entries=entries)
 
 
-def predicted_spectrum(t: int) -> PredictedSpectrum:
+def predicted_spectrum(t: int) -> Spectrum:
     """Dispatch on the parity class of t."""
     if t % 2 == 1:
         return predicted_spectrum_t_odd(t)
@@ -89,7 +70,7 @@ class SpectrumComparison:
     diffs: tuple[tuple[int, int, int], ...]  # (value, actual count, predicted count)
 
 
-def compare(actual: Spectrum | FamilySpectrum, predicted: PredictedSpectrum) -> SpectrumComparison:
+def compare(actual: Spectrum, predicted: Spectrum) -> SpectrumComparison:
     """Exact multiset comparison; (m, d) of the two sides must agree."""
     if actual.m != predicted.m or actual.d != predicted.d:
         raise DomainError(

@@ -77,13 +77,18 @@ class Histogram:
 
 @dataclass(frozen=True)
 class Spectrum(Histogram):
-    """Walsh value histogram: entries = ((value, multiplicity), ...) sorted by value."""
+    """Walsh value histogram of Tr(x^d) over GF(2^m): entries = ((value,
+    multiplicity), ...) sorted by value.  The multiset does not depend on the
+    primitive modulus, so every route to it, butterfly, fibres or closed
+    form, gives an equal Spectrum."""
 
     m: int
     d: int
-    modulus: int
     entries: tuple[tuple[int, int], ...]
-    coprime: bool
+
+    @property
+    def coprime(self) -> bool:
+        return gcd(self.d, (1 << self.m) - 1) == 1
 
 
 def walsh_coefficient(field: Field, d: int, a: int) -> int:
@@ -250,9 +255,7 @@ def walsh_spectrum(field: Field, d: int) -> Spectrum:
     return Spectrum(
         m=field.m,
         d=d,
-        modulus=field.modulus,
         entries=tuple((int(arr[i]), int(n)) for i, n in zip(starts, counts)),
-        coprime=gcd(d, field.order) == 1,
     )
 
 

@@ -25,12 +25,14 @@ from walsh_lab import (
     family_spectrum,
     make_field,
     sextic_census,
+    spectrum_to_weights,
     subfield_character_sum,
     subfield_identities,
     walsh_coefficient,
     walsh_from_solutions,
     walsh_solution_set,
     walsh_spectrum,
+    weight_distribution,
     weighted_walsh_identity,
 )
 from walsh_lab import analysis
@@ -397,7 +399,11 @@ class TestFamilySpectrum:
         d = 1 + (1 << i) + (1 << (i + t))
         spec = family_spectrum(make_field(t), i)
         assert (spec.m, spec.d) == (2 * t, d)
-        assert spec.entries == walsh_spectrum(make_field(2 * t), d).entries
+        big = make_field(2 * t)
+        assert spec == walsh_spectrum(big, d)
+        # and for invertible d its fold is the code's weight distribution
+        if gcd(d, big.order) == 1:
+            assert spectrum_to_weights(spec) == weight_distribution(big, d)
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -417,9 +423,19 @@ class TestFamilySpectrum:
         assert spec.moment(1) == 1 << m
         assert spec.moment(2) == 1 << (2 * m)
 
+    @pytest.mark.parametrize("t", [15, 17, 18, 19, 21])
+    def test_min_distance_beyond_the_field(self, t):
+        # m = 2t > 28: the fold needs no GF(2^m); d = 3 + 2^(t+1) is invertible
+        m = 2 * t
+        dist = spectrum_to_weights(family_spectrum(make_field(t)))
+        assert dist.total() == 1 << (2 * m)
+        assert dist.count(0) == 1
+        extra = 0 if t % 2 else 1
+        assert dist.min_distance == (1 << (m - 1)) - (1 << (t + extra))
+
     @pytest.mark.parametrize("t", [13, 14, 15, 17, 18, 21])
     def test_closed_form_tables(self, t):
-        assert family_spectrum(make_field(t)).entries == predicted_spectrum(t).entries
+        assert family_spectrum(make_field(t)) == predicted_spectrum(t)
 
     def test_no_loop_over_the_fibres(self, monkeypatch):
         # t = 18 has (2^16 - 1) / 15 = 4369 fibres of size 6 and one over w = 0;

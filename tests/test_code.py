@@ -8,6 +8,9 @@ import pytest
 
 from walsh_lab import (
     DomainError,
+    NonInvertibleError,
+    Spectrum,
+    WeightDistribution,
     codeword,
     exhaustive_weight_histogram,
     is_degenerate_exponent,
@@ -93,6 +96,12 @@ class TestDegenerateExponents:
         # powers of two mod 2^m - 1 wrap around
         assert is_degenerate_exponent(4, 8)
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_flags_derive_from_m_and_d(self, m):
+        for d in range(1, (1 << m) - 1):
+            assert Spectrum(m, d, ()).coprime == (gcd(d, (1 << m) - 1) == 1)
+            assert WeightDistribution(m, d, ()).degenerate == is_degenerate_exponent(m, d)
+
     def test_degenerate_distribution(self, field6):
         dist = weight_distribution(field6, 8)
         assert dist.degenerate
@@ -107,15 +116,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             weight_of_pair(field6, 9, 1, 1)
 
-    def test_spectrum_field_mismatch(self, field4, field6):
-        s = walsh_spectrum(field4, 7)
-        with pytest.raises(DomainError):
-            spectrum_to_weights(field6, s)
-
     def test_noncoprime_spectrum_rejected(self, field6):
         s = walsh_spectrum(field6, 3)
-        with pytest.raises(DomainError):
-            spectrum_to_weights(field6, s)
+        with pytest.raises(NonInvertibleError):
+            spectrum_to_weights(s)
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_exhaustive_without_tables(self, m):
