@@ -6,16 +6,18 @@ XOR and zero/one are the ints 0 and 1.  The generator alpha is the class of x,
 i.e. the int 2.
 
 When the field is small enough (2^m <= table_cap, default 2^22 entries) the
-int32 antilog alog[i] = alpha^i is built once.  It is filled by doubling,
-alog[k:2k] = alpha^k * alog[:k], each product by the constant alpha^k read
-from two small tables because it is GF(2)-linear.  The int32 log, its
-blocked inverse scatter, serves scalar arithmetic only: it is built on the
-first mul, inv, pow or log_of, and no vector map reads it.  Above the cap the
-scalar operations fall back to shift-and-reduce polynomial multiplication,
-and antilog() builds a transient table for each caller (power_map, the sign
-tables).  trace_bits, scalar_mul_map, dual_indices and coset_labels need no
-tables: all are GF(2)-linear maps, filled by doubling over the polynomial
-basis (xor_span).
+int32 antilog alog[i] = alpha^i is built once, as geometric(alpha, 2^m - 1).
+geometric(c, n) fills c^k for k < n by doubling, out[k:2k] = c^k * out[:k],
+each product by the constant c^k read from two small tables because it is
+GF(2)-linear.  The int32 log, its blocked inverse scatter, serves scalar
+arithmetic only: it is built on the first mul, inv, pow or log_of, and no
+vector map reads it.  Above the cap the scalar operations fall back to
+shift-and-reduce polynomial multiplication, power_map builds a transient
+antilog for its call, and antilog_blocks() streams the powers of alpha a
+block at a time, each block the one before times a constant, so the sign
+tables make no q-sized antilog.  trace_bits, scalar_mul_map, dual_indices
+and coset_labels need no tables: all are GF(2)-linear maps, filled by
+doubling over the polynomial basis (xor_span).
 
 For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
@@ -57,15 +59,21 @@ DEFAULT_TABLE_CAP = 1 << 22
 # result.  Indices are widened to intp one block at a time.
 _POWER_BLOCK = 1 << 16
 
-# The same for the antilog's doubling steps, smaller: at 12 bytes of
-# temporaries per entry, building GF(2^20) peaks at 1.06 times its antilog.
+# The same for the doubling steps of geometric(), smaller: at 12 bytes of
+# temporaries per entry, building the antilog of GF(2^20) peaks at 1.06
+# times the table.
 _ANTILOG_BLOCK = 1 << 14
 
-# Antilog entries taken from the scalar alpha chain before doubling starts:
-# a doubling step costs some tens of microseconds of numpy calls whatever
-# its width, more than 64 scalar products.  A power of two, so the steps
-# after it still double.
+# Entries geometric() takes from the scalar chain of products before
+# doubling starts: a doubling step costs some tens of microseconds of numpy
+# calls whatever its width, more than 64 scalar products.  A power of two,
+# so the steps after it still double.
 _ANTILOG_HEAD = 64
+
+# The (m, modulus) pairs whose primitivity proof has passed in this process:
+# a modulus is proved once, and one that fails is never added, so it fails
+# on every construction.
+_PROVEN_PRIMITIVE: set[tuple[int, int]] = set()
 
 # Lexicographically smallest primitive polynomial per degree, as bitmask.
 # Regenerable by scanning odd candidates upward and keeping the first whose
@@ -140,6 +148,22 @@ def xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
         k = 1 << j
         np.bitwise_xor(out[:k], c, out=out[k:2 * k])
     return out
+
+
+def _apply_halves(halves: tuple[np.ndarray, np.ndarray], src: np.ndarray,
+                  dst: np.ndarray, ix: np.ndarray, tmp: np.ndarray) -> None:
+    """dst = low[src mod 2^h] ^ high[src >> h] for the int32 array src, with
+    (low, high) = halves and low of 2^h entries: a GF(2)-linear map read from
+    the XOR spans of its columns below and above bit h.  ix (intp) and tmp
+    (int32) are scratch of src's size; the indices are in range, and
+    mode="wrap" spares take the buffered copy that mode="raise" makes."""
+    low, high = halves
+    h = low.size.bit_length() - 1
+    np.bitwise_and(src, (1 << h) - 1, out=ix)
+    np.take(low, ix, out=dst, mode="wrap")
+    np.right_shift(src, h, out=ix)
+    np.take(high, ix, out=tmp, mode="wrap")
+    dst ^= tmp
 
 
 def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
@@ -257,7 +281,9 @@ class Field:
         self.order = self.q - 1
         self.table_cap = table_cap
 
-        self._verify_primitive()
+        if (m, modulus) not in _PROVEN_PRIMITIVE:
+            self._verify_primitive()
+            _PROVEN_PRIMITIVE.add((m, modulus))
 
         self._alog = self._antilog() if self.q <= table_cap else None
         self._log: np.ndarray | None = None
@@ -305,49 +331,46 @@ class Field:
                     f"modulus 0x{self.modulus:x} is not primitive: alpha order divides {self.order // p}"
                 )
 
-    def _antilog(self) -> np.ndarray:
-        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1.
+    def _product_halves(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two tables of y -> c*y for _apply_halves with h = m // 2: the
+        XOR spans of the columns c * alpha^j for j < h and for j >= h."""
+        m, h = self.m, self.m // 2
+        cols = [c]
+        for _ in range(m - 1):
+            cols.append(self._mulx(cols[-1]))
+        return xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
 
-        The first min(2^m - 1, 64) entries come from the scalar chain of
-        products by alpha, the rest by doubling: alog[k:2k] = alpha^k *
-        alog[:k] for k = 64, 128, ...  Multiplication by a constant c is
-        GF(2)-linear, so c * y is low[y mod 2^h] ^ high[y >> h] with
-        h = m // 2, where low and high are the XOR spans of the columns
-        c * alpha^j for j < h and j >= h.
-        Each step runs in blocks through one reused intp index buffer, so
-        the result is the only q-sized array.  The indices are in range, and
-        mode="wrap" spares take the buffered copy that mode="raise" makes.
+    def geometric(self, c: int, count: int) -> np.ndarray:
+        """int32 array with entry k = c^k for 0 <= k < count.
+
+        The first min(count, 64) entries come from the scalar chain of
+        products by c, the rest by doubling: out[k:2k] = c^k * out[:k] for
+        k = 64, 128, ..., each step through _product_halves(c^k) and in
+        blocks through one reused intp index buffer, so the result is the
+        only array of count entries.
         """
-        m, n = self.m, self.order
-        h = m // 2
-        alog = np.empty(n, dtype=np.int32)
-        k = min(n, _ANTILOG_HEAD)
+        out = np.empty(count, dtype=np.int32)
+        k = min(count, _ANTILOG_HEAD)
         head = [1]
         for _ in range(k):
-            head.append(self._mulx(head[-1]))
-        alog[:k] = head[:k]
-        c = head[k]  # alpha^k
-        idx = np.empty(min(_ANTILOG_BLOCK, n), dtype=np.intp)
+            head.append(_polymul_mod(head[-1], c, self.modulus, self.m))
+        out[:k] = head[:k]
+        ck = head[k]  # c^k
+        idx = np.empty(min(_ANTILOG_BLOCK, count), dtype=np.intp)
         part = np.empty(idx.size, dtype=np.int32)
-        while k < n:
-            cols = [c]
-            for _ in range(m - 1):
-                cols.append(self._mulx(cols[-1]))
-            low = xor_span(cols[:h], 1 << h, np.int32)
-            high = xor_span(cols[h:], 1 << (m - h), np.int32)
-            width = min(k, n - k)
+        while k < count:
+            halves = self._product_halves(ck)
+            width = min(k, count - k)
             for lo in range(0, width, idx.size):
                 hi = min(lo + idx.size, width)
-                src, dst = alog[lo:hi], alog[k + lo:k + hi]
-                ix, tmp = idx[:hi - lo], part[:hi - lo]
-                np.bitwise_and(src, (1 << h) - 1, out=ix)
-                np.take(low, ix, out=dst, mode="wrap")
-                np.right_shift(src, h, out=ix)
-                np.take(high, ix, out=tmp, mode="wrap")
-                dst ^= tmp
-            c = _polymul_mod(c, c, self.modulus, m)
+                _apply_halves(halves, out[lo:hi], out[k + lo:k + hi], idx[:hi - lo], part[:hi - lo])
+            ck = _polymul_mod(ck, ck, self.modulus, self.m)
             k <<= 1
-        return alog
+        return out
+
+    def _antilog(self) -> np.ndarray:
+        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1."""
+        return self.geometric(self.alpha, self.order)
 
     def _logs(self) -> np.ndarray:
         """The int32 log table, scattered from the antilog on first use;
@@ -360,6 +383,32 @@ class Field:
         """int32 alpha^i for 0 <= i < 2^m - 1: the stored table, which
         callers must not modify, or without tables one built for this call."""
         return self._alog if self._alog is not None else self._antilog()
+
+    def antilog_blocks(self, size: int):
+        """Yield the int32 arrays [alpha^lo, ..., alpha^(hi - 1)] for lo = 0,
+        size, 2 size, ... below 2^m - 1, with hi = min(lo + size, 2^m - 1).
+
+        With tables they are slices of the antilog, which callers must not
+        modify.  Without them the first block is geometric(alpha, size) and
+        each next one the block before times alpha^size, in two reused
+        buffers, so a block is valid only until the next is drawn and no
+        array has more than size entries."""
+        n = self.order
+        if self._alog is not None:
+            for lo in range(0, n, size):
+                yield self._alog[lo:lo + size]
+            return
+        block = self.geometric(self.alpha, min(size, n))
+        if size < n:
+            halves = self._product_halves(self.exp(size))
+            nxt = np.empty_like(block)
+            ix = np.empty(size, dtype=np.intp)
+            tmp = np.empty_like(block)
+        for lo in range(0, n, size):
+            yield block[:n - lo]
+            if lo + size < n:
+                _apply_halves(halves, block, nxt, ix, tmp)
+                block, nxt = nxt, block
 
     # -- validation -----------------------------------------------------------
 

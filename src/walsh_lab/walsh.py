@@ -12,15 +12,19 @@ The fast route needs no discrete logs and no power map.  The sign of
 x = alpha^i is (-1)^Tr(alpha^(i*d)).  With beta = alpha^d, W = 2^ceil(m/2)
 and i = r*W + j, Tr(alpha^(i*d)) = Tr(beta^(r*W) * beta^j) =
 parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
-arrays of about sqrt(q) entries, read from the antilog, give every value by
-one AND and one popcount, for every d.  _scatter_signs places the values of
-a block of rows through the antilog, signs[alpha^i], as bytes, and widens
-them to int32 signs at the end.  fwht runs in place: the stages on the low
-16 index bits on one 2^16-entry block at a time, which stays in L2, and then
+arrays of about sqrt(q) entries, gathered from the antilog or without tables
+built as geometric sequences, give every value by one AND and one popcount,
+for every d.  _scatter_signs places the values of a block of rows at their
+block of Field.antilog_blocks(), signs[alpha^i], as bytes, and widens them
+to int32 signs at the end; without tables each block of positions is the
+one before times a constant.  fwht runs in place: the stages on the low 16
+index bits on one 2^16-entry block at a time, which stays in L2, and then
 the stages on the remaining bits over the whole array in 2^15-entry chunks.
 Every route runs it on the sign table itself, and walsh_spectrum histograms
-the butterfly output by sorting it in place, so the sign table and its
-bytes are the only q-sized arrays it makes.
+the butterfly output by sorting it in place, so with or without tables the
+sign table and its bytes are the only q-sized arrays that truth_table,
+walsh_spectrum and walsh_coefficients make: each peaks at about 1.25-1.3
+times the 4q bytes of the table (tracemalloc, m = 19 to 24).
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -29,7 +33,8 @@ trace form is symmetric.  So on the sign table in the polynomial basis
 W_d(a) = F(dual_index(a)): dual_index is a bijection, hence the output
 multiset of fwht equals the coefficient multiset and walsh_spectrum can
 histogram the raw butterfly output.  walsh_coefficients places each sign at
-dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
+dual_index(x) instead, mapping each block of positions through
+Field.dual_indices, and then the butterfly's entry a is W_d(a) itself.
 """
 
 from __future__ import annotations
@@ -127,29 +132,41 @@ def _exponent_ramp(m: int) -> np.ndarray:
     return ramp
 
 
-def _scatter_signs(field: Field, d: int, alog: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """int32 table with entry pos[i] = (-1)^Tr(alpha^(i*d)) for
-    0 <= i < 2^m - 1 and entry 0 = +1, where alog is the field's antilog and
-    pos a permutation of its values (alog itself, or their dual indices).
+def _row_factors(field: Field, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 b_j = beta^j for j < W and the row heads beta^(r*W) for r < R,
+    with beta = alpha^d: gathered from the antilog, or without tables two
+    geometric sequences."""
+    w = 1 << ((field.m + 1) // 2)
+    if field.has_tables:
+        exps = _exponent_ramp(field.m) * d
+        exps %= field.order
+        powers = field.antilog()[exps]
+        return powers[:w], powers[w:]
+    return field.geometric(field.exp(d), w), field.geometric(field.exp(d * w), field.q // w)
+
+
+def _scatter_signs(field: Field, d: int, dual: bool) -> np.ndarray:
+    """int32 table with entry alpha^i = (-1)^Tr(alpha^(i*d)) for
+    0 <= i < 2^m - 1 and entry 0 = +1, or with dual the same signs at
+    dual_index(alpha^i) (dual_index(0) = 0).
 
     Row r of the values, i = r*W + j for j < W, is parity(v_r & b_j).  The
     rows run R*W = 2^m entries, one past the last exponent; that one is
-    dropped.  Each block of rows is popcounted into bytes and scattered; the
-    parities become signs in one pass at the end.
+    dropped.  Each block of rows is popcounted into bytes and scattered to
+    its block of field.antilog_blocks(), mapped through dual_indices with
+    dual; the parities become signs in one pass at the end.
     """
-    n = field.order
-    w = 1 << ((field.m + 1) // 2)
-    exps = _exponent_ramp(field.m) * d
-    exps %= n
-    powers = alog[exps]
-    b, v = powers[:w], field.dual_indices(powers[w:])[:, None]
+    b, heads = _row_factors(field, d)
+    w = b.size
+    v = field.dual_indices(heads)[:, None]
     rows = max(1, _SCATTER_BLOCK // w)
     bits = np.empty(field.q, dtype=np.uint8)
     bits[0] = 0
-    for r in range(0, v.size, rows):
-        lo, hi = r * w, min((r + rows) * w, n)
+    for r, pos in zip(range(0, v.shape[0], rows), field.antilog_blocks(rows * w)):
         counts = np.bitwise_count(v[r:r + rows] & b).reshape(-1)
-        bits[pos[lo:hi].astype(np.intp)] = counts[:hi - lo]
+        if dual:
+            pos = field.dual_indices(pos)
+        bits[pos.astype(np.intp)] = counts[:pos.size]
     bits &= 1
     signs = np.multiply(bits, -2, dtype=np.int32)
     signs += 1
@@ -160,8 +177,7 @@ def truth_table(field: Field, d: int) -> np.ndarray:
     """Sign table of Tr(x^d) over all x, int32 of length 2^m: signs[x] =
     (-1)^Tr(x^d), placed through the antilog, and signs[0] = +1."""
     field.check_exponent(d)
-    alog = field.antilog()
-    return _scatter_signs(field, d, alog, alog)
+    return _scatter_signs(field, d, dual=False)
 
 
 def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
@@ -241,8 +257,7 @@ def walsh_coefficients(field: Field, d: int) -> np.ndarray:
     """All W_d(a) indexed by the element a (int32): the sign of x is placed
     at dual_index(x), so the butterfly's entry a is W_d(a) with no gather."""
     field.check_exponent(d)
-    alog = field.antilog()
-    return fwht(_scatter_signs(field, d, alog, field.dual_indices(alog)))
+    return fwht(_scatter_signs(field, d, dual=True))
 
 
 def walsh_spectrum(field: Field, d: int) -> Spectrum:

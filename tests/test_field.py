@@ -304,6 +304,35 @@ class TestAntilog:
             assert alog.tolist() == chain
             assert sorted(chain) == list(range(1, f.q))
 
+    @pytest.mark.parametrize("m", [3, 8, 13, 20])
+    def test_geometric_matches_the_scalar_chain(self, m, random_modulus):
+        # counts inside the scalar head, at its end, and past it by doubling
+        # steps that end partway
+        rng = random.Random(3000 + m)
+        f = make_field(m, random_modulus(m, rng), table_cap=1)
+        for c in (1, f.alpha, rng.randrange(2, f.q)):
+            for count in (1, 63, 64, 65, 200, 1000):
+                x, chain = 1, []
+                for _ in range(count):
+                    chain.append(x)
+                    x = field_module._polymul_mod(x, c, f.modulus, m)
+                got = f.geometric(c, count)
+                assert got.dtype == np.int32 and got.tolist() == chain, f"c={c} count={count}"
+
+    @pytest.mark.parametrize("m", [5, 13, 14, 15])
+    def test_streamed_antilog_blocks_match_the_table(self, m, random_modulus):
+        rng = random.Random(3100 + m)
+        modulus = random_modulus(m, rng)
+        ft = make_field(m, modulus)
+        fn = make_field(m, modulus, table_cap=1)
+        for size in (16, 1000, 1 << 14, 1 << 15):
+            for f in (ft, fn):
+                blocks = [b.copy() for b in f.antilog_blocks(size)]
+                assert all(b.dtype == np.int32 for b in blocks)
+                assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+                assert np.array_equal(np.concatenate(blocks), ft.antilog()), \
+                    f"size={size} tables={f.has_tables}"
+
     @pytest.mark.parametrize("m", range(2, 23))
     def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):
         rng = random.Random(2000 + m)
@@ -565,6 +594,45 @@ class TestConstruction:
         for m in range(2, 17):
             f = make_field(m)
             assert f.pow(f.alpha, f.order) == 1
+
+
+class TestPrimitiveProof:
+    @staticmethod
+    def _count_raw_pow(monkeypatch):
+        calls = []
+        raw = Field._raw_pow
+
+        def counted(self, x, e):
+            calls.append(e)
+            return raw(self, x, e)
+
+        monkeypatch.setattr(Field, "_raw_pow", counted)
+        return calls
+
+    @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
+    def test_a_modulus_is_proved_once(self, monkeypatch, random_modulus, table_cap):
+        m = 14
+        modulus = random_modulus(m, random.Random(table_cap))
+        monkeypatch.setattr(field_module, "_PROVEN_PRIMITIVE", set())
+        calls = self._count_raw_pow(monkeypatch)
+        first = make_field(m, modulus, table_cap=table_cap)
+        assert calls, "the first construction proves the modulus primitive"
+        calls.clear()
+        second = make_field(m, modulus, table_cap=table_cap)
+        assert calls == []
+        assert field_module._PROVEN_PRIMITIVE == {(m, modulus)}
+        assert np.array_equal(first.trace_bits(), second.trace_bits())
+
+    @pytest.mark.parametrize("m,modulus", [(3, 0xF), (4, 0x1F), (4, 0x15)])
+    def test_a_failed_proof_fails_every_time(self, monkeypatch, m, modulus):
+        # reducible, irreducible but imprimitive, and a square
+        calls = self._count_raw_pow(monkeypatch)
+        for _ in range(3):
+            calls.clear()
+            with pytest.raises(DomainError):
+                make_field(m, modulus)
+            assert calls
+            assert (m, modulus) not in field_module._PROVEN_PRIMITIVE
 
 
 class TestModInverse:

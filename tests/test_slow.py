@@ -19,7 +19,7 @@ def _three_routes_agree(t):
 
 def test_verify_todd_t13():
     # m = 26 is above the default table cap: the tableless butterfly, about
-    # 6 s and 0.7 GiB
+    # 6 s and 0.4 GiB peak RSS
     _three_routes_agree(13)
 
 
@@ -35,7 +35,7 @@ def test_identities_m26(capsys):
 
 def test_verify_teven_t14():
     # m = 28, the largest GF(2^m) the field supports: the seven-valued
-    # spectrum at t = 14 by the butterfly, about 30 s and 2.6 GiB
+    # spectrum at t = 14 by the butterfly, about 19 s and 1.3 GiB peak RSS
     _three_routes_agree(14)
 
 

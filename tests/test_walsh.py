@@ -8,7 +8,11 @@ from math import gcd
 import numpy as np
 import pytest
 
+import walsh_lab.field as field_module
+import walsh_lab.walsh as walsh_module
 from walsh_lab import (
+    DEFAULT_TABLE_CAP,
+    PRIMITIVE_POLY,
     DomainError,
     Field,
     fwht,
@@ -316,6 +320,53 @@ class TestMemory:
             tracemalloc.stop()
         assert spec == expected
         assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
+
+    @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
+    @pytest.mark.parametrize("fn", [truth_table, walsh_coefficients, walsh_spectrum],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("m", [19, 20])
+    def test_sign_table_and_its_bytes_are_the_peak(self, m, fn, table_cap):
+        # the positions stream a block at a time, from the antilog or
+        # without tables as products by a constant, and walsh_coefficients
+        # maps each block to dual coordinates: no q-sized position array
+        f = make_field(m, table_cap=table_cap)
+        d = 3 + (1 << (m // 2 + 1))
+        expected = fn(f, d)
+        tracemalloc.start()
+        try:
+            got = fn(f, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expected) if fn is not walsh_spectrum else got == expected
+        assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
+
+
+class TestStreamedSignTables:
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_tableless_equals_tabled(self, m, random_modulus):
+        # one scatter block up to m = 14, several with a last partial one
+        # from m = 15 on, odd and even m; both placements, the antilog and
+        # the dual coordinates
+        rng = random.Random(5000 + m)
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            ft = make_field(m, modulus)
+            fn = make_field(m, modulus, table_cap=1)
+            assert ft.has_tables and not fn.has_tables
+            n = ft.order
+            ds = [next(d for d in iter(lambda: rng.randrange(1, n), None) if gcd(d, n) == 1)]
+            p = field_module._prime_factors(n)[0]
+            if p < n:
+                ds.append(p * rng.randrange(1, n // p))
+            duals = ft.dual_indices(np.arange(ft.q, dtype=np.int32))
+            for d in ds:
+                signs = walsh_module._scatter_signs(ft, d, dual=False)
+                placed = walsh_module._scatter_signs(ft, d, dual=True)
+                assert np.array_equal(placed[duals], signs), f"d={d}"
+                for dual, want in ((False, signs), (True, placed)):
+                    got = walsh_module._scatter_signs(fn, d, dual=dual)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, want), f"modulus={modulus:#x} d={d} dual={dual}"
 
 
 class TestValidation:
