@@ -51,8 +51,16 @@ from .field import Field
 # Values per block of the sign scatter, so its temporaries stay this small.
 _SCATTER_BLOCK = 1 << 14
 
-# Entries per block of the local butterfly: 256 KiB of int32, within L2.
+# Entries per block of the local butterfly: 256 KiB of float32, within L2.
 _BUTTERFLY_BLOCK = 1 << 16
+
+# Multiply-adds per 2-D matrix product of the butterfly: OpenBLAS runs a
+# gemm of at most 64^3 on the calling thread, so no product waits on its
+# thread pool.
+_PRODUCT_CAP = 1 << 18
+
+# Index bits per Hadamard factor: H_16 products ran fastest from m = 12 to 24.
+_FACTOR_BITS = 4
 
 
 class Histogram:
@@ -180,25 +188,86 @@ def truth_table(field: Field, d: int) -> np.ndarray:
     return _scatter_signs(field, d, dual=False)
 
 
-def _stages(grid: np.ndarray, scratch: np.ndarray) -> None:
-    """Butterfly stages over the row index of a C-contiguous (rows, cols) array.
-    scratch takes each stage's differences, at most scratch.size at a time:
-    a stage larger than that runs on runs of scratch.size pairs."""
-    rows, cols = grid.shape
-    h = 1
-    while h < rows:
-        pairs = grid.reshape(-1, 2, h * cols)
-        if pairs.shape[0] * h * cols <= scratch.size:
-            chunks = [(pairs[:, 0], pairs[:, 1])]
-        else:
-            chunks = ((pair[0, c:c + scratch.size], pair[1, c:c + scratch.size])
-                      for pair in pairs for c in range(0, h * cols, scratch.size))
-        for lo, hi in chunks:
-            diff = scratch[:lo.size].reshape(lo.shape)
-            np.subtract(lo, hi, out=diff)
-            np.add(lo, hi, out=lo)
-            np.copyto(hi, diff)
-        h *= 2
+@lru_cache(maxsize=None)
+def _hadamard(bits: int, dtype: type) -> np.ndarray:
+    """The read-only Sylvester matrix H_(2^bits) in dtype: entry (i, j) is
+    (-1)^parity(i & j).  Built on first use, so importing builds nothing."""
+    i = np.arange(1 << bits)
+    h = 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(dtype)
+    h.flags.writeable = False  # shared by every caller
+    return h
+
+
+def _factors(k: int) -> list[int]:
+    """k index bits in ceil(k / _FACTOR_BITS) near-equal factors."""
+    r = -(-k // _FACTOR_BITS)
+    return [k // r + (j < k % r) for j in range(r)]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b through BLAS, the one place the butterfly multiplies.
+    Callers keep each 2-D product within _PRODUCT_CAP multiply-adds."""
+    np.matmul(a, b, out=out)
+
+
+def _exact_float(a: np.ndarray, length: int, name: str) -> type:
+    """The float type in which a transform of the given length is exact on a.
+    Every partial sum is a signed sum of distinct entries, so at most
+    length * max|a| in size: float32 holds every integer up to 2^24, float64
+    up to 2^53.  DomainError above that."""
+    bound = length * max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    if bound <= 1 << 24:
+        return np.float32
+    if bound <= 1 << 53:
+        return np.float64
+    raise DomainError(f"{name} is exact while length * max|x| <= 2^53, got {bound}")
+
+
+def _rotating(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """H_(2^k) on the 2^k floats of x, with y of the same size as scratch;
+    returns whichever of the two holds the result.
+
+    A factor of b bits views its input as (R, 2^b) and writes
+    H_(2^b) @ input.T, a (2^b, R) array: the transformed bits move from the
+    bottom of the index to the top.  The factors' bits sum to k, so after the
+    last one the index is back in order.  Each product is H_(2^b) times a
+    (2^b, c) slice, c = min(R, _PRODUCT_CAP / 4^b), all slices in one call.
+    """
+    for b in _factors(k):
+        side = 1 << b
+        c = min(x.size >> b, _PRODUCT_CAP >> 2 * b)
+        _matmul(_hadamard(b, x.dtype), x.reshape(-1, c, side).transpose(0, 2, 1),
+                y.reshape(side, -1, c).transpose(1, 0, 2))
+        x, y = y, x
+    return x
+
+
+def _columns(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """H down each column of the integer (2^k, n) grid, in place, through the
+    float buffers x and y of equal size, at least 2^k entries.
+
+    A chunk of w = x.size / 2^k columns at a time is copied into x as a
+    (2^k, w) array.  The factor on index bits [s, s + b) views it as
+    (P, 2^b, q) with q = 2^s * w, and multiplies H_(2^b) into (2^b, c) slices
+    of each of the P matrices, c = min(q, _PRODUCT_CAP / 4^b).  The result
+    is cast back into the chunk.
+    """
+    rows, n = grid.shape
+    w = max(1, x.size // rows)
+    for lo in range(0, n, w):
+        chunk = grid[:, lo:lo + w]
+        src, dst = x[:chunk.size], y[:chunk.size]
+        np.copyto(src.reshape(chunk.shape), chunk, casting="unsafe")
+        q = chunk.shape[1]
+        for b in _factors(rows.bit_length() - 1):
+            h, side = _hadamard(b, x.dtype), 1 << b
+            c = min(q, _PRODUCT_CAP >> 2 * b)
+            src3, dst3 = src.reshape(-1, side, q), dst.reshape(-1, side, q)
+            for j in range(0, q, c):
+                _matmul(h, src3[:, :, j:j + c], dst3[:, :, j:j + c])
+            src, dst = dst, src
+            q <<= b
+        np.copyto(chunk, src.reshape(chunk.shape), casting="unsafe")
 
 
 def _check_butterfly_input(a: np.ndarray, n: int, name: str) -> None:
@@ -219,37 +288,40 @@ def fwht(a: np.ndarray) -> np.ndarray:
     result keeps.  On a sign table, entry u of the result is
     W_d(dual_index_inv(u)).
 
-    The stages on the low min(k, 16) index bits run on each block of
-    B = 2^min(k, 16) entries in turn.  A block is viewed as (row, col) with
-    col its low half of those bits: the col-bit stages run on one block-sized
-    transposed buffer, the row-bit stages on the block itself, so every stage
-    works on contiguous runs of at least 2^(bits // 2) entries in L2.  The
-    stages on the remaining k - 16 bits then run over the whole array, B/2
-    pairs at a time.  Stages commute, so their order does not change the
-    result.
+    H_(2^k) is the Kronecker product of Hadamard factors of at most
+    _FACTOR_BITS bits, applied as float matrix products (see _exact_float
+    for the float type; DomainError when length * max|a| passes 2^53).  The
+    low min(k, 16) index bits run on one 2^16-entry block at a time, copied
+    into a float buffer that stays in L2 (_rotating).  The remaining bits
+    then run down the columns of a viewed as (2^(k-16), 2^16), a chunk of
+    columns at a time (_columns).  Factors commute, so their order does not
+    change the result.
     """
     n = a.size
     _check_butterfly_input(a, n, "fwht")
+    ftype = _exact_float(a, n, "fwht")
     size = min(n, _BUTTERFLY_BLOCK)
-    cols = 1 << ((size.bit_length() - 1) // 2)
-    scratch = np.empty(size // 2, dtype=a.dtype)
-    flipped = np.empty((cols, size // cols), dtype=a.dtype)
+    rows = n // size
+    x, y = np.empty(max(size, rows), ftype), np.empty(max(size, rows), ftype)
+    low = size.bit_length() - 1
     for block in a.reshape(-1, size):
-        grid = block.reshape(size // cols, cols)
-        np.copyto(flipped, grid.T)
-        _stages(flipped, scratch)
-        np.copyto(grid, flipped.T)
-        _stages(grid, scratch)
-    _stages(a.reshape(n // size, size), scratch)
+        np.copyto(x[:size], block, casting="unsafe")
+        np.copyto(block, _rotating(x[:size], y[:size], low), casting="unsafe")
+    if rows > 1:
+        _columns(a.reshape(rows, size), x, y)
     return a
 
 
 def fwht_columns(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly down each column of a C-contiguous
     (2^r, n) array of a signed dtype, returning a: n transforms of 2^r
-    points at once, every stage on whole rows."""
-    _check_butterfly_input(a, a.shape[0], "fwht_columns")
-    _stages(a, np.empty(max(1, a.size // 2), dtype=a.dtype))
+    points at once, as float matrix products over chunks of columns (see
+    fwht for the exactness rule)."""
+    rows = a.shape[0]
+    _check_butterfly_input(a, rows, "fwht_columns")
+    ftype = _exact_float(a, rows, "fwht_columns")
+    size = min(a.size, max(_BUTTERFLY_BLOCK, rows))
+    _columns(a, np.empty(size, ftype), np.empty(size, ftype))
     return a
 
 

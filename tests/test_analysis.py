@@ -4,6 +4,7 @@ tests, and the two spectral bound checks."""
 
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -501,6 +502,20 @@ class TestBoundChecks:
         f = make_field(5)
         with pytest.raises(UnsupportedError):
             check_bound(f, 3)
+
+    def test_concurrent_checks_match_a_serial_run(self):
+        # scan's thread pool runs these at once, so several threads call BLAS
+        # from the butterfly together; every exponent must see its own result
+        f = make_field(10)
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
+        for check in (check_bound, check_sarwate):
+            serial = [check(f, d) for d in ds]
+            with ThreadPoolExecutor(4) as pool:
+                pooled = list(pool.map(lambda d, check=check: check(f, d), ds))
+            for d, one, many in zip(ds, serial, pooled):
+                assert many.d == d
+                assert (many.max_walsh, getattr(many, "witness", None)) == \
+                    (one.max_walsh, getattr(one, "witness", None)), f"{check.__name__} d={d}"
 
 
 class TestNoSix:

@@ -15,6 +15,7 @@ from walsh_lab import (
     PRIMITIVE_POLY,
     DomainError,
     Field,
+    family_spectrum,
     fwht,
     fwht_columns,
     make_field,
@@ -232,8 +233,9 @@ class TestFwht:
 
     @pytest.mark.parametrize("k", range(13))
     def test_involution_in_int32(self, k):
-        # lengths 1 .. 2^12 put the row/column split on both sides of every
-        # stage count; |x| <= 64 keeps n^2 * |x| inside int32
+        # lengths 1 .. 2^12 run every split of the index into Hadamard
+        # factors up to three; |x| <= 64 keeps n^2 * |x| inside int32, and
+        # the second pass, up to 2^30, runs in float64
         n = 1 << k
         x = np.random.default_rng(k).integers(-64, 65, size=n).astype(np.int32)
         once = fwht(x.copy())
@@ -243,14 +245,71 @@ class TestFwht:
 
     @pytest.mark.parametrize("k", [17, 18, 19])
     def test_blocked_butterfly_matches_radix2_reference(self, k):
-        # past the 2^16-entry block: local stages on each block, then k - 16
-        # whole-array stages; |x| <= 1000 keeps n * |x| inside int32
+        # past the 2^16-entry block: the low 16 bits on each block, then the
+        # k - 16 high bits down the columns; n * |x| <= 2^19 * 1000 passes
+        # 2^24, so the products run in float64
         x = np.random.default_rng(k).integers(-1000, 1001, size=1 << k).astype(np.int32)
         once = fwht(x.copy())
         assert once.dtype == np.int32
         assert np.array_equal(once, _radix2_reference(x))
         # the second pass's partial sums pass 2^31, so it runs in int64
         assert np.array_equal(fwht(once.astype(np.int64)), (1 << k) * x.astype(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["int32", "int64"])
+    @pytest.mark.parametrize("k", range(21))
+    def test_every_length_matches_radix2_reference(self, k, dtype):
+        # int32 inputs with |x| <= 7 take float32 (n * |x| <= 7 * 2^20 < 2^24),
+        # int64 inputs with |x| up to 2^30 take float64
+        top = 7 if dtype == np.int32 else 1 << 30
+        x = np.random.default_rng(100 + k).integers(-top, top + 1, size=1 << k).astype(dtype)
+        once = fwht(x.copy())
+        assert once.dtype == dtype
+        assert np.array_equal(once, _radix2_reference(x))
+
+    @pytest.mark.parametrize("top,float_type", [(4096, np.float32), (4097, np.float64)])
+    def test_float32_limit(self, top, float_type, monkeypatch):
+        # n * max|x| = 2^24 is the last bound float32 holds exactly; one more
+        # and the products run in float64.  Coefficient 0 of the second
+        # input is 2^24 + 4095, which float32 would round.
+        seen = []
+        real = walsh_module._matmul
+        monkeypatch.setattr(walsh_module, "_matmul",
+                            lambda a, b, out: seen.append(out.dtype) or real(a, b, out))
+        x = np.full(1 << 12, top, dtype=np.int32)
+        x[0] = 4096
+        assert np.array_equal(fwht(x.copy()), _radix2_reference(x))
+        assert seen and set(seen) == {np.dtype(float_type)}
+
+    def test_float64_limit(self):
+        # n * max|x| = 2^53 still runs; past it the transform is refused
+        # before it touches the input
+        x = np.full(16, 1 << 49, dtype=np.int64)
+        x[::2] *= -1
+        assert np.array_equal(fwht(x.copy()), _radix2_reference(x))
+        x[5] += 1
+        before = x.copy()
+        for transform, arr in ((fwht, x), (fwht_columns, x.reshape(16, 1))):
+            with pytest.raises(DomainError):
+                transform(arr)
+            assert np.array_equal(x, before)
+
+    def test_every_product_runs_on_the_calling_thread(self, monkeypatch):
+        # OpenBLAS threads a gemm only above 64^3 multiply-adds, so each 2-D
+        # product of the butterfly must stay at or below that size
+        sizes = []
+        real = walsh_module._matmul
+
+        def spy(a, b, out):
+            assert a.shape[-1] == b.shape[-2]
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            real(a, b, out)
+
+        monkeypatch.setattr(walsh_module, "_matmul", spy)
+        rng = np.random.default_rng(22)
+        for m in range(2, 23):
+            fwht(np.where(rng.random(1 << m) < 0.5, 1, -1).astype(np.int32))
+        family_spectrum(make_field(14))
+        assert sizes and max(sizes) <= 1 << 18
 
     def test_fwht_runs_in_place(self, field6):
         signs = truth_table(field6, 19)
@@ -267,6 +326,15 @@ class TestFwhtColumns:
         assert out.dtype == np.int32
         for col in range(n):
             assert np.array_equal(out[:, col], fwht(x[:, col].copy()))
+
+    @pytest.mark.parametrize("r", [7, 10, 12])
+    def test_columns_across_chunk_boundaries(self, r):
+        # a chunk holds 2^16 / 2^r columns; two full chunks and a ragged one
+        width = (1 << 16) >> r
+        x = np.random.default_rng(r).integers(-9, 10, size=(1 << r, 2 * width + 3))
+        out = fwht_columns(x.astype(np.int32))
+        assert out.dtype == np.int32
+        assert np.array_equal(out, np.stack([_radix2_reference(col) for col in x.T], axis=1))
 
     def test_runs_in_place_and_rejects_what_fwht_rejects(self):
         x = np.ones((4, 2), dtype=np.int64)

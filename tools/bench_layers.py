@@ -15,10 +15,12 @@ checkout's ``src``.
   ``truth_table_cold`` (a fresh field per run), ``fwht`` (on a fresh copy
   of the signs), ``walsh_spectrum`` and ``walsh_coefficients`` (field warm)
   and their ``_cold`` variants (on a fresh ``make_field(m)``, what one CLI
-  call or library op pays) at m in {12, 16, 20, 22}, each the median wall
-  time of several runs (201 at m = 12, where a call takes microseconds) and
-  the tracemalloc peak of one more, and at each m the dtypes of the sign
-  table, the butterfly output, ``power_map`` and ``dual_indices``;
+  call or library op pays) at m in {12, 16, 20, 22}, each the median and
+  the maximum wall time of several runs (201 at m = 12, where a call takes
+  microseconds; a stalled run shows in the maximum) and the tracemalloc
+  peak of one more, and at each m the dtypes of the sign table, the
+  butterfly output, ``power_map`` and ``dual_indices``; ``fwht`` alone at
+  m in {14, 24} as well;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
@@ -61,6 +63,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYER_M = (12, 16, 20, 22)
+FWHT_ONLY_M = (14, 24)
 IDENTITIES_M = (12, 16, 20)
 LAYER_D = 7
 FIBRE_T = (10, 14, 18, 22)
@@ -94,7 +97,8 @@ def _measure_layers() -> dict:
         call(arg)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        return {"wall_s": round(statistics.median(walls), 6), "peak_mb": round(peak / 2**20, 3)}
+        return {"wall_s": round(statistics.median(walls), 6), "max_s": round(max(walls), 6),
+                "peak_mb": round(peak / 2**20, 3)}
 
     out = {}
     for m in LAYER_M:
@@ -125,6 +129,10 @@ def _measure_layers() -> dict:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
         del field, signs
+    for m in FWHT_ONLY_M:
+        signs = truth_table(make_field(m), LAYER_D)
+        out[f"m={m}"] = {"fwht": timed(fwht, signs.copy, 201 if m < 20 else 5)}
+        del signs
     # a checkout without the fibre route records no such layer
     family_spectrum = getattr(walsh_lab, "family_spectrum", None)
     for t in FIBRE_T if family_spectrum else ():
@@ -254,7 +262,8 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
         "python": platform.python_version(),
-        "layers": {"m": list(LAYER_M), "d": LAYER_D, **measured},
+        "layers": {"m": list(LAYER_M), "fwht_only_m": list(FWHT_ONLY_M), "d": LAYER_D,
+                   **measured},
         "benchmark": {},
     }
     for spec in args.pairs:
