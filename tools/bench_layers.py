@@ -17,10 +17,10 @@ checkout's ``src``.
   and their ``_cold`` variants (on a fresh ``make_field(m)``, what one CLI
   call or library op pays) at m in {12, 16, 20, 22}, each the median and
   the maximum wall time of several runs (201 at m = 12, where a call takes
-  microseconds; a stalled run shows in the maximum) and the tracemalloc
-  peak of one more, and at each m the dtypes of the sign table, the
-  butterfly output, ``power_map`` and ``dual_indices``; ``fwht`` alone at
-  m in {14, 24} as well;
+  microseconds; one untimed call goes first, so a stalled run, not a first
+  call, shows in the maximum) and the tracemalloc peak of one more, and at
+  each m the dtypes of the sign table, the butterfly output, ``power_map``
+  and ``dual_indices``; ``fwht`` alone at m in {14, 24} as well;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
@@ -86,6 +86,9 @@ def _measure_layers() -> dict:
                            walsh_coefficients, walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
+        # one untimed call first: a process's first call builds module caches
+        # (and BLAS its buffers), which the maximum of the runs should not show
+        call(setup())
         walls = []
         for _ in range(runs):
             arg = setup()
