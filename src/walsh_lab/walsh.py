@@ -3,10 +3,12 @@
 Two independent routes exist on purpose.  walsh_coefficient sums the
 character values directly from the definition, one coefficient at a time;
 it is the oracle.  fwht(truth_table(field, d)) computes all 2^m coefficients
-with the Walsh-Hadamard butterfly in O(m 2^m), in int32 throughout: every
-partial sum of the butterfly is at most 2^m <= 2^28 < 2^31 in absolute value,
-so int32 is exact for every supported degree.  A caller that squares or
-multiplies coefficients must widen to int64 first.
+with the Walsh-Hadamard transform, as products by small Hadamard matrices,
+into the int32 sign table: every partial sum is a signed sum of distinct
+signs, at most 2^m <= 2^28 < 2^31 in absolute value, so the float products
+are exact (float32 up to m = 24, float64 above) and int32 holds every
+result.  A caller that squares or multiplies coefficients must widen to
+int64 first.
 
 The fast route needs no discrete logs and no power map.  The sign of
 x = alpha^i is (-1)^Tr(alpha^(i*d)).  With beta = alpha^d, W = 2^ceil(m/2)
@@ -17,14 +19,20 @@ built as geometric sequences, give every value by one AND and one popcount,
 for every d.  _scatter_signs places the values of a block of rows at their
 block of Field.antilog_blocks(), signs[alpha^i], as bytes, and widens them
 to int32 signs at the end; without tables each block of positions is the
-one before times a constant.  fwht runs in place: the stages on the low 16
-index bits on one 2^16-entry block at a time, which stays in L2, and then
-the stages on the remaining bits over the whole array in 2^15-entry chunks.
-Every route runs it on the sign table itself, and walsh_spectrum histograms
-the butterfly output by sorting it in place, so with or without tables the
-sign table and its bytes are the only q-sized arrays that truth_table,
-walsh_spectrum and walsh_coefficients make: each peaks at about 1.25-1.3
-times the 4q bytes of the table (tracemalloc, m = 19 to 24).
+one before times a constant.  fwht runs in place: H_(2^m) is the Kronecker
+product of factors H_16 (at most 4 index bits each), applied by np.matmul
+through BLAS, each product at most 64^3 multiply-adds so that OpenBLAS runs
+it on the calling thread.  The low 16 index bits run on one 2^16-entry block
+at a time through two 256 KiB float32 buffers, which stay in L2, and the
+remaining bits down the columns of the array, a chunk of columns at a time.
+At m = 12 one call takes about 27 us, against 138 us for the radix-2
+stages it replaced (BENCH_18.json; 2-CPU VM).  Every route runs it on the
+sign table itself, and walsh_spectrum histograms the butterfly output by
+sorting it in place, so with or without tables the sign table and its
+bytes are the only q-sized arrays that truth_table, walsh_spectrum and
+walsh_coefficients make: each peaks at about 1.25-1.3 times the 4q bytes of
+the table (tracemalloc, m = 19 to 24); the float buffers add 0.5 MiB
+(1 MiB in float64).
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -189,7 +197,7 @@ def truth_table(field: Field, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _hadamard(bits: int, dtype: type) -> np.ndarray:
+def _hadamard(bits: int, dtype: np.dtype) -> np.ndarray:
     """The read-only Sylvester matrix H_(2^bits) in dtype: entry (i, j) is
     (-1)^parity(i & j).  Built on first use, so importing builds nothing."""
     i = np.arange(1 << bits)
@@ -210,16 +218,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.matmul(a, b, out=out)
 
 
-def _exact_float(a: np.ndarray, length: int, name: str) -> type:
-    """The float type in which a transform of the given length is exact on a.
-    Every partial sum is a signed sum of distinct entries, so at most
-    length * max|a| in size: float32 holds every integer up to 2^24, float64
-    up to 2^53.  DomainError above that."""
+def _product_type(a: np.ndarray, length: int, name: str) -> np.dtype:
+    """The dtype of the products of a transform of the given length on a.
+
+    A float or complex a runs in its own dtype.  On integers the products
+    are exact: every partial sum is a signed sum of distinct entries, so at
+    most length * max|a| in size, and float32 holds every integer up to
+    2^24, float64 up to 2^53.  DomainError above that."""
+    if a.dtype.kind in "fc":
+        return a.dtype
     bound = length * max(int(a.max(initial=0)), -int(a.min(initial=0)))
     if bound <= 1 << 24:
-        return np.float32
+        return np.dtype(np.float32)
     if bound <= 1 << 53:
-        return np.float64
+        return np.dtype(np.float64)
     raise DomainError(f"{name} is exact while length * max|x| <= 2^53, got {bound}")
 
 
@@ -243,8 +255,8 @@ def _rotating(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 
 
 def _columns(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """H down each column of the integer (2^k, n) grid, in place, through the
-    float buffers x and y of equal size, at least 2^k entries.
+    """H down each column of the (2^k, n) grid, in place, through the buffers
+    x and y of the product dtype, of equal size and at least 2^k entries.
 
     A chunk of w = x.size / 2^k columns at a time is copied into x as a
     (2^k, w) array.  The factor on index bits [s, s + b) views it as
@@ -289,8 +301,8 @@ def fwht(a: np.ndarray) -> np.ndarray:
     W_d(dual_index_inv(u)).
 
     H_(2^k) is the Kronecker product of Hadamard factors of at most
-    _FACTOR_BITS bits, applied as float matrix products (see _exact_float
-    for the float type; DomainError when length * max|a| passes 2^53).  The
+    _FACTOR_BITS bits, applied as float matrix products (see _product_type
+    for their dtype; DomainError when length * max|a| passes 2^53).  The
     low min(k, 16) index bits run on one 2^16-entry block at a time, copied
     into a float buffer that stays in L2 (_rotating).  The remaining bits
     then run down the columns of a viewed as (2^(k-16), 2^16), a chunk of
@@ -299,7 +311,7 @@ def fwht(a: np.ndarray) -> np.ndarray:
     """
     n = a.size
     _check_butterfly_input(a, n, "fwht")
-    ftype = _exact_float(a, n, "fwht")
+    ftype = _product_type(a, n, "fwht")
     size = min(n, _BUTTERFLY_BLOCK)
     rows = n // size
     x, y = np.empty(max(size, rows), ftype), np.empty(max(size, rows), ftype)
@@ -316,10 +328,10 @@ def fwht_columns(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly down each column of a C-contiguous
     (2^r, n) array of a signed dtype, returning a: n transforms of 2^r
     points at once, as float matrix products over chunks of columns (see
-    fwht for the exactness rule)."""
+    _product_type for their dtype)."""
     rows = a.shape[0]
     _check_butterfly_input(a, rows, "fwht_columns")
-    ftype = _exact_float(a, rows, "fwht_columns")
+    ftype = _product_type(a, rows, "fwht_columns")
     size = min(a.size, max(_BUTTERFLY_BLOCK, rows))
     _columns(a, np.empty(size, ftype), np.empty(size, ftype))
     return a

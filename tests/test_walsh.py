@@ -293,6 +293,19 @@ class TestFwht:
                 transform(arr)
             assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_inexact_inputs_keep_their_precision(self, dtype):
+        # a float or complex array is transformed in its own dtype
+        rng = np.random.default_rng(9)
+        x = (rng.random(1 << 10) - 0.5).astype(dtype)
+        if dtype == np.complex128:
+            x += 1j * rng.random(1 << 10)
+        i = np.arange(1 << 10)
+        h = 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.float64)
+        once = fwht(x.copy())
+        assert once.dtype == dtype
+        assert np.allclose(once, h @ x, rtol=0, atol=1e-12)
+
     def test_every_product_runs_on_the_calling_thread(self, monkeypatch):
         # OpenBLAS threads a gemm only above 64^3 multiply-adds, so each 2-D
         # product of the butterfly must stay at or below that size
