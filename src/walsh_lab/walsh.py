@@ -25,14 +25,14 @@ through BLAS, each product at most 64^3 multiply-adds so that OpenBLAS runs
 it on the calling thread.  The low 16 index bits run on one 2^16-entry block
 at a time through two 256 KiB float32 buffers, which stay in L2, and the
 remaining bits down the columns of the array, a chunk of columns at a time.
-At m = 12 one call takes about 27 us, against 138 us for the radix-2
-stages it replaced (BENCH_18.json; 2-CPU VM).  Every route runs it on the
-sign table itself, and walsh_spectrum histograms the butterfly output by
-sorting it in place, so with or without tables the sign table and its
-bytes are the only q-sized arrays that truth_table, walsh_spectrum and
-walsh_coefficients make: each peaks at about 1.25-1.3 times the 4q bytes of
-the table (tracemalloc, m = 19 to 24); the float buffers add 0.5 MiB
-(1 MiB in float64).
+At m = 12 a call took 27-49 us, against 138-148 us for the radix-2 stages
+it replaced (medians of two runs on a 2-CPU VM; BENCH_18.json holds the
+second).  Every route runs it on the sign table itself, and walsh_spectrum
+histograms the butterfly output by sorting it in place, so with or without
+tables the sign table and its bytes are the only q-sized arrays that
+truth_table, walsh_spectrum and walsh_coefficients make: each peaks at
+about 1.25-1.3 times the 4q bytes of the table (tracemalloc, m = 19 to 24);
+the float buffers add 0.5 MiB (1 MiB in float64).
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants

@@ -233,9 +233,9 @@ class TestFwht:
 
     @pytest.mark.parametrize("k", range(13))
     def test_involution_in_int32(self, k):
-        # lengths 1 .. 2^12 run every split of the index into Hadamard
-        # factors up to three; |x| <= 64 keeps n^2 * |x| inside int32, and
-        # the second pass, up to 2^30, runs in float64
+        # lengths 1 .. 2^12 run every split of the index into up to three
+        # Hadamard factors; |x| <= 64 keeps n^2 * |x| inside int32, and the
+        # second pass takes float64 once n^2 * |x| passes 2^24
         n = 1 << k
         x = np.random.default_rng(k).integers(-64, 65, size=n).astype(np.int32)
         once = fwht(x.copy())
