@@ -13,7 +13,9 @@ from .walsh import (
     Spectrum,
     fwht,
     fwht_columns,
+    sign_transforms,
     subfield_sum_check,
+    tables_per_block,
     truth_table,
     walsh_coefficient,
     walsh_coefficients,
@@ -44,6 +46,7 @@ from .analysis import (
     SubfieldIdentities,
     character_sum_from_multiset,
     check_bound,
+    check_exponents,
     check_no_six,
     check_sarwate,
     conjugate_power_multiset,

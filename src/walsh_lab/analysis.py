@@ -16,6 +16,7 @@ Conventions shared by everything here:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import Field, check_exponent_range, mod_inverse, xor_span
-from .walsh import (Histogram, Spectrum, fwht, fwht_columns, truth_table,
-                    walsh_coefficient, walsh_spectrum)
+from .walsh import (Histogram, Spectrum, fwht, fwht_columns, sign_transforms,
+                    tables_per_block, truth_table, walsh_coefficient, walsh_spectrum)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -602,11 +603,7 @@ class BoundCheck:
 def check_bound(field: Field, d: int) -> BoundCheck:
     """Does some a != 0 reach W_d(a) > 2^t + 2^(t//2)?  (Equivalent to the
     strict minimum-distance bound for the associated code.)"""
-    t = field.need_even()
-    field.check_invertible(d)
-    arr = fwht(truth_table(field, d))
-    return BoundCheck(d=d, max_walsh=int(arr[1:].max()),
-                      bound=(1 << t) + (1 << (t // 2)))
+    return check_exponents(field, [d], "bound")[0]
 
 
 @dataclass(frozen=True)
@@ -624,18 +621,42 @@ class SarwateCheck:
 def check_sarwate(field: Field, d: int) -> SarwateCheck:
     """Does some a != 0 reach W_d(a) >= 2^(t+1)?  Conjectured to always hold;
     the witness is cross-checked against the direct-summation oracle."""
+    return check_exponents(field, [d], "sarwate")[0]
+
+
+def check_exponents(field: Field, ds: Sequence[int], check: str) -> list:
+    """check_bound (check = "bound") or check_sarwate (check = "sarwate") for
+    each exponent of ds, in order, from sign_transforms over blocks of
+    tables_per_block(field) exponents.
+
+    max_walsh is the largest coefficient at a != 0.  The Sarwate witness is
+    the a of the first butterfly entry u >= 1 that reaches 2^(t+1),
+    a = dual_index_inv(u), and every witness is checked against
+    walsh_coefficient."""
     t = field.need_even()
-    field.check_invertible(d)
-    arr = fwht(truth_table(field, d))
-    threshold = 1 << (t + 1)
-    mx = int(arr[1:].max())
-    witness = None
-    if mx >= threshold:
-        u = 1 + int(np.nonzero(arr[1:] >= threshold)[0][0])
-        witness = field.dual_index_inv(u)
-        if walsh_coefficient(field, d, witness) != int(arr[u]):
-            raise RuntimeError("dual indexing disagrees with the oracle; implementation bug")
-    return SarwateCheck(d=d, threshold=threshold, max_walsh=mx, witness=witness)
+    if check not in ("bound", "sarwate"):
+        raise DomainError(f"check must be 'bound' or 'sarwate', got {check!r}")
+    for d in ds:
+        field.check_invertible(d)
+    bound, threshold = (1 << t) + (1 << (t // 2)), 1 << (t + 1)
+    size = tables_per_block(field)
+    out: list = []
+    for lo in range(0, len(ds), size):
+        block = ds[lo:lo + size]
+        arr = sign_transforms(field, block)
+        maxima = arr[:, 1:].max(axis=1).tolist()
+        if check == "bound":
+            out += [BoundCheck(d=d, max_walsh=mx, bound=bound) for d, mx in zip(block, maxima)]
+            continue
+        firsts = 1 + (arr[:, 1:] >= threshold).argmax(axis=1)
+        for d, mx, row, u in zip(block, maxima, arr, firsts.tolist()):
+            witness = None
+            if mx >= threshold:
+                witness = field.dual_index_inv(u)
+                if walsh_coefficient(field, d, witness) != int(row[u]):
+                    raise RuntimeError("dual indexing disagrees with the oracle; implementation bug")
+            out.append(SarwateCheck(d=d, threshold=threshold, max_walsh=mx, witness=witness))
+    return out
 
 
 # -- excluded-value check for the even-t family ---------------------------------

@@ -17,13 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 from . import __version__
-from .analysis import (check_bound, check_sarwate, family_spectrum, sextic_census,
-                       subfield_identities)
+from .analysis import check_exponents, family_spectrum, sextic_census, subfield_identities
 from .code import is_degenerate_exponent, weight_distribution
 from .errors import DomainError, WalshLabError
 from .field import DEFAULT_TABLE_CAP, MAX_DEGREE, check_degree, check_even, make_field
 from .predict import compare, predicted_spectrum_t_even, predicted_spectrum_t_odd
-from .walsh import walsh_spectrum
+from .walsh import tables_per_block, walsh_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,13 +185,19 @@ def cmd_scan(args) -> int:
     check_degree(m)
     check_even(m)
     fld = _make_field(args, m)
-    checker = check_sarwate if args.check == "sarwate" else check_bound
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
+    size = tables_per_block(fld)
+    blocks = [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+
+    def run(block):
+        return check_exponents(fld, block, args.check)
+
     if threads == 1:
-        results = [checker(fld, d) for d in ds]
+        parts = list(map(run, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda d: checker(fld, d), ds))
+            parts = list(ex.map(run, blocks))
+    results = [r for part in parts for r in part]
     entries = [(r.d, 1 if r.holds else 0) for r in results]
     failures = [r.d for r in results if not r.holds]
     meta = {

@@ -16,10 +16,10 @@ and i = r*W + j, Tr(alpha^(i*d)) = Tr(beta^(r*W) * beta^j) =
 parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
 arrays of about sqrt(q) entries, gathered from the antilog or without tables
 built as geometric sequences, give every value by one AND and one popcount,
-for every d.  _scatter_signs places the values of a block of rows at their
-block of Field.antilog_blocks(), signs[alpha^i], as bytes, and widens them
-to int32 signs at the end; without tables each block of positions is the
-one before times a constant.  fwht runs in place: H_(2^m) is the Kronecker
+for every d.  _parities places the values of a block of rows at their
+block of Field.antilog_blocks(), at alpha^i, as bytes, and _scatter_signs
+widens them to int32 signs at the end; without tables each block of
+positions is the one before times a constant.  fwht runs in place: H_(2^m) is the Kronecker
 product of factors H_16 (at most 4 index bits each), applied by np.matmul
 through BLAS, each product at most 64^3 multiply-adds so that OpenBLAS runs
 it on the calling thread.  The low 16 index bits run on one 2^16-entry block
@@ -34,6 +34,17 @@ truth_table, walsh_spectrum and walsh_coefficients make: each peaks at
 about 1.25-1.3 times the 4q bytes of the table (tracemalloc, m = 19 to 24);
 the float buffers add 0.5 MiB (1 MiB in float64).
 
+sign_transforms(field, ds) is fwht(truth_table(field, d)) for a block of
+exponents, which is what scan reads.  One exponent takes that route.  Up to
+tables_per_block(field) of them, K tables of 2^m entries in one 2^16-entry
+block, share each step: _parities keeps the K parities of a position side
+by side, so one gather, one popcount and one scatter of K-byte items serve
+the block, and _rotating transforms the K tables as the runs of one float32
+block, which is the memory of the int32 result.  At m = 12 (K = 16) the
+bound scan spent about 25-30 us per exponent against about 65-110 us for
+one fwht(truth_table(field, d)) each (scratch timings on a 2-CPU VM;
+BENCH_19.json holds the scan layer).  From m = 16 up K = 1.
+
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
 the trace pairing (-1)^Tr(a*x) = (-1)^parity(a & dual_index(x)), as the
@@ -47,6 +58,7 @@ Field.dual_indices, and then the butterfly's entry a is W_d(a) itself.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -148,43 +160,59 @@ def _exponent_ramp(m: int) -> np.ndarray:
     return ramp
 
 
-def _row_factors(field: Field, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 b_j = beta^j for j < W and the row heads beta^(r*W) for r < R,
-    with beta = alpha^d: gathered from the antilog, or without tables two
-    geometric sequences."""
+def _row_factors(field: Field, ds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (K, W) b_j = beta^j for j < W and (K, R) row heads beta^(r*W)
+    for r < R, with beta = alpha^d for each of the K exponents d of ds, one
+    per row: gathered from the antilog, or without tables two geometric
+    sequences per exponent."""
     w = 1 << ((field.m + 1) // 2)
     if field.has_tables:
-        exps = _exponent_ramp(field.m) * d
+        exps = np.multiply.outer(np.asarray(ds, dtype=np.int64), _exponent_ramp(field.m))
         exps %= field.order
         powers = field.antilog()[exps]
-        return powers[:w], powers[w:]
-    return field.geometric(field.exp(d), w), field.geometric(field.exp(d * w), field.q // w)
+        return powers[:, :w], powers[:, w:]
+    return (np.stack([field.geometric(field.exp(d), w) for d in ds]),
+            np.stack([field.geometric(field.exp(d * w), field.q // w) for d in ds]))
+
+
+def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
+    """uint8 (q, K) table with row alpha^i = Tr(alpha^(i*d)) for each of the
+    K exponents d of ds, 0 <= i < 2^m - 1, and row 0 = 0, or with dual the
+    same rows at dual_index(alpha^i) (dual_index(0) = 0).
+
+    Row r of the values of d, i = r*W + j for j < W, is parity(v_r & b_j).
+    The rows run R*W = 2^m entries, one past the last exponent; that one is
+    dropped.  Each block of rows is popcounted into bytes, the K counts of
+    one i side by side, and scattered to its block of
+    field.antilog_blocks(), mapped through dual_indices with dual, the K
+    bytes of a position as one item; the counts become parities in one pass
+    at the end.
+    """
+    b, heads = _row_factors(field, ds)
+    k, w = b.shape
+    v = field.dual_indices(heads.reshape(-1)).reshape(k, -1, 1)
+    b = b[:, None, :]
+    rows = max(1, _SCATTER_BLOCK // (w * k))
+    bits = np.empty(field.q * k, dtype=np.uint8)
+    bits[:k] = 0
+    items = bits.view(np.dtype((np.void, k)))
+    counts = np.empty(min(rows, v.shape[1]) * w * k, dtype=np.uint8)
+    count_items, count_rows = counts.view(items.dtype), counts.reshape(-1, k).T
+    for r, pos in zip(range(0, v.shape[1], rows), field.antilog_blocks(rows * w)):
+        # the AND runs along the rows of b, the popcount writes across them
+        block = (v[:, r:r + rows] & b).reshape(k, -1)
+        np.bitwise_count(block, out=count_rows[:, :block.shape[1]])
+        if dual:
+            pos = field.dual_indices(pos)
+        items[pos.astype(np.intp)] = count_items[:pos.size]
+    bits &= 1
+    return bits.reshape(-1, k)
 
 
 def _scatter_signs(field: Field, d: int, dual: bool) -> np.ndarray:
-    """int32 table with entry alpha^i = (-1)^Tr(alpha^(i*d)) for
-    0 <= i < 2^m - 1 and entry 0 = +1, or with dual the same signs at
-    dual_index(alpha^i) (dual_index(0) = 0).
-
-    Row r of the values, i = r*W + j for j < W, is parity(v_r & b_j).  The
-    rows run R*W = 2^m entries, one past the last exponent; that one is
-    dropped.  Each block of rows is popcounted into bytes and scattered to
-    its block of field.antilog_blocks(), mapped through dual_indices with
-    dual; the parities become signs in one pass at the end.
-    """
-    b, heads = _row_factors(field, d)
-    w = b.size
-    v = field.dual_indices(heads)[:, None]
-    rows = max(1, _SCATTER_BLOCK // w)
-    bits = np.empty(field.q, dtype=np.uint8)
-    bits[0] = 0
-    for r, pos in zip(range(0, v.shape[0], rows), field.antilog_blocks(rows * w)):
-        counts = np.bitwise_count(v[r:r + rows] & b).reshape(-1)
-        if dual:
-            pos = field.dual_indices(pos)
-        bits[pos.astype(np.intp)] = counts[:pos.size]
-    bits &= 1
-    signs = np.multiply(bits, -2, dtype=np.int32)
+    """int32 table with entry x = (-1)^Tr(x^d), entry 0 = +1, or with dual
+    the same signs at dual_index(x): the one-exponent case of _parities."""
+    signs = np.multiply(_parities(field, (d,), dual).reshape(-1), -2, dtype=np.int32)
     signs += 1
     return signs
 
@@ -236,20 +264,22 @@ def _product_type(a: np.ndarray, length: int, name: str) -> np.dtype:
 
 
 def _rotating(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """H_(2^k) on the 2^k floats of x, with y of the same size as scratch;
-    returns whichever of the two holds the result.
+    """H_(2^k) on each run of 2^k floats of x, with y of the same size as
+    scratch; returns whichever of the two holds the result.
 
-    A factor of b bits views its input as (R, 2^b) and writes
-    H_(2^b) @ input.T, a (2^b, R) array: the transformed bits move from the
+    A factor of b bits views each run as (R, 2^b) and writes
+    H_(2^b) @ run.T, a (2^b, R) array: the transformed bits move from the
     bottom of the index to the top.  The factors' bits sum to k, so after the
     last one the index is back in order.  Each product is H_(2^b) times a
-    (2^b, c) slice, c = min(R, _PRODUCT_CAP / 4^b), all slices in one call.
+    (2^b, c) slice, c = min(R, _PRODUCT_CAP / 4^b), all slices of all runs
+    in one call.
     """
+    runs = x.size >> k
     for b in _factors(k):
         side = 1 << b
-        c = min(x.size >> b, _PRODUCT_CAP >> 2 * b)
-        _matmul(_hadamard(b, x.dtype), x.reshape(-1, c, side).transpose(0, 2, 1),
-                y.reshape(side, -1, c).transpose(1, 0, 2))
+        c = min(1 << (k - b), _PRODUCT_CAP >> 2 * b)
+        _matmul(_hadamard(b, x.dtype), x.reshape(runs, -1, c, side).transpose(0, 1, 3, 2),
+                y.reshape(runs, side, -1, c).transpose(0, 2, 1, 3))
         x, y = y, x
     return x
 
@@ -261,24 +291,30 @@ def _columns(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     A chunk of w = x.size / 2^k columns at a time is copied into x as a
     (2^k, w) array.  The factor on index bits [s, s + b) views it as
     (P, 2^b, q) with q = 2^s * w, and multiplies H_(2^b) into (2^b, c) slices
-    of each of the P matrices, c = min(q, _PRODUCT_CAP / 4^b).  The result
-    is cast back into the chunk.
+    of each of the P matrices, c = min(q, _PRODUCT_CAP / 4^b).  A chunk of
+    one column is one run of _rotating instead, whose products are full
+    matrix products, not matrix-vector ones.  The result is cast back into
+    the chunk.
     """
     rows, n = grid.shape
+    k = rows.bit_length() - 1
     w = max(1, x.size // rows)
     for lo in range(0, n, w):
         chunk = grid[:, lo:lo + w]
         src, dst = x[:chunk.size], y[:chunk.size]
         np.copyto(src.reshape(chunk.shape), chunk, casting="unsafe")
-        q = chunk.shape[1]
-        for b in _factors(rows.bit_length() - 1):
-            h, side = _hadamard(b, x.dtype), 1 << b
-            c = min(q, _PRODUCT_CAP >> 2 * b)
-            src3, dst3 = src.reshape(-1, side, q), dst.reshape(-1, side, q)
-            for j in range(0, q, c):
-                _matmul(h, src3[:, :, j:j + c], dst3[:, :, j:j + c])
-            src, dst = dst, src
-            q <<= b
+        if w == 1:
+            src = _rotating(src, dst, k)
+        else:
+            q = chunk.shape[1]
+            for b in _factors(k):
+                h, side = _hadamard(b, x.dtype), 1 << b
+                c = min(q, _PRODUCT_CAP >> 2 * b)
+                src3, dst3 = src.reshape(-1, side, q), dst.reshape(-1, side, q)
+                for j in range(0, q, c):
+                    _matmul(h, src3[:, :, j:j + c], dst3[:, :, j:j + c])
+                src, dst = dst, src
+                q <<= b
         np.copyto(chunk, src.reshape(chunk.shape), casting="unsafe")
 
 
@@ -335,6 +371,41 @@ def fwht_columns(a: np.ndarray) -> np.ndarray:
     size = min(a.size, max(_BUTTERFLY_BLOCK, rows))
     _columns(a, np.empty(size, ftype), np.empty(size, ftype))
     return a
+
+
+def tables_per_block(field: Field) -> int:
+    """How many exponents sign_transforms should take at once: as many
+    sign tables as fill one 2^16-entry float buffer, at least one."""
+    return max(1, _BUTTERFLY_BLOCK // field.q)
+
+
+def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
+    """int32 (len(ds), q) array whose row k is fwht(truth_table(field, ds[k])).
+
+    One exponent takes that route itself, and so does each exponent past
+    m = 24.  Several share one pass of each step: one antilog gather for all
+    their row factors, one popcount and one scatter of len(ds) bytes per
+    position, and one _rotating call per Hadamard factor over all their
+    tables, as the runs of one float32 block in the memory of the result.
+    The butterfly runs on the 0/1 parities p, whose partial sums are at most
+    2^m <= 2^24, so float32 is exact; H(1 - 2p) = H1 - 2Hp, and H1 is q at 0
+    and 0 elsewhere.  Callers keep len(ds) within tables_per_block(field) so
+    that the block stays in L2; more exponents give the same rows.
+    """
+    for d in ds:
+        field.check_exponent(d)
+    if len(ds) == 0:
+        return np.empty((0, field.q), dtype=np.int32)
+    if len(ds) == 1:
+        return fwht(truth_table(field, ds[0]))[None]
+    if field.q > 1 << 24:
+        return np.stack([fwht(truth_table(field, d)) for d in ds])
+    out = np.empty((len(ds), field.q), dtype=np.int32)
+    x = out.view(np.float32)
+    np.copyto(x, _parities(field, ds, dual=False).T, casting="unsafe")
+    np.multiply(_rotating(x, np.empty_like(x), field.m), -2, out=out, casting="unsafe")
+    out[:, 0] += field.q
+    return out
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:

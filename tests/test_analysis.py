@@ -17,6 +17,7 @@ from walsh_lab import (
     UnsupportedError,
     character_sum_from_multiset,
     check_bound,
+    check_exponents,
     check_no_six,
     check_sarwate,
     conjugate_power_multiset,
@@ -25,10 +26,12 @@ from walsh_lab import (
     exponent_profile,
     family_spectrum,
     make_field,
+    mod_inverse,
     sextic_census,
     spectrum_to_weights,
     subfield_character_sum,
     subfield_identities,
+    tables_per_block,
     walsh_coefficient,
     walsh_from_solutions,
     walsh_solution_set,
@@ -478,6 +481,12 @@ class TestDickson:
             dickson_value(field6, 3, 0)
 
 
+def _blocks(field, ds):
+    """ds cut as cmd_scan cuts it, tables_per_block(field) at a time."""
+    size = tables_per_block(field)
+    return [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+
+
 class TestBoundChecks:
     def test_reference_bound(self, field6):
         chk = check_bound(field6, 19)
@@ -508,14 +517,66 @@ class TestBoundChecks:
         # from the butterfly together; every exponent must see its own result
         f = make_field(10)
         ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
-        for check in (check_bound, check_sarwate):
+        blocks = _blocks(f, ds)
+        for name, check in (("bound", check_bound), ("sarwate", check_sarwate)):
             serial = [check(f, d) for d in ds]
             with ThreadPoolExecutor(4) as pool:
                 pooled = list(pool.map(lambda d, check=check: check(f, d), ds))
-            for d, one, many in zip(ds, serial, pooled):
-                assert many.d == d
-                assert (many.max_walsh, getattr(many, "witness", None)) == \
-                    (one.max_walsh, getattr(one, "witness", None)), f"{check.__name__} d={d}"
+                by_block = [r for part in pool.map(
+                    lambda block, name=name: check_exponents(f, block, name), blocks)
+                    for r in part]
+            for results in (pooled, by_block):
+                for d, one, many in zip(ds, serial, results, strict=True):
+                    assert many.d == d
+                    assert (many.max_walsh, getattr(many, "witness", None)) == \
+                        (one.max_walsh, getattr(one, "witness", None)), f"{name} d={d}"
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_blocks_equal_one_exponent_checks(self, m):
+        # cmd_scan's blocks, the last one ragged, against one call per exponent
+        f = make_field(m)
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
+        blocks = _blocks(f, ds)
+        assert sum(map(len, blocks)) == len(ds)
+        for name, check in (("bound", check_bound), ("sarwate", check_sarwate)):
+            got = [r for block in blocks for r in check_exponents(f, block, name)]
+            assert got == [check(f, d) for d in ds], name
+        assert check_exponents(f, ds, "bound") == [check_bound(f, d) for d in ds]
+
+    def test_block_without_tables_and_a_ragged_end(self, random_modulus):
+        rng = random.Random(4412)
+        modulus = random_modulus(12, rng)
+        ft, fn = make_field(12, modulus), make_field(12, modulus, table_cap=1)
+        ds = [d for d in range(1, ft.order) if gcd(d, ft.order) == 1]
+        block = rng.sample(ds, tables_per_block(ft) - 5)
+        for name in ("bound", "sarwate"):
+            want = check_exponents(ft, block, name)
+            assert check_exponents(fn, block, name) == want
+            assert want == [check_exponents(ft, [d], name)[0] for d in block]
+
+    def test_block_checks_refuse_what_one_check_refuses(self, field6):
+        assert check_exponents(field6, [], "bound") == []
+        with pytest.raises(DomainError):
+            check_exponents(field6, [5, 9], "bound")  # gcd(9, 63) = 9
+        with pytest.raises(DomainError):
+            check_exponents(field6, [5], "strict")
+        with pytest.raises(UnsupportedError):
+            check_exponents(make_field(7), [5], "sarwate")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_max_walsh_is_a_class_invariant(self, data, random_modulus):
+        # max_{a != 0} W_d(a) is the same for d, 2d and d^-1: x -> x^2 fixes
+        # the trace, and x = y^(d^-1) maps W_d(a) to W_(d^-1)(a^-d)
+        m = data.draw(st.sampled_from([4, 6, 8, 10]), "m")
+        seed = data.draw(st.integers(0, 1 << 16), "seed")
+        f = make_field(m, random_modulus(m, random.Random(seed)))
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
+        d = data.draw(st.sampled_from(ds), "d")
+        cls = [d, 2 * d % f.order, mod_inverse(d, f.order)]
+        maxima = {r.max_walsh for r in check_exponents(f, cls, "bound")}
+        assert len(maxima) == 1, (m, hex(f.modulus), cls)
+        assert maxima == {check_bound(f, e).max_walsh for e in cls}
 
 
 class TestNoSix:

@@ -256,6 +256,21 @@ class TestScanCommand:
         assert (code, out) == (2, "")
         assert err == '{"error": "operation needs m = 2t, but m = 21 is odd", "kind": "usage"}\n'
 
+    @pytest.mark.parametrize("check", ["bound", "sarwate"])
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_pool_and_tableless_field_print_the_same(self, capsys, m, check):
+        # the blocks of exponents give one result per exponent in order,
+        # whichever thread runs them and with or without log tables
+        argv = ["scan", "--m", str(m), "--check", check, "--threads"]
+        code, serial, _ = run(capsys, *argv, "1")
+        assert code == 0
+        code, pooled, _ = run(capsys, *argv, "2")
+        assert code == 0
+        one, two = parse(serial), parse(pooled)
+        assert (one["meta"].pop("threads"), two["meta"].pop("threads")) == (1, 2)
+        assert one == two
+        assert run(capsys, *argv, "1", "--table-cap", "1") == (0, serial, "")
+
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALSH_LAB_THREADS", "3")
         code, out, _ = run(capsys, "scan", "--m", "6", "--check", "bound",

@@ -19,8 +19,10 @@ from walsh_lab import (
     fwht,
     fwht_columns,
     make_field,
+    sign_transforms,
     subfield_identities,
     subfield_sum_check,
+    tables_per_block,
     truth_table,
     walsh_coefficient,
     walsh_coefficients,
@@ -322,6 +324,9 @@ class TestFwht:
         for m in range(2, 23):
             fwht(np.where(rng.random(1 << m) < 0.5, 1, -1).astype(np.int32))
         family_spectrum(make_field(14))
+        for m in (8, 12, 14):
+            f = make_field(m)
+            sign_transforms(f, list(range(1, f.order))[:tables_per_block(f)])
         assert sizes and max(sizes) <= 1 << 18
 
     def test_fwht_runs_in_place(self, field6):
@@ -349,6 +354,32 @@ class TestFwhtColumns:
         assert out.dtype == np.int32
         assert np.array_equal(out, np.stack([_radix2_reference(col) for col in x.T], axis=1))
 
+    @pytest.mark.parametrize("r", [0, 3, 12, 17])
+    def test_one_column_is_one_run_of_the_flat_kernel(self, r, monkeypatch):
+        # a single column is the flat array itself: full matrix products,
+        # no more of them than fwht makes on the same entries
+        x = np.random.default_rng(r).integers(-9, 10, size=(1 << r, 1)).astype(np.int32)
+        calls = []
+        real = walsh_module._matmul
+        monkeypatch.setattr(walsh_module, "_matmul",
+                            lambda a, b, out: calls.append(b.shape) or real(a, b, out))
+        flat = fwht(x.reshape(-1).copy())
+        flat_calls = calls[:]
+        calls.clear()
+        out = fwht_columns(x.copy())
+        assert np.array_equal(out.reshape(-1), flat)
+        assert np.array_equal(flat, _radix2_reference(x.reshape(-1)))
+        assert len(calls) <= len(flat_calls)
+        # no product is narrower than fwht's narrowest
+        assert min((s[-1] for s in calls), default=1) >= min((s[-1] for s in flat_calls),
+                                                             default=1)
+
+    def test_one_column_chunks(self):
+        # 2^17 rows fill a chunk with one column; each runs through the flat kernel
+        x = np.random.default_rng(5).integers(-3, 4, size=(1 << 17, 3)).astype(np.int32)
+        out = fwht_columns(x.copy())
+        assert np.array_equal(out, np.stack([_radix2_reference(col) for col in x.T], axis=1))
+
     def test_runs_in_place_and_rejects_what_fwht_rejects(self):
         x = np.ones((4, 2), dtype=np.int64)
         assert fwht_columns(x) is x
@@ -356,6 +387,85 @@ class TestFwhtColumns:
                     np.ones((4, 4), dtype=np.int32)[:, ::2]):
             with pytest.raises(DomainError):
                 fwht_columns(bad)
+
+
+def _oracle_transform(field: Field, d: int) -> np.ndarray:
+    """The butterfly of the sign table built from power_map and trace_bits,
+    by the radix-2 reference: no scatter, no Hadamard factors."""
+    return _radix2_reference(1 - 2 * field.trace_bits()[field.power_map(d)].astype(np.int64))
+
+
+def _blocks(field: Field, ds: list[int]) -> list[list[int]]:
+    size = tables_per_block(field)
+    return [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+
+
+class TestSignTransforms:
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_every_invertible_exponent(self, m):
+        f = make_field(m)
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
+        for block in _blocks(f, ds):
+            got = sign_transforms(f, block)
+            assert got.dtype == np.int32 and got.shape == (len(block), f.q)
+            for d, row in zip(block, got):
+                assert np.array_equal(row, _oracle_transform(f, d)), f"m={m} d={d}"
+
+    @pytest.mark.parametrize("m", [10, 12, 14])
+    def test_ragged_block_and_single_exponent(self, m):
+        # the last block of a scan is short; one exponent takes fwht itself
+        f = make_field(m)
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
+        size = tables_per_block(f)
+        assert size == (1 << 16) >> m
+        ragged = ds[-(size // 2 + 1):]
+        got = sign_transforms(f, ragged)
+        for d, row in zip(ragged, got):
+            assert np.array_equal(row, fwht(truth_table(f, d))), f"d={d}"
+            assert np.array_equal(sign_transforms(f, [d])[0], row)
+
+    @pytest.mark.parametrize("m", [6, 8, 10, 12])
+    def test_random_moduli_with_and_without_tables(self, m, random_modulus):
+        rng = random.Random(9100 + m)
+        for _ in range(3):
+            modulus = random_modulus(m, rng)
+            ft = make_field(m, modulus)
+            fn = make_field(m, modulus, table_cap=1)
+            assert ft.has_tables and not fn.has_tables
+            ds = [d for d in range(1, ft.order) if gcd(d, ft.order) == 1]
+            block = rng.sample(ds, min(len(ds), tables_per_block(ft)))
+            want = np.stack([_oracle_transform(ft, d) for d in block])
+            for f in (ft, fn):
+                assert np.array_equal(sign_transforms(f, block), want), \
+                    f"modulus={modulus:#x} tables={f.has_tables}"
+
+    def test_non_invertible_exponents_and_scratch_of_another_shape(self, field8):
+        # any exponent in range has a sign table; the scratch of a previous
+        # block of another size is not reused
+        for block in ([3, 5, 15, 17, 51, 85], [7, 21], list(range(1, 255))):
+            got = sign_transforms(field8, block)
+            for d, row in zip(block, got):
+                assert np.array_equal(row, _oracle_transform(field8, d)), f"d={d}"
+
+    def test_no_exponents(self, field6):
+        assert sign_transforms(field6, []).shape == (0, 64)
+
+    def test_rejects_exponents_out_of_range(self, field6):
+        for block in ([0, 5], [5, 63]):
+            with pytest.raises(DomainError):
+                sign_transforms(field6, block)
+
+    def test_blocks_on_other_threads(self):
+        # each thread keeps its own scratch
+        from concurrent.futures import ThreadPoolExecutor
+        f = make_field(12)
+        ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1][:160]
+        blocks = _blocks(f, ds)
+        serial = [sign_transforms(f, b) for b in blocks]
+        with ThreadPoolExecutor(4) as pool:
+            pooled = list(pool.map(lambda b: sign_transforms(f, b), blocks))
+        for one, many in zip(serial, pooled):
+            assert np.array_equal(one, many)
 
 
 class TestInt32Exactness:

@@ -24,6 +24,13 @@ checkout's ``src``.
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
+* ``scan``: the bound and Sarwate checks over every invertible d at
+  m in {10, 12, 14} and over the first 1,000 at m = 16, on one thread in
+  ``cmd_scan``'s blocks of ``tables_per_block`` exponents, one call of
+  ``check_exponents`` per block (one ``check_bound`` or ``check_sarwate``
+  call per exponent where a checkout has no block function), after one
+  untimed block: the total, and the median and the maximum of each call's
+  time per exponent.
 * In process, 201 runs each: ``cli.build_parser`` and
   ``cli.main(["identities", "--m", "12", "--d", "131"])`` with stdout
   captured, the call the ``subfield-identities`` workload repeats; every run
@@ -72,6 +79,47 @@ MAX_ESTIMATE_MB = 5 * 1024
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
+SCAN_M = (10, 12, 14, 16)
+SCAN_LIMIT = {16: 1000}
+
+
+def _measure_scan() -> dict:
+    """Run inside a side's interpreter: {"m=M CHECK": {...}} for SCAN_M."""
+    from math import gcd
+
+    import walsh_lab
+    from walsh_lab import make_field
+
+    # a checkout without the block function checks one exponent per call
+    block_check = getattr(walsh_lab, "check_exponents", None)
+    out = {}
+    for m in SCAN_M:
+        field = make_field(m)
+        ds = [d for d in range(1, field.order) if gcd(d, field.order) == 1][:SCAN_LIMIT.get(m)]
+        size = walsh_lab.tables_per_block(field) if block_check else 1
+        blocks = [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+        for check in ("bound", "sarwate"):
+            if block_check:
+                def call(block, check=check):
+                    return block_check(field, block, check)
+            else:
+                one = getattr(walsh_lab, f"check_{check}")
+
+                def call(block, one=one):
+                    return [one(field, d) for d in block]
+            call(blocks[0])
+            per = []
+            start = time.perf_counter()
+            for block in blocks:
+                t0 = time.perf_counter()
+                call(block)
+                per.append((time.perf_counter() - t0) / len(block))
+            out[f"m={m} {check}"] = {
+                "exponents": len(ds), "block": size,
+                "total_s": round(time.perf_counter() - start, 4),
+                "median_us": round(1e6 * statistics.median(per), 2),
+                "max_us": round(1e6 * max(per), 2)}
+    return out
 
 
 def _measure_layers() -> dict:
@@ -148,6 +196,7 @@ def _measure_layers() -> dict:
                                                        runs=201)}
         verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
     out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
+    out["scan"] = _measure_scan()
     out["numpy"] = np.__version__
     return out
 
