@@ -41,9 +41,10 @@ block, share each step: _parities keeps the K parities of a position side
 by side, so one gather, one popcount and one scatter of K-byte items serve
 the block, and _rotating transforms the K tables as the runs of one float32
 block, which is the memory of the int32 result.  At m = 12 (K = 16) the
-bound scan spent about 25-30 us per exponent against about 65-110 us for
-one fwht(truth_table(field, d)) each (scratch timings on a 2-CPU VM;
-BENCH_19.json holds the scan layer).  From m = 16 up K = 1.
+bound scan over all 1,728 invertible exponents took 0.069 s against
+0.147 s with one fwht(truth_table(field, d)) each, medians of 43 and 70 us
+per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4) 2.21 against
+2.60 s.  From m = 16 up K = 1.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants

@@ -439,13 +439,14 @@ class TestSignTransforms:
                 assert np.array_equal(sign_transforms(f, block), want), \
                     f"modulus={modulus:#x} tables={f.has_tables}"
 
-    def test_non_invertible_exponents_and_scratch_of_another_shape(self, field8):
-        # any exponent in range has a sign table; the scratch of a previous
-        # block of another size is not reused
-        for block in ([3, 5, 15, 17, 51, 85], [7, 21], list(range(1, 255))):
-            got = sign_transforms(field8, block)
+    def test_non_invertible_exponents_and_blocks_of_several_sizes(self, field8, field12):
+        # any exponent in range has a sign table, and a block may hold more
+        # than tables_per_block exponents (16 at m = 12)
+        for f, block in ((field8, [3, 5, 15, 17, 51, 85]), (field8, [7, 21]),
+                         (field8, list(range(1, 255))), (field12, list(range(1, 80, 2)))):
+            got = sign_transforms(f, block)
             for d, row in zip(block, got):
-                assert np.array_equal(row, _oracle_transform(field8, d)), f"d={d}"
+                assert np.array_equal(row, _oracle_transform(f, d)), f"m={f.m} d={d}"
 
     def test_no_exponents(self, field6):
         assert sign_transforms(field6, []).shape == (0, 64)
@@ -456,7 +457,7 @@ class TestSignTransforms:
                 sign_transforms(field6, block)
 
     def test_blocks_on_other_threads(self):
-        # each thread keeps its own scratch
+        # scan's pool runs blocks at once, each on its own buffers
         from concurrent.futures import ThreadPoolExecutor
         f = make_field(12)
         ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1][:160]
