@@ -18,6 +18,7 @@ from .walsh import (
     tables_per_block,
     truth_table,
     walsh_coefficient,
+    walsh_coefficients_at,
     walsh_coefficients,
     walsh_coefficients_naive,
     walsh_spectrum,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .field import Field, check_exponent_range, mod_inverse, xor_span
 from .walsh import (Histogram, Spectrum, fwht, fwht_columns, sign_transforms,
-                    tables_per_block, truth_table, walsh_coefficient, walsh_spectrum)
+                    tables_per_block, truth_table, walsh_coefficients_at, walsh_spectrum)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -138,10 +138,10 @@ def weighted_walsh_identity(field: Field, d: int, b: int) -> IdentityCheck:
     if field.in_subfield(b):
         raise DomainError("b must lie outside the subfield L")
     cs = subfield_character_sum(field, d, b)
+    sub = field.subfield_elements()
     lhs = 0
-    for a in field.subfield_elements():
-        p = 1 - (1 - 2 * field.trace(field.mul(b, a))) * cs.epsilon
-        lhs += walsh_coefficient(field, d, a) * p
+    for a, w in zip(sub, walsh_coefficients_at(field, [d] * len(sub), sub)):
+        lhs += w * (1 - (1 - 2 * field.trace(field.mul(b, a))) * cs.epsilon)
     rhs = field.q + (1 << t) * abs(cs.value)
     return IdentityCheck(b=b, lhs=lhs, rhs=rhs, character_sum=cs)
 
@@ -631,8 +631,9 @@ def check_exponents(field: Field, ds: Sequence[int], check: str) -> list:
 
     max_walsh is the largest coefficient at a != 0.  The Sarwate witness is
     the a of the first butterfly entry u >= 1 that reaches 2^(t+1),
-    a = dual_index_inv(u), and every witness is checked against
-    walsh_coefficient."""
+    a = dual_index_inv(u).  The witnesses of a block are checked against the
+    direct-summation oracle in one walsh_coefficients_at call, and any
+    disagreement raises RuntimeError."""
     t = field.need_even()
     if check not in ("bound", "sarwate"):
         raise DomainError(f"check must be 'bound' or 'sarwate', got {check!r}")
@@ -648,14 +649,17 @@ def check_exponents(field: Field, ds: Sequence[int], check: str) -> list:
         if check == "bound":
             out += [BoundCheck(d=d, max_walsh=mx, bound=bound) for d, mx in zip(block, maxima)]
             continue
-        firsts = 1 + (arr[:, 1:] >= threshold).argmax(axis=1)
-        for d, mx, row, u in zip(block, maxima, arr, firsts.tolist()):
-            witness = None
-            if mx >= threshold:
-                witness = field.dual_index_inv(u)
-                if walsh_coefficient(field, d, witness) != int(row[u]):
-                    raise RuntimeError("dual indexing disagrees with the oracle; implementation bug")
-            out.append(SarwateCheck(d=d, threshold=threshold, max_walsh=mx, witness=witness))
+        firsts = (1 + (arr[:, 1:] >= threshold).argmax(axis=1)).tolist()
+        found = [k for k, mx in enumerate(maxima) if mx >= threshold]
+        witnesses = [None] * len(block)
+        for k in found:
+            witnesses[k] = field.dual_index_inv(firsts[k])
+        oracle = walsh_coefficients_at(field, [block[k] for k in found],
+                                       [witnesses[k] for k in found])
+        if oracle != [int(arr[k, firsts[k]]) for k in found]:
+            raise RuntimeError("dual indexing disagrees with the oracle; implementation bug")
+        out += [SarwateCheck(d=d, threshold=threshold, max_walsh=mx, witness=w)
+                for d, mx, w in zip(block, maxima, witnesses)]
     return out
 
 

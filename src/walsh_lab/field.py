@@ -17,7 +17,9 @@ antilog for its call, and antilog_blocks() streams the powers of alpha a
 block at a time, each block the one before times a constant, so the sign
 tables make no q-sized antilog.  trace_bits, scalar_mul_map, dual_indices
 and coset_labels need no tables: all are GF(2)-linear maps, filled by
-doubling over the polynomial basis (xor_span).
+doubling over the polynomial basis (xor_span).  The maps to elements,
+power_map, scalar_mul_map, dual_indices and the antilog, are int32 (every
+element is below 2^28); trace_bits is uint8.
 
 For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
@@ -639,12 +641,13 @@ class Field:
         return out
 
     def scalar_mul_map(self, a: int) -> np.ndarray:
-        """int64 array A with A[x] = a*x: the XOR of a*alpha^j over the bits j of x."""
+        """int32 array A with A[x] = a*x (values below 2^m <= 2^28, as in
+        power_map): the XOR of a*alpha^j over the bits j of x."""
         self.check_element(a)
         cols = [a]
         for _ in range(self.m - 1):
             cols.append(self._mulx(cols[-1]))
-        return xor_span(cols, self.q)
+        return xor_span(cols, self.q, np.int32)
 
     # -- misc ------------------------------------------------------------------
 

@@ -1,8 +1,14 @@
 """Walsh coefficients and spectra of the Boolean functions x -> Tr(x^d).
 
-Two independent routes exist on purpose.  walsh_coefficient sums the
-character values directly from the definition, one coefficient at a time;
-it is the oracle.  fwht(truth_table(field, d)) computes all 2^m coefficients
+Two independent routes exist on purpose.  walsh_coefficients_at sums the
+character values directly from the definition, for a list of (d, a) pairs
+at once, and walsh_coefficient is its one-pair case; they are the oracle,
+and they share no helper with the route below (see walsh_coefficients_at).
+scan checks every Sarwate witness of a block of exponents with one call: at
+m = 12 (16 pairs a call) about 15 us per pair against 58 us for the
+one-pair summation through power_map and scalar_mul_map it replaced, and
+`scan --m 12 --check sarwate` 0.08-0.12 s against 0.16-0.20 s (2-CPU VM,
+BENCH_20.json).  fwht(truth_table(field, d)) computes all 2^m coefficients
 with the Walsh-Hadamard transform, as products by small Hadamard matrices,
 into the int32 sign table: every partial sum is a signed sum of distinct
 signs, at most 2^m <= 2^28 < 2^31 in absolute value, so the float products
@@ -125,18 +131,69 @@ class Spectrum(Histogram):
         return gcd(self.d, (1 << self.m) - 1) == 1
 
 
-def walsh_coefficient(field: Field, d: int, a: int) -> int:
-    """W_d(a) = sum over x of (-1)^Tr(x^d + a*x), by direct summation.
+def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]) -> list[int]:
+    """[W_d(a) for d, a in zip(ds, points)], each by direct summation.
 
-    This is the reference oracle: no butterfly, no dual indexing.  It is
-    vectorized over x through power_map, scalar_mul_map and trace_bits, none
-    of which needs log tables: W_d(a) is q minus twice the number of x with
-    Tr(x^d + a*x) = 1.
+    This is the reference oracle: it shares no helper with the sign-table
+    route (no butterfly, no dual indexing, no exponent ramp or row factors)
+    and needs no log tables.  W_d(a) is q minus twice the number of
+    x = alpha^i with Tr(x^d) + Tr(a*x) = 1, and both traces come from the
+    trace m-sequence s[i] = Tr(alpha^i) = trace_bits()[antilog()[i]]:
+      * Tr(x^d) = s[i*d mod n], n = 2^m - 1.  For i = r*W + j, W = 2^ceil(m/2),
+        the index is (r*W*d mod n) + (j*d mod n), below 2n, read from s
+        written twice: no % n runs over the q-sized product.
+      * Tr(a*x) = parity(u & x), where bit j of u is Tr(a * alpha^j) =
+        parity(a & (t >> j)) and bit k of t is s[k], k < 2m - 1, because
+        a * alpha^j is the sum of alpha^(b + j) over the bits b of a.
+    The pairs go tables_per_block(field) at a time, each group summed over
+    blocks of rows of i of at most _BUTTERFLY_BLOCK entries for the group,
+    so the only arrays that grow with q are s (2q bytes) and, without
+    tables, the antilog built for the call.
     """
-    field.check_exponent(d)
-    field.check_element(a)
-    ones = np.count_nonzero(field.trace_bits()[field.power_map(d) ^ field.scalar_mul_map(a)])
-    return field.q - 2 * int(ones)
+    if len(ds) != len(points):
+        raise DomainError(f"need one point per exponent, got {len(ds)} and {len(points)}")
+    for d, a in zip(ds, points):
+        field.check_exponent(d)
+        field.check_element(a)
+    if len(ds) == 0:
+        return []
+    m, n = field.m, field.order
+    alog = field.antilog()
+    s = np.empty(2 * n, dtype=np.uint8)
+    for lo in range(0, n, _BUTTERFLY_BLOCK):
+        block = alog[lo:lo + _BUTTERFLY_BLOCK]
+        np.take(field.trace_bits(), block, out=s[lo:lo + block.size], mode="wrap")
+    s[n:] = s[:n]
+    t = sum(bit << k for k, bit in enumerate(s[:2 * m - 1].tolist()))
+    shifts = np.arange(m, dtype=np.int64)
+    parities = np.bitwise_count(np.asarray(points, dtype=np.int64)[:, None] & (t >> shifts)) & 1
+    us = (parities.astype(np.int64) << shifts).sum(axis=1).astype(np.int32)
+    w = 1 << ((m + 1) // 2)
+    size = tables_per_block(field)
+    out: list[int] = []
+    for first in range(0, len(ds), size):
+        d = np.asarray(ds[first:first + size], dtype=np.int64)[:, None] % n
+        k = d.shape[0]
+        ramp = (np.arange(w, dtype=np.int64) * d % n).astype(np.intp)[:, None, :]
+        heads = (np.arange(field.q // w, dtype=np.int64) * (w * d % n) % n).astype(np.intp)
+        u = us[first:first + size, None]
+        rows = max(1, _BUTTERFLY_BLOCK // (k * w))
+        ones = np.zeros(k, dtype=np.int64)
+        for r in range(0, heads.shape[1], rows):
+            lo = r * w
+            bits = np.bitwise_count(u & alog[lo:lo + rows * w])
+            # the last row runs one past i = n - 1; its entry is dropped
+            bits ^= s.take(heads[:, r:r + rows, None] + ramp).reshape(k, -1)[:, :bits.shape[1]]
+            bits &= 1
+            ones += bits.sum(axis=1, dtype=np.int64)
+        out += (field.q - 2 * ones).tolist()
+    return out
+
+
+def walsh_coefficient(field: Field, d: int, a: int) -> int:
+    """W_d(a) = sum over x of (-1)^Tr(x^d + a*x), by direct summation: the
+    one-pair case of walsh_coefficients_at, the reference oracle."""
+    return walsh_coefficients_at(field, (d,), (a,))[0]
 
 
 def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
@@ -441,6 +498,5 @@ def subfield_sum_check(field: Field, d: int, u: int) -> int:
     field.check_element(u, "u")
     if u == 0:
         raise DomainError("u = 0 collapses the sum; pick u in F*")
-    return sum(
-        walsh_coefficient(field, d, field.mul(a, u)) for a in field.subfield_elements()
-    )
+    sub = field.subfield_elements()
+    return sum(walsh_coefficients_at(field, [d] * len(sub), [field.mul(a, u) for a in sub]))

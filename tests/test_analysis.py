@@ -33,6 +33,7 @@ from walsh_lab import (
     subfield_identities,
     tables_per_block,
     walsh_coefficient,
+    walsh_coefficients,
     walsh_from_solutions,
     walsh_solution_set,
     walsh_spectrum,
@@ -553,6 +554,29 @@ class TestBoundChecks:
             want = check_exponents(ft, block, name)
             assert check_exponents(fn, block, name) == want
             assert want == [check_exponents(ft, [d], name)[0] for d in block]
+
+    def test_one_wrong_witness_in_a_block_is_caught(self, monkeypatch, field12):
+        # a full K = 16 block whose every exponent has a witness; the seventh
+        # witness is replaced by a point whose coefficient is below 2^(t+1)
+        block = [d for d in range(1, field12.order) if gcd(d, field12.order) == 1][:16]
+        assert tables_per_block(field12) == len(block)
+        results = check_exponents(field12, block, "sarwate")
+        assert all(r.witness is not None for r in results)
+        d = block[6]
+        row = walsh_coefficients(field12, d)
+        wrong = int(np.flatnonzero(row < results[6].threshold)[-1])
+        assert row[results[6].witness] >= results[6].threshold
+        right = Field.dual_index_inv
+        calls = []
+
+        def one_wrong(self, u):
+            calls.append(u)
+            return wrong if len(calls) == 7 else right(self, u)
+
+        monkeypatch.setattr(Field, "dual_index_inv", one_wrong)
+        with pytest.raises(RuntimeError, match="disagrees with the oracle"):
+            check_exponents(field12, block, "sarwate")
+        assert len(calls) == 16
 
     def test_block_checks_refuse_what_one_check_refuses(self, field6):
         assert check_exponents(field6, [], "bound") == []

@@ -260,6 +260,7 @@ class TestVectorizedMaps:
 
     def test_scalar_mul_map(self, field8):
         sm = field8.scalar_mul_map(77)
+        assert sm.dtype == np.int32
         rng = random.Random(3)
         for _ in range(50):
             x = rng.randrange(256)

@@ -26,6 +26,7 @@ from walsh_lab import (
     truth_table,
     walsh_coefficient,
     walsh_coefficients,
+    walsh_coefficients_at,
     walsh_coefficients_naive,
     walsh_spectrum,
 )
@@ -113,6 +114,76 @@ class TestOracleAgreement:
         monkeypatch.setattr(Field, "mul", refuse)
         monkeypatch.setattr(Field, "pow", refuse)
         assert [walsh_coefficient(fn, d, a) for d, a in cases] == expected
+        ds, points = zip(*cases)
+        assert walsh_coefficients_at(fn, ds, points) == expected
+        assert walsh_coefficients_at(ft, ds, points) == expected
+
+
+def _direct_sum(field, d, a):
+    """W_d(a) through power_map and scalar_mul_map, the summation the batched
+    oracle replaced."""
+    return field.q - 2 * int(np.count_nonzero(
+        field.trace_bits()[field.power_map(d) ^ field.scalar_mul_map(a)]))
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_pair_against_the_naive_sums(self, m):
+        # every exponent, invertible or not, at every point, in one call:
+        # many groups of tables_per_block pairs, with and without tables
+        for table_cap in (DEFAULT_TABLE_CAP, 1):
+            f = make_field(m, table_cap=table_cap)
+            ds = [d for d in range(1, f.q - 1) for _ in range(f.q)]
+            points = [a for _ in range(1, f.q - 1) for a in range(f.q)]
+            want = [int(w) for d in range(1, f.q - 1) for w in walsh_coefficients_naive(f, d)]
+            assert walsh_coefficients_at(f, ds, points) == want, f"m={m} tables={f.has_tables}"
+
+    @pytest.mark.parametrize("m", range(8, 15))
+    def test_random_pairs_with_random_moduli(self, m, random_modulus):
+        # non-invertible exponents, a = 0 and a last group that is not full
+        rng = random.Random(8000 + m)
+        for modulus in [random_modulus(m, rng) for _ in range(3)]:
+            ft = make_field(m, modulus)
+            count = 3 * tables_per_block(ft) + 5
+            ds = [3, 7, 23, ft.q - 2] + [rng.randrange(1, ft.q - 1) for _ in range(count - 4)]
+            points = [0, rng.randrange(ft.q), 0, 0] + [rng.randrange(ft.q) for _ in range(count - 4)]
+            # 3, 7 or 23 divides 2^m - 1 except at the prime 2^13 - 1
+            assert any(gcd(d, ft.order) > 1 for d in ds) or m == 13
+            want = [_direct_sum(ft, d, a) for d, a in zip(ds, points)]
+            by_butterfly = {d: walsh_coefficients(ft, d) for d in set(ds)}
+            assert want == [int(by_butterfly[d][a]) for d, a in zip(ds, points)]
+            for table_cap in (DEFAULT_TABLE_CAP, 1):
+                f = make_field(m, modulus, table_cap=table_cap)
+                assert walsh_coefficients_at(f, ds, points) == want, \
+                    f"modulus={modulus:#x} tables={f.has_tables}"
+
+    def test_shares_nothing_with_the_sign_table_route(self, monkeypatch, field12):
+        rng = random.Random(12)
+        ds = [rng.randrange(1, field12.q - 1) for _ in range(21)]
+        points = [rng.randrange(field12.q) for _ in range(21)]
+        fn = make_field(12, table_cap=1)
+        want = walsh_coefficients_at(field12, ds, points)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached the sign-table route")
+
+        for name in ("dual_index", "dual_indices", "dual_index_inv"):
+            monkeypatch.setattr(Field, name, refuse)
+        for name in ("_parities", "_row_factors", "_exponent_ramp", "_scatter_signs",
+                     "fwht", "_rotating"):
+            monkeypatch.setattr(walsh_module, name, refuse)
+        assert walsh_coefficients_at(field12, ds, points) == want
+        assert walsh_coefficients_at(fn, ds, points) == want
+        assert [walsh_coefficient(field12, d, a) for d, a in zip(ds, points)] == want
+
+    def test_validation(self, field6):
+        assert walsh_coefficients_at(field6, [], []) == []
+        with pytest.raises(DomainError):
+            walsh_coefficients_at(field6, [19, 19], [1])
+        with pytest.raises(DomainError):
+            walsh_coefficients_at(field6, [19, 63], [1, 1])
+        with pytest.raises(DomainError):
+            walsh_coefficients_at(field6, [19, 19], [1, 64])
 
 
 class TestSpectrumInvariants:
@@ -532,6 +603,24 @@ class TestMemory:
             tracemalloc.stop()
         assert np.array_equal(got, expected) if fn is not walsh_spectrum else got == expected
         assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
+
+
+    @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
+    @pytest.mark.parametrize("m", [19, 20])
+    def test_one_coefficient_holds_no_q_sized_index(self, m, table_cap):
+        # the trace m-sequence written twice (2q bytes) and, without tables,
+        # the antilog built for the call are the only arrays that grow with q
+        f = make_field(m, table_cap=table_cap)
+        d, a = 3 + (1 << (m // 2 + 1)), f.q - 3
+        expected = walsh_coefficient(f, d, a)
+        tracemalloc.start()
+        try:
+            got = walsh_coefficient(f, d, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak <= (2.0 if f.has_tables else 3.0) * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
 
 
 class TestStreamedSignTables:

@@ -31,6 +31,14 @@ checkout's ``src``.
   call per exponent where a checkout has no block function), after one
   untimed block: the total, and the median and the maximum of each call's
   time per exponent.
+* ``oracle``: the direct-summation oracle on one block of
+  ``tables_per_block`` random ``(d, a)`` pairs at m in {12, 16, 20}, one
+  ``walsh_coefficients_at`` call per run (one ``walsh_coefficient`` call
+  per pair where a checkout has no batched oracle), after one untimed call:
+  the median and the maximum time per pair over 201 runs at m = 12, 21 at
+  m = 16 and 7 at m = 20; and the tracemalloc peak of one warm
+  ``walsh_coefficient`` call at m in {20, 22}, with and without tables, in
+  MiB and in units of 4q bytes.
 * In process, 201 runs each: ``cli.build_parser`` and
   ``cli.main(["identities", "--m", "12", "--d", "131"])`` with stdout
   captured, the call the ``subfield-identities`` workload repeats; every run
@@ -81,6 +89,53 @@ ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
 SCAN_M = (10, 12, 14, 16)
 SCAN_LIMIT = {16: 1000}
+ORACLE_RUNS = {12: 201, 16: 21, 20: 7}
+ORACLE_PEAK_M = (20, 22)
+
+
+def _measure_oracle() -> dict:
+    """Run inside a side's interpreter: per-pair times of the oracle on one
+    block of pairs, and the peak of one warm walsh_coefficient call."""
+    import random
+    import tracemalloc
+
+    import walsh_lab
+    from walsh_lab import make_field, walsh_coefficient
+
+    batched = getattr(walsh_lab, "walsh_coefficients_at", None)
+
+    def oracle(field, ds, points):
+        if batched:
+            return batched(field, ds, points)
+        return [walsh_coefficient(field, d, a) for d, a in zip(ds, points)]
+
+    rng = random.Random(20)
+    out = {}
+    for m, runs in ORACLE_RUNS.items():
+        field = make_field(m)
+        k = walsh_lab.tables_per_block(field)
+        ds = [rng.randrange(1, field.order) for _ in range(k)]
+        points = [rng.randrange(field.q) for _ in range(k)]
+        oracle(field, ds, points)
+        per = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            oracle(field, ds, points)
+            per.append((time.perf_counter() - start) / k)
+        out[f"m={m}"] = {"pairs": k, "median_us": round(1e6 * statistics.median(per), 2),
+                         "max_us": round(1e6 * max(per), 2)}
+    for m in ORACLE_PEAK_M:
+        for name, cap in (("tables", 1 << m), ("tableless", 1)):
+            field = make_field(m, table_cap=cap)
+            d, a = 3 + (1 << (m // 2 + 1)), field.q - 3
+            walsh_coefficient(field, d, a)
+            tracemalloc.start()
+            walsh_coefficient(field, d, a)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            out[f"m={m} {name}"] = {"peak_mb": round(peak / 2**20, 3),
+                                    "peak_x_4q": round(peak / (4 * field.q), 3)}
+    return out
 
 
 def _measure_scan() -> dict:
@@ -197,6 +252,7 @@ def _measure_layers() -> dict:
         verify = timed(lambda _: cli.main(ESTIMATE_ARGV), runs=1)
     out[" ".join(ESTIMATE_ARGV)] = {**verify, "m28_estimate_mb": round(16 * verify["peak_mb"], 1)}
     out["scan"] = _measure_scan()
+    out["oracle"] = _measure_oracle()
     out["numpy"] = np.__version__
     return out
 
