@@ -4,11 +4,12 @@ Two independent routes exist on purpose.  walsh_coefficients_at sums the
 character values directly from the definition, for a list of (d, a) pairs
 at once, and walsh_coefficient is its one-pair case; they are the oracle,
 and they share no helper with the route below (see walsh_coefficients_at).
-scan checks every Sarwate witness of a block of exponents with one call: at
-m = 12 (16 pairs a call) about 15 us per pair against 58 us for the
+scan checks the Sarwate witnesses of a block of exponents with one call:
+at m = 12 (16 pairs a call) it took 17 us per pair against 63 us for the
 one-pair summation through power_map and scalar_mul_map it replaced, and
-`scan --m 12 --check sarwate` 0.08-0.12 s against 0.16-0.20 s (2-CPU VM,
-BENCH_20.json).  fwht(truth_table(field, d)) computes all 2^m coefficients
+the Sarwate scan over all 1,728 exponents 0.117 against 0.258 s, where the
+bound scan takes 0.072 s (medians, 2-CPU VM, BENCH_20.json).
+fwht(truth_table(field, d)) computes all 2^m coefficients
 with the Walsh-Hadamard transform, as products by small Hadamard matrices,
 into the int32 sign table: every partial sum is a signed sum of distinct
 signs, at most 2^m <= 2^28 < 2^31 in absolute value, so the float products

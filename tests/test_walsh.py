@@ -604,7 +604,6 @@ class TestMemory:
         assert np.array_equal(got, expected) if fn is not walsh_spectrum else got == expected
         assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
 
-
     @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
     @pytest.mark.parametrize("m", [19, 20])
     def test_one_coefficient_holds_no_q_sized_index(self, m, table_cap):
