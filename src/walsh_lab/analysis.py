@@ -420,8 +420,10 @@ def _fibres(field: Field, e: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, sizes) for phi(z) = z^(2+e) + z over the field: phi[z] for every
     z (int32), and sizes[w] = #phi^-1(w), the size of the fibre over w (int64)."""
     phi = field.power_map(2 + e)
-    for lo in range(0, field.q, _BLOCK):
-        phi[lo:lo + _BLOCK] ^= np.arange(lo, min(lo + _BLOCK, field.q), dtype=np.int32)
+    ramp = np.arange(min(_BLOCK, field.q), dtype=np.int32)
+    for lo in range(0, field.q, ramp.size):
+        phi[lo:lo + ramp.size] ^= ramp
+        ramp += ramp.size
     return phi, np.bincount(phi, minlength=field.q)
 
 
@@ -442,7 +444,7 @@ def sextic_census(field: Field) -> CensusReport:
         match = observed == expected
     witnesses: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k in sorted(k for k, v in counts.items() if v and k > 0):
-        w0 = int(np.nonzero(per_target == k)[0][0])
+        w0 = int(np.argmax(per_target == k))
         sols = tuple(int(z) for z in np.nonzero(w == w0)[0])
         witnesses[k] = (w0, sols)
     return CensusReport(t=t, modulus=field.modulus, counts=dict(sorted(counts.items())),

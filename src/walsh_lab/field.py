@@ -346,16 +346,24 @@ class Field:
         """int32 array with entry k = c^k for 0 <= k < count.
 
         The first min(count, 64) entries come from the scalar chain of
-        products by c, the rest by doubling: out[k:2k] = c^k * out[:k] for
-        k = 64, 128, ..., each step through _product_halves(c^k) and in
-        blocks through one reused intp index buffer, so the result is the
-        only array of count entries.
+        products by c, each a shift for c = alpha and otherwise two reads
+        from the tables of _product_halves(c), the rest by doubling:
+        out[k:2k] = c^k * out[:k] for k = 64, 128, ..., each step through
+        _product_halves(c^k) and in blocks through one reused intp index
+        buffer, so the result is the only array of count entries.
         """
         out = np.empty(count, dtype=np.int32)
         k = min(count, _ANTILOG_HEAD)
         head = [1]
-        for _ in range(k):
-            head.append(_polymul_mod(head[-1], c, self.modulus, self.m))
+        if c == self.alpha:
+            for _ in range(k):
+                head.append(self._mulx(head[-1]))
+        else:
+            low, high = (half.tolist() for half in self._product_halves(c))
+            h = self.m // 2
+            mask = (1 << h) - 1
+            for _ in range(k):
+                head.append(low[head[-1] & mask] ^ high[head[-1] >> h])
         out[:k] = head[:k]
         ck = head[k]  # c^k
         idx = np.empty(min(_ANTILOG_BLOCK, count), dtype=np.intp)
@@ -584,16 +592,19 @@ class Field:
         """int32 array of dual_index(y) for each entry y of the int32 array x.
         dual_index is GF(2)-linear, so it is low[y mod 2^h] ^ high[y >> h]
         with h = m // 2, from the XOR spans of the dual rows below and above
-        h (cached, 2^h entries each); in blocks, so the intp indices stay small."""
+        h (cached, 2^h entries each), through _apply_halves in blocks with one
+        reused intp index buffer and one int32 scratch buffer."""
         h = self.m // 2
         if self._dual_halves is None:
             self._dual_halves = (xor_span(self._dual_rows[:h], 1 << h, np.int32),
                                  xor_span(self._dual_rows[h:], 1 << (self.m - h), np.int32))
-        low, high = self._dual_halves
         out = np.empty(x.shape, dtype=np.int32)
-        for lo in range(0, x.size, _POWER_BLOCK):
-            ix = x[lo:lo + _POWER_BLOCK].astype(np.intp)
-            out[lo:lo + _POWER_BLOCK] = low[ix & ((1 << h) - 1)] ^ high[ix >> h]
+        src, dst = x.reshape(-1), out.reshape(-1)
+        size = max(1, min(_POWER_BLOCK, src.size))
+        ix, tmp = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int32)
+        for lo in range(0, src.size, size):
+            n = min(size, src.size - lo)
+            _apply_halves(self._dual_halves, src[lo:lo + n], dst[lo:lo + n], ix[:n], tmp[:n])
         return out
 
     def coset_labels(self) -> np.ndarray:

@@ -24,28 +24,35 @@ parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
 arrays of about sqrt(q) entries, gathered from the antilog or without tables
 built as geometric sequences, give every value by one AND and one popcount,
 for every d.  _parities places the values of a block of rows at their
-block of Field.antilog_blocks(), at alpha^i, as bytes, and _scatter_signs
-widens them to int32 signs at the end; without tables each block of
-positions is the one before times a constant.  fwht runs in place: H_(2^m) is the Kronecker
-product of factors H_16 (at most 4 index bits each), applied by np.matmul
-through BLAS, each product at most 64^3 multiply-adds so that OpenBLAS runs
-it on the calling thread.  The low 16 index bits run on one 2^16-entry block
-at a time through two 256 KiB float32 buffers, which stay in L2, and the
-remaining bits down the columns of the array, a chunk of columns at a time.
-At m = 12 a call took 27-49 us, against 138-148 us for the radix-2 stages
-it replaced (medians of two runs on a 2-CPU VM; BENCH_18.json holds the
-second).  Every route runs it on the sign table itself, and walsh_spectrum
-histograms the butterfly output by sorting it in place, so with or without
-tables the sign table and its bytes are the only q-sized arrays that
-truth_table, walsh_spectrum and walsh_coefficients make: each peaks at
-about 1.25-1.3 times the 4q bytes of the table (tracemalloc, m = 19 to 24);
-the float buffers add 0.5 MiB (1 MiB in float64).
+block of Field.antilog_blocks(), at alpha^i, as bytes; without tables each
+block of positions is the one before times a constant.  Only truth_table
+widens the bytes to int32 signs.  walsh_spectrum, walsh_coefficients and a
+one-exponent sign_transforms copy them into the float32 view of their int32
+result instead, run fwht on that view and write q*delta_0 - 2*Hp back one
+block at a time (_sign_transform); above q = 2^24, where float32 is not
+exact, they widen the bytes to signs and fwht runs in float64.
+
+fwht runs in place: H_(2^m) is the Kronecker product of factors H_16 (at
+most 4 index bits each), applied by np.matmul through BLAS, each product at
+most 64^3 multiply-adds so that OpenBLAS runs it on the calling thread.
+The low 16 index bits run on one 2^16-entry block at a time, where it lies
+when the array is float32 and otherwise copied into a 256 KiB float32
+buffer, which stays in L2, and the remaining bits down the columns of the
+array, a chunk of columns at a time through two such buffers.  At m = 12 a
+call took 27-49 us, against 138-148 us for the radix-2 stages it replaced
+(medians of two runs on a 2-CPU VM; BENCH_18.json holds the second).
+walsh_spectrum histograms the butterfly output by sorting it in place, so
+with or without tables the result and the parity bytes are the only
+q-sized arrays that truth_table, walsh_spectrum and walsh_coefficients
+make: each peaks at about 1.25-1.27 times the 4q bytes of the result
+(tracemalloc, m = 19 to 22); the float buffers add 0.5 MiB (1 MiB in
+float64).
 
 sign_transforms(field, ds) is fwht(truth_table(field, d)) for a block of
-exponents, which is what scan reads.  One exponent takes that route.  Up to
-tables_per_block(field) of them, K tables of 2^m entries in one 2^16-entry
-block, share each step: _parities keeps the K parities of a position side
-by side, so one gather, one popcount and one scatter of K-byte items serve
+exponents, which is what scan reads.  One exponent takes _sign_transform.
+Up to tables_per_block(field) of them, K tables of 2^m entries in one
+2^16-entry block, share each step: _parities keeps the K parities of a
+position side by side, so one gather, one popcount and one scatter of K-byte items serve
 the block, and _rotating transforms the K tables as the runs of one float32
 block, which is the memory of the int32 result.  At m = 12 (K = 16) the
 bound scan over all 1,728 invertible exponents took 0.069 s against
@@ -268,10 +275,9 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     return bits.reshape(-1, k)
 
 
-def _scatter_signs(field: Field, d: int, dual: bool) -> np.ndarray:
-    """int32 table with entry x = (-1)^Tr(x^d), entry 0 = +1, or with dual
-    the same signs at dual_index(x): the one-exponent case of _parities."""
-    signs = np.multiply(_parities(field, (d,), dual).reshape(-1), -2, dtype=np.int32)
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """int32 signs 1 - 2*bits of the uint8 parities bits."""
+    signs = np.multiply(bits, -2, dtype=np.int32)
     signs += 1
     return signs
 
@@ -280,7 +286,32 @@ def truth_table(field: Field, d: int) -> np.ndarray:
     """Sign table of Tr(x^d) over all x, int32 of length 2^m: signs[x] =
     (-1)^Tr(x^d), placed through the antilog, and signs[0] = +1."""
     field.check_exponent(d)
-    return _scatter_signs(field, d, dual=False)
+    return _signs(_parities(field, (d,), dual=False).reshape(-1))
+
+
+def _sign_transform(field: Field, d: int, dual: bool) -> np.ndarray:
+    """int32 fwht(truth_table(field, d)), or with dual the butterfly of the
+    same signs placed at dual_index(x), straight from the parities p.
+
+    Up to q = 2^24 p is copied into the float32 view of the result and
+    transformed there: every partial sum of Hp is at most q, so float32 is
+    exact, and H(1 - 2p) = q*delta_0 - 2Hp is written back one
+    _BUTTERFLY_BLOCK at a time, so the cast's temporary stays that small.
+    Above 2^24 the int32 signs go through fwht's float64 products.
+    """
+    bits = _parities(field, (d,), dual).reshape(-1)
+    if field.q > 1 << 24:
+        return fwht(_signs(bits))
+    out = np.empty(field.q, dtype=np.int32)
+    hp = out.view(np.float32)
+    np.copyto(hp, bits)
+    del bits
+    fwht(hp)
+    for lo in range(0, field.q, _BUTTERFLY_BLOCK):
+        hi = lo + _BUTTERFLY_BLOCK
+        np.multiply(hp[lo:hi], -2, out=out[lo:hi], casting="unsafe")
+    out[0] += field.q
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -398,8 +429,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     H_(2^k) is the Kronecker product of Hadamard factors of at most
     _FACTOR_BITS bits, applied as float matrix products (see _product_type
     for their dtype; DomainError when length * max|a| passes 2^53).  The
-    low min(k, 16) index bits run on one 2^16-entry block at a time, copied
-    into a float buffer that stays in L2 (_rotating).  The remaining bits
+    low min(k, 16) index bits run on one 2^16-entry block at a time, in
+    place when a has the product dtype and otherwise copied into a float
+    buffer that stays in L2 (_rotating).  The remaining bits
     then run down the columns of a viewed as (2^(k-16), 2^16), a chunk of
     columns at a time (_columns).  Factors commute, so their order does not
     change the result.
@@ -412,8 +444,12 @@ def fwht(a: np.ndarray) -> np.ndarray:
     x, y = np.empty(max(size, rows), ftype), np.empty(max(size, rows), ftype)
     low = size.bit_length() - 1
     for block in a.reshape(-1, size):
-        np.copyto(x[:size], block, casting="unsafe")
-        np.copyto(block, _rotating(x[:size], y[:size], low), casting="unsafe")
+        src = block if a.dtype == ftype else x[:size]
+        if src is not block:
+            np.copyto(src, block, casting="unsafe")
+        res = _rotating(src, y[:size], low)
+        if res is not block:
+            np.copyto(block, res, casting="unsafe")
     if rows > 1:
         _columns(a.reshape(rows, size), x, y)
     return a
@@ -441,11 +477,12 @@ def tables_per_block(field: Field) -> int:
 def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
     """int32 (len(ds), q) array whose row k is fwht(truth_table(field, ds[k])).
 
-    One exponent takes that route itself, and so does each exponent past
-    m = 24.  Several share one pass of each step: one antilog gather for all
-    their row factors, one popcount and one scatter of len(ds) bytes per
-    position, and one _rotating call per Hadamard factor over all their
-    tables, as the runs of one float32 block in the memory of the result.
+    One exponent takes _sign_transform, the same values from its parity
+    bytes, and so does each exponent past m = 24.  Several share one pass
+    of each step: one antilog gather for all their row factors, one
+    popcount and one scatter of len(ds) bytes per position, and one
+    _rotating call per Hadamard factor over all their tables, as the runs of
+    one float32 block in the memory of the result.
     The butterfly runs on the 0/1 parities p, whose partial sums are at most
     2^m <= 2^24, so float32 is exact; H(1 - 2p) = H1 - 2Hp, and H1 is q at 0
     and 0 elsewhere.  Callers keep len(ds) within tables_per_block(field) so
@@ -456,9 +493,9 @@ def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
     if len(ds) == 0:
         return np.empty((0, field.q), dtype=np.int32)
     if len(ds) == 1:
-        return fwht(truth_table(field, ds[0]))[None]
+        return _sign_transform(field, ds[0], dual=False)[None]
     if field.q > 1 << 24:
-        return np.stack([fwht(truth_table(field, d)) for d in ds])
+        return np.stack([_sign_transform(field, d, dual=False) for d in ds])
     out = np.empty((len(ds), field.q), dtype=np.int32)
     x = out.view(np.float32)
     np.copyto(x, _parities(field, ds, dual=False).T, casting="unsafe")
@@ -471,13 +508,14 @@ def walsh_coefficients(field: Field, d: int) -> np.ndarray:
     """All W_d(a) indexed by the element a (int32): the sign of x is placed
     at dual_index(x), so the butterfly's entry a is W_d(a) with no gather."""
     field.check_exponent(d)
-    return fwht(_scatter_signs(field, d, dual=True))
+    return _sign_transform(field, d, dual=True)
 
 
 def walsh_spectrum(field: Field, d: int) -> Spectrum:
     """Histogram of all 2^m Walsh coefficients, values ascending: the butterfly
     output is sorted in place and its runs counted."""
-    arr = fwht(truth_table(field, d))
+    field.check_exponent(d)
+    arr = _sign_transform(field, d, dual=False)
     arr.sort()
     starts = np.r_[0, np.flatnonzero(arr[1:] != arr[:-1]) + 1]
     counts = np.diff(np.append(starts, arr.size))

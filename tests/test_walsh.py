@@ -169,7 +169,7 @@ class TestBatchedOracle:
 
         for name in ("dual_index", "dual_indices", "dual_index_inv"):
             monkeypatch.setattr(Field, name, refuse)
-        for name in ("_parities", "_row_factors", "_exponent_ramp", "_scatter_signs",
+        for name in ("_parities", "_row_factors", "_exponent_ramp", "_sign_transform",
                      "fwht", "_rotating"):
             monkeypatch.setattr(walsh_module, name, refuse)
         assert walsh_coefficients_at(field12, ds, points) == want
@@ -400,6 +400,21 @@ class TestFwht:
             sign_transforms(f, list(range(1, f.order))[:tables_per_block(f)])
         assert sizes and max(sizes) <= 1 << 18
 
+    @pytest.mark.parametrize("k", [0, 3, 12, 16, 17, 19])
+    def test_float32_runs_in_place_and_matches_int32(self, k, monkeypatch):
+        # a float32 array is its own product dtype: each 2^16-entry block is
+        # transformed where it lies, not copied into a scratch buffer
+        bits = np.random.default_rng(300 + k).integers(0, 2, size=1 << k)
+        want = fwht(bits.astype(np.int32))
+        x = bits.astype(np.float32)
+        runs = []
+        real = walsh_module._rotating
+        monkeypatch.setattr(walsh_module, "_rotating",
+                            lambda a, b, k: runs.append(np.shares_memory(a, x)) or real(a, b, k))
+        assert fwht(x) is x and x.dtype == np.float32
+        assert len(runs) == max(1, x.size >> 16) and all(runs)
+        assert np.array_equal(x, want)
+
     def test_fwht_runs_in_place(self, field6):
         signs = truth_table(field6, 19)
         assert fwht(signs) is signs
@@ -587,7 +602,7 @@ class TestMemory:
     @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
     @pytest.mark.parametrize("fn", [truth_table, walsh_coefficients, walsh_spectrum],
                              ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("m", [19, 20])
+    @pytest.mark.parametrize("m", [18, 19, 20])
     def test_sign_table_and_its_bytes_are_the_peak(self, m, fn, table_cap):
         # the positions stream a block at a time, from the antilog or
         # without tables as products by a constant, and walsh_coefficients
@@ -640,13 +655,39 @@ class TestStreamedSignTables:
                 ds.append(p * rng.randrange(1, n // p))
             duals = ft.dual_indices(np.arange(ft.q, dtype=np.int32))
             for d in ds:
-                signs = walsh_module._scatter_signs(ft, d, dual=False)
-                placed = walsh_module._scatter_signs(ft, d, dual=True)
-                assert np.array_equal(placed[duals], signs), f"d={d}"
-                for dual, want in ((False, signs), (True, placed)):
-                    got = walsh_module._scatter_signs(fn, d, dual=dual)
+                plain = walsh_module._sign_transform(ft, d, dual=False)
+                placed = walsh_module._sign_transform(ft, d, dual=True)
+                # entry dual_index(a) of the plain transform is W_d(a)
+                assert np.array_equal(plain[duals], placed), f"d={d}"
+                for dual, want in ((False, plain), (True, placed)):
+                    got = walsh_module._sign_transform(fn, d, dual=dual)
                     assert got.dtype == np.int32
                     assert np.array_equal(got, want), f"modulus={modulus:#x} d={d} dual={dual}"
+
+
+class TestOneExponentTransforms:
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_equal_the_int32_reference(self, m, random_modulus):
+        # the parity bytes transformed in the float32 view of the result
+        # against the int32 signs through fwht; one 2^16-entry block up to
+        # m = 16, a column stage above
+        rng = random.Random(7000 + m)
+        modulus = random_modulus(m, rng)
+        d = rng.randrange(1, (1 << m) - 1)
+        for table_cap in (DEFAULT_TABLE_CAP, 1):
+            f = make_field(m, modulus, table_cap=table_cap)
+            signs = truth_table(f, d)
+            want = fwht(signs.copy())
+            placed = np.empty_like(signs)
+            placed[f.dual_indices(np.arange(f.q, dtype=np.int32))] = signs
+            values, counts = np.unique(want, return_counts=True)
+            label = f"modulus={modulus:#x} d={d} tables={f.has_tables}"
+            got = sign_transforms(f, [d])
+            assert got.dtype == np.int32 and np.array_equal(got, want[None]), label
+            got = walsh_coefficients(f, d)
+            assert got.dtype == np.int32 and np.array_equal(got, fwht(placed)), label
+            assert walsh_spectrum(f, d).entries == \
+                tuple(zip(values.tolist(), counts.tolist())), label
 
 
 class TestValidation:

@@ -24,6 +24,10 @@ checkout's ``src``.
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
   warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
+* ``one_exponent``: ``walsh_spectrum``, ``walsh_coefficients`` and
+  ``sign_transforms(f, [d])`` at m in {16, 18, 20, 22}, each warm and on a
+  fresh ``make_field(m)`` (``_cold``), with 51, 21, 7 and 5 runs; and
+  ``Field.dual_indices`` over 2^20 elements of a warm GF(2^20), 51 runs.
 * ``scan``: the bound and Sarwate checks over every invertible d at
   m in {10, 12, 14} and over the first 1,000 at m = 16, on one thread in
   ``cmd_scan``'s blocks of ``tables_per_block`` exponents, one call of
@@ -91,6 +95,8 @@ SCAN_M = (10, 12, 14, 16)
 SCAN_LIMIT = {16: 1000}
 ORACLE_RUNS = {12: 201, 16: 21, 20: 7}
 ORACLE_PEAK_M = (20, 22)
+ONE_EXPONENT_RUNS = {16: 51, 18: 21, 20: 7, 22: 5}
+DUAL_INDICES_M = 20
 
 
 def _measure_oracle() -> dict:
@@ -185,8 +191,8 @@ def _measure_layers() -> dict:
 
     import numpy as np
     import walsh_lab
-    from walsh_lab import (cli, fwht, make_field, subfield_identities, truth_table,
-                           walsh_coefficients, walsh_spectrum)
+    from walsh_lab import (cli, fwht, make_field, sign_transforms, subfield_identities,
+                           truth_table, walsh_coefficients, walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
         # one untimed call first: a process's first call builds module caches
@@ -245,6 +251,23 @@ def _measure_layers() -> dict:
         half = make_field(t)
         out[f"t={t}"] = {"family_spectrum": timed(lambda _: family_spectrum(half),
                                                   runs=3 if t >= 22 else 7)}
+    one = {}
+    for m, runs in ONE_EXPONENT_RUNS.items():
+        field = make_field(m)
+        row = {}
+        for name, fn in (("walsh_spectrum", walsh_spectrum),
+                         ("walsh_coefficients", walsh_coefficients),
+                         ("sign_transforms", lambda f, d: sign_transforms(f, [d]))):
+            row[name] = timed(lambda _, fn=fn: fn(field, LAYER_D), runs=runs)
+            row[f"{name}_cold"] = timed(lambda _, fn=fn: fn(make_field(m), LAYER_D), runs=runs)
+        one[f"m={m}"] = row
+        del field
+    field = make_field(DUAL_INDICES_M)
+    elements = np.arange(field.q, dtype=np.int32)
+    one[f"dual_indices 2^{DUAL_INDICES_M}"] = timed(lambda _: field.dual_indices(elements),
+                                                    runs=51)
+    out["one_exponent"] = one
+    del field, elements
     with contextlib.redirect_stdout(io.StringIO()):
         out["cli"] = {"build_parser": timed(lambda _: cli.build_parser(), runs=201),
                       " ".join(IN_PROCESS_ARGV): timed(lambda _: cli.main(IN_PROCESS_ARGV),
