@@ -346,8 +346,8 @@ class Field:
         """int32 array with entry k = c^k for 0 <= k < count.
 
         The first min(count, 64) entries come from the scalar chain of
-        products by c, each a shift for c = alpha and otherwise two reads
-        from the tables of _product_halves(c), the rest by doubling:
+        products by c, each two reads from the tables of _product_halves(c),
+        the rest by doubling:
         out[k:2k] = c^k * out[:k] for k = 64, 128, ..., each step through
         _product_halves(c^k) and in blocks through one reused intp index
         buffer, so the result is the only array of count entries.
@@ -355,15 +355,11 @@ class Field:
         out = np.empty(count, dtype=np.int32)
         k = min(count, _ANTILOG_HEAD)
         head = [1]
-        if c == self.alpha:
-            for _ in range(k):
-                head.append(self._mulx(head[-1]))
-        else:
-            low, high = (half.tolist() for half in self._product_halves(c))
-            h = self.m // 2
-            mask = (1 << h) - 1
-            for _ in range(k):
-                head.append(low[head[-1] & mask] ^ high[head[-1] >> h])
+        low, high = (half.tolist() for half in self._product_halves(c))
+        h = self.m // 2
+        mask = (1 << h) - 1
+        for _ in range(k):
+            head.append(low[head[-1] & mask] ^ high[head[-1] >> h])
         out[:k] = head[:k]
         ck = head[k]  # c^k
         idx = np.empty(min(_ANTILOG_BLOCK, count), dtype=np.intp)
@@ -593,7 +589,10 @@ class Field:
         dual_index is GF(2)-linear, so it is low[y mod 2^h] ^ high[y >> h]
         with h = m // 2, from the XOR spans of the dual rows below and above
         h (cached, 2^h entries each), through _apply_halves in blocks with one
-        reused intp index buffer and one int32 scratch buffer."""
+        reused intp index buffer and one int32 scratch buffer.  Every entry
+        of x must be an element, in [0, q): _apply_halves reads its tables
+        with mode="wrap", so an entry out of range gives a wrong value, not
+        an error."""
         h = self.m // 2
         if self._dual_halves is None:
             self._dual_halves = (xor_span(self._dual_rows[:h], 1 << h, np.int32),

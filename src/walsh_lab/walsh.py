@@ -26,11 +26,12 @@ built as geometric sequences, give every value by one AND and one popcount,
 for every d.  _parities places the values of a block of rows at their
 block of Field.antilog_blocks(), at alpha^i, as bytes; without tables each
 block of positions is the one before times a constant.  Only truth_table
-widens the bytes to int32 signs.  walsh_spectrum, walsh_coefficients and a
-one-exponent sign_transforms copy them into the float32 view of their int32
-result instead, run fwht on that view and write q*delta_0 - 2*Hp back one
-block at a time (_sign_transform); above q = 2^24, where float32 is not
-exact, they widen the bytes to signs and fwht runs in float64.
+widens the bytes to int32 signs.  walsh_spectrum, walsh_coefficients and
+sign_transforms share one route, _parity_transforms: it copies the bytes
+into the float32 view of the int32 result, transforms them there (fwht for
+one exponent) and writes q*delta_0 - 2*Hp back one block at a time; above
+q = 2^24, where float32 is not exact, it widens the bytes to signs and fwht
+runs in float64.
 
 fwht runs in place: H_(2^m) is the Kronecker product of factors H_16 (at
 most 4 index bits each), applied by np.matmul through BLAS, each product at
@@ -49,12 +50,12 @@ make: each peaks at about 1.25-1.27 times the 4q bytes of the result
 float64).
 
 sign_transforms(field, ds) is fwht(truth_table(field, d)) for a block of
-exponents, which is what scan reads.  One exponent takes _sign_transform.
-Up to tables_per_block(field) of them, K tables of 2^m entries in one
-2^16-entry block, share each step: _parities keeps the K parities of a
-position side by side, so one gather, one popcount and one scatter of K-byte items serve
-the block, and _rotating transforms the K tables as the runs of one float32
-block, which is the memory of the int32 result.  At m = 12 (K = 16) the
+exponents, which is what scan reads.  Up to tables_per_block(field) of
+them, K tables of 2^m entries in one 2^16-entry block, share each step:
+_parities keeps the K parities of a position side by side, so one gather,
+one popcount and one scatter of K-byte items serve the block, and
+_rotating transforms the K tables as the runs of one float32 block, which
+is the memory of the int32 result.  At m = 12 (K = 16) the
 bound scan over all 1,728 invertible exponents took 0.069 s against
 0.147 s with one fwht(truth_table(field, d)) each, medians of 43 and 70 us
 per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4) 2.21 against
@@ -275,9 +276,9 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     return bits.reshape(-1, k)
 
 
-def _signs(bits: np.ndarray) -> np.ndarray:
-    """int32 signs 1 - 2*bits of the uint8 parities bits."""
-    signs = np.multiply(bits, -2, dtype=np.int32)
+def _signs(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """int32 signs 1 - 2*bits of the uint8 parities bits, into out if given."""
+    signs = np.multiply(bits, -2, out=out, dtype=np.int32)
     signs += 1
     return signs
 
@@ -289,28 +290,34 @@ def truth_table(field: Field, d: int) -> np.ndarray:
     return _signs(_parities(field, (d,), dual=False).reshape(-1))
 
 
-def _sign_transform(field: Field, d: int, dual: bool) -> np.ndarray:
-    """int32 fwht(truth_table(field, d)), or with dual the butterfly of the
-    same signs placed at dual_index(x), straight from the parities p.
+def _parity_transforms(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
+    """int32 (len(ds), q) array whose row k is fwht(truth_table(field, ds[k])),
+    or with dual the butterfly of the same signs placed at dual_index(x),
+    straight from the parities p of _parities.
 
     Up to q = 2^24 p is copied into the float32 view of the result and
     transformed there: every partial sum of Hp is at most q, so float32 is
-    exact, and H(1 - 2p) = q*delta_0 - 2Hp is written back one
-    _BUTTERFLY_BLOCK at a time, so the cast's temporary stays that small.
-    Above 2^24 the int32 signs go through fwht's float64 products.
+    exact.  One exponent runs fwht on its row in place; several run
+    _rotating over all their rows at once, the runs of one block.  Then
+    H(1 - 2p) = q*delta_0 - 2Hp is written back one _BUTTERFLY_BLOCK at a
+    time, so the cast's temporary stays that small.  Above 2^24 each row
+    becomes int32 signs, which go through fwht's float64 products.
     """
-    bits = _parities(field, (d,), dual).reshape(-1)
+    bits = _parities(field, ds, dual)
+    out = np.empty((len(ds), field.q), dtype=np.int32)
     if field.q > 1 << 24:
-        return fwht(_signs(bits))
-    out = np.empty(field.q, dtype=np.int32)
+        for row, p in zip(out, bits.T):
+            fwht(_signs(p, out=row))
+        return out
     hp = out.view(np.float32)
-    np.copyto(hp, bits)
+    np.copyto(hp, bits.T)
     del bits
-    fwht(hp)
-    for lo in range(0, field.q, _BUTTERFLY_BLOCK):
+    res = fwht(hp[0]) if len(ds) == 1 else _rotating(hp, np.empty_like(hp), field.m)
+    flat, res = out.reshape(-1), res.reshape(-1)
+    for lo in range(0, flat.size, _BUTTERFLY_BLOCK):
         hi = lo + _BUTTERFLY_BLOCK
-        np.multiply(hp[lo:hi], -2, out=out[lo:hi], casting="unsafe")
-    out[0] += field.q
+        np.multiply(res[lo:hi], -2, out=flat[lo:hi], casting="unsafe")
+    out[:, 0] += field.q
     return out
 
 
@@ -477,14 +484,12 @@ def tables_per_block(field: Field) -> int:
 def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
     """int32 (len(ds), q) array whose row k is fwht(truth_table(field, ds[k])).
 
-    One exponent takes _sign_transform, the same values from its parity
-    bytes, and so does each exponent past m = 24.  Several share one pass
-    of each step: one antilog gather for all their row factors, one
-    popcount and one scatter of len(ds) bytes per position, and one
-    _rotating call per Hadamard factor over all their tables, as the runs of
-    one float32 block in the memory of the result.
-    The butterfly runs on the 0/1 parities p, whose partial sums are at most
-    2^m <= 2^24, so float32 is exact; H(1 - 2p) = H1 - 2Hp, and H1 is q at 0
+    The rows come from the parity bytes p of the exponents (see
+    _parity_transforms).  Several exponents share one pass of each step:
+    one antilog gather for all their row factors, one popcount and one
+    scatter of len(ds) bytes per position, and one _rotating call per
+    Hadamard factor over all their tables, as the runs of one float32 block
+    in the memory of the result.  H(1 - 2p) = H1 - 2Hp, and H1 is q at 0
     and 0 elsewhere.  Callers keep len(ds) within tables_per_block(field) so
     that the block stays in L2; more exponents give the same rows.
     """
@@ -492,30 +497,21 @@ def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
         field.check_exponent(d)
     if len(ds) == 0:
         return np.empty((0, field.q), dtype=np.int32)
-    if len(ds) == 1:
-        return _sign_transform(field, ds[0], dual=False)[None]
-    if field.q > 1 << 24:
-        return np.stack([_sign_transform(field, d, dual=False) for d in ds])
-    out = np.empty((len(ds), field.q), dtype=np.int32)
-    x = out.view(np.float32)
-    np.copyto(x, _parities(field, ds, dual=False).T, casting="unsafe")
-    np.multiply(_rotating(x, np.empty_like(x), field.m), -2, out=out, casting="unsafe")
-    out[:, 0] += field.q
-    return out
+    return _parity_transforms(field, ds, dual=False)
 
 
 def walsh_coefficients(field: Field, d: int) -> np.ndarray:
     """All W_d(a) indexed by the element a (int32): the sign of x is placed
     at dual_index(x), so the butterfly's entry a is W_d(a) with no gather."""
     field.check_exponent(d)
-    return _sign_transform(field, d, dual=True)
+    return _parity_transforms(field, (d,), dual=True)[0]
 
 
 def walsh_spectrum(field: Field, d: int) -> Spectrum:
     """Histogram of all 2^m Walsh coefficients, values ascending: the butterfly
     output is sorted in place and its runs counted."""
     field.check_exponent(d)
-    arr = _sign_transform(field, d, dual=False)
+    arr = _parity_transforms(field, (d,), dual=False)[0]
     arr.sort()
     starts = np.r_[0, np.flatnonzero(arr[1:] != arr[:-1]) + 1]
     counts = np.diff(np.append(starts, arr.size))

@@ -169,7 +169,7 @@ class TestBatchedOracle:
 
         for name in ("dual_index", "dual_indices", "dual_index_inv"):
             monkeypatch.setattr(Field, name, refuse)
-        for name in ("_parities", "_row_factors", "_exponent_ramp", "_sign_transform",
+        for name in ("_parities", "_row_factors", "_exponent_ramp", "_parity_transforms",
                      "fwht", "_rotating"):
             monkeypatch.setattr(walsh_module, name, refuse)
         assert walsh_coefficients_at(field12, ds, points) == want
@@ -655,12 +655,12 @@ class TestStreamedSignTables:
                 ds.append(p * rng.randrange(1, n // p))
             duals = ft.dual_indices(np.arange(ft.q, dtype=np.int32))
             for d in ds:
-                plain = walsh_module._sign_transform(ft, d, dual=False)
-                placed = walsh_module._sign_transform(ft, d, dual=True)
+                plain = walsh_module._parity_transforms(ft, (d,), dual=False)[0]
+                placed = walsh_module._parity_transforms(ft, (d,), dual=True)[0]
                 # entry dual_index(a) of the plain transform is W_d(a)
                 assert np.array_equal(plain[duals], placed), f"d={d}"
                 for dual, want in ((False, plain), (True, placed)):
-                    got = walsh_module._sign_transform(fn, d, dual=dual)
+                    got = walsh_module._parity_transforms(fn, (d,), dual=dual)[0]
                     assert got.dtype == np.int32
                     assert np.array_equal(got, want), f"modulus={modulus:#x} d={d} dual={dual}"
 
