@@ -23,9 +23,9 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .field import Field, check_exponent_range, mod_inverse, xor_span
+from .field import Field, check_exponent_range, make_field, mod_inverse, xor_span
 from .walsh import (Histogram, Spectrum, fwht, fwht_columns, sign_transforms,
-                    tables_per_block, truth_table, walsh_coefficients_at, walsh_spectrum)
+                    tables_per_block, truth_table, walsh_coefficients_at)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -685,13 +685,15 @@ class NoSixReport:
 def check_no_six(field: Field) -> NoSixReport:
     """For t = 2 mod 4, t >= 6 and d = 3 + 2^(t+1): the spectrum must not
     contain +-6 * 2^t, and for the order-5 designated c the element
-    theta = c + c^-1 has order 3 with Tr_t(theta^-1) = 1."""
+    theta = c + c^-1 has order 3 with Tr_t(theta^-1) = 1.  The spectrum
+    comes from family_spectrum on GF(2^t), with the field's table cap: it
+    does not depend on the modulus, so no butterfly over GF(2^2t) runs."""
     t = field.need_even()
     if t % 4 != 2 or t < 6:
         raise DomainError(f"excluded-value check needs t = 2 mod 4 and t >= 6, got t = {t}")
     d = 3 + (1 << (t + 1))
     field.check_invertible(d)
-    spec = walsh_spectrum(field, d)
+    spec = family_spectrum(make_field(t, table_cap=field.table_cap))
     banned = 6 << t
     absent = spec.count(banned) == 0 and spec.count(-banned) == 0
     c = field.designated_generator(5)

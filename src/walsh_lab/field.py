@@ -13,7 +13,8 @@ GF(2)-linear.  The int32 log, its blocked inverse scatter, serves scalar
 arithmetic only: it is built on the first mul, inv, pow or log_of, and no
 vector map reads it.  Above the cap the scalar operations fall back to
 shift-and-reduce polynomial multiplication, power_map builds a transient
-antilog for its call, and antilog_blocks() streams the powers of alpha a
+antilog for its call, power_rows builds each row as a geometric sequence
+instead of a gather, and antilog_blocks() streams the powers of alpha a
 block at a time, each block the one before times a constant, so the sign
 tables make no q-sized antilog.  trace_bits, scalar_mul_map, dual_indices
 and coset_labels need no tables: all are GF(2)-linear maps, filled by
@@ -48,6 +49,7 @@ parity pairing, return coefficients indexed by the element.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 
 import numpy as np
@@ -389,6 +391,17 @@ class Field:
         """int32 alpha^i for 0 <= i < 2^m - 1: the stored table, which
         callers must not modify, or without tables one built for this call."""
         return self._alog if self._alog is not None else self._antilog()
+
+    def power_rows(self, es: Sequence[int], count: int) -> np.ndarray:
+        """int32 (len(es), count) array with entry (k, j) = alpha^(es[k] * j):
+        gathered from the antilog, or without tables one geometric sequence
+        per row."""
+        if self._alog is None:
+            return np.stack([self.geometric(self.exp(e), count) for e in es])
+        exps = np.multiply.outer(np.asarray(es, dtype=np.int64) % self.order,
+                                 np.arange(count, dtype=np.int64))
+        exps %= self.order
+        return self._alog[exps]
 
     def antilog_blocks(self, size: int):
         """Yield the int32 arrays [alpha^lo, ..., alpha^(hi - 1)] for lo = 0,

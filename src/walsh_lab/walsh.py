@@ -21,17 +21,18 @@ The fast route needs no discrete logs and no power map.  The sign of
 x = alpha^i is (-1)^Tr(alpha^(i*d)).  With beta = alpha^d, W = 2^ceil(m/2)
 and i = r*W + j, Tr(alpha^(i*d)) = Tr(beta^(r*W) * beta^j) =
 parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
-arrays of about sqrt(q) entries, gathered from the antilog or without tables
-built as geometric sequences, give every value by one AND and one popcount,
-for every d.  _parities places the values of a block of rows at their
-block of Field.antilog_blocks(), at alpha^i, as bytes; without tables each
-block of positions is the one before times a constant.  Only truth_table
-widens the bytes to int32 signs.  walsh_spectrum, walsh_coefficients and
-sign_transforms share one route, _parity_transforms: it copies the bytes
-into the float32 view of the int32 result, transforms them there (fwht for
-one exponent) and writes q*delta_0 - 2*Hp back one block at a time; above
-q = 2^24, where float32 is not exact, it widens the bytes to signs and fwht
-runs in float64.
+arrays of about sqrt(q) entries from Field.power_rows give every value by
+one AND and one popcount, for every d.  _parities places the values of a
+block of rows at their block of Field.antilog_blocks(), at alpha^i, as
+bytes; without tables each block of positions is the one before times a
+constant.  Only truth_table widens the bytes to int32 signs.
+walsh_spectrum, walsh_coefficients and sign_transforms share one route,
+_parity_transforms: it copies the bytes into the result, into its float32
+view up to q = 2^24, where float32 is exact, and into the int32 result
+itself above that, transforms them there and writes q*delta_0 - 2*Hp back
+one block at a time.  Several rows of at most 2^16 entries are
+transformed together by _rotating, one row or longer rows one at a time by
+fwht, whose products run in float64 on the int32 rows.
 
 fwht runs in place: H_(2^m) is the Kronecker product of factors H_16 (at
 most 4 index bits each), applied by np.matmul through BLAS, each product at
@@ -59,7 +60,7 @@ is the memory of the int32 result.  At m = 12 (K = 16) the
 bound scan over all 1,728 invertible exponents took 0.069 s against
 0.147 s with one fwht(truth_table(field, d)) each, medians of 43 and 70 us
 per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4) 2.21 against
-2.60 s.  From m = 16 up K = 1.
+2.60 s.  From m = 16 up K = 1, and fwht transforms each row.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -97,6 +98,9 @@ _PRODUCT_CAP = 1 << 18
 
 # Index bits per Hadamard factor: H_16 products ran fastest from m = 12 to 24.
 _FACTOR_BITS = 4
+
+# float32 holds every integer up to this bound exactly.
+_FLOAT32_EXACT = 1 << 24
 
 
 class Histogram:
@@ -144,8 +148,8 @@ def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]
     """[W_d(a) for d, a in zip(ds, points)], each by direct summation.
 
     This is the reference oracle: it shares no helper with the sign-table
-    route (no butterfly, no dual indexing, no exponent ramp or row factors)
-    and needs no log tables.  W_d(a) is q minus twice the number of
+    route (no butterfly, no dual indexing, no Field.power_rows) and needs no
+    log tables.  W_d(a) is q minus twice the number of
     x = alpha^i with Tr(x^d) + Tr(a*x) = 1, and both traces come from the
     trace m-sequence s[i] = Tr(alpha^i) = trace_bits()[antilog()[i]]:
       * Tr(x^d) = s[i*d mod n], n = 2^m - 1.  For i = r*W + j, W = 2^ceil(m/2),
@@ -216,32 +220,6 @@ def walsh_coefficients_naive(field: Field, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _exponent_ramp(m: int) -> np.ndarray:
-    """int64 [0, 1, ..., W - 1] followed by [0, W, ..., (R - 1) W], with
-    W = 2^ceil(m/2) and R = 2^m / W: times d, the exponents of b_j and of
-    the row heads beta^(r*W) (see the module docstring)."""
-    w = 1 << ((m + 1) // 2)
-    ramp = np.concatenate([np.arange(w), np.arange(0, 1 << m, w)]).astype(np.int64)
-    ramp.flags.writeable = False  # shared by every caller
-    return ramp
-
-
-def _row_factors(field: Field, ds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (K, W) b_j = beta^j for j < W and (K, R) row heads beta^(r*W)
-    for r < R, with beta = alpha^d for each of the K exponents d of ds, one
-    per row: gathered from the antilog, or without tables two geometric
-    sequences per exponent."""
-    w = 1 << ((field.m + 1) // 2)
-    if field.has_tables:
-        exps = np.multiply.outer(np.asarray(ds, dtype=np.int64), _exponent_ramp(field.m))
-        exps %= field.order
-        powers = field.antilog()[exps]
-        return powers[:, :w], powers[:, w:]
-    return (np.stack([field.geometric(field.exp(d), w) for d in ds]),
-            np.stack([field.geometric(field.exp(d * w), field.q // w) for d in ds]))
-
-
 def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     """uint8 (q, K) table with row alpha^i = Tr(alpha^(i*d)) for each of the
     K exponents d of ds, 0 <= i < 2^m - 1, and row 0 = 0, or with dual the
@@ -255,10 +233,10 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     bytes of a position as one item; the counts become parities in one pass
     at the end.
     """
-    b, heads = _row_factors(field, ds)
-    k, w = b.shape
+    k, w = len(ds), 1 << ((field.m + 1) // 2)
+    heads = field.power_rows([d * w for d in ds], field.q // w)
     v = field.dual_indices(heads.reshape(-1)).reshape(k, -1, 1)
-    b = b[:, None, :]
+    b = field.power_rows(ds, w)[:, None, :]
     rows = max(1, _SCATTER_BLOCK // (w * k))
     bits = np.empty(field.q * k, dtype=np.uint8)
     bits[:k] = 0
@@ -276,18 +254,13 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     return bits.reshape(-1, k)
 
 
-def _signs(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """int32 signs 1 - 2*bits of the uint8 parities bits, into out if given."""
-    signs = np.multiply(bits, -2, out=out, dtype=np.int32)
-    signs += 1
-    return signs
-
-
 def truth_table(field: Field, d: int) -> np.ndarray:
     """Sign table of Tr(x^d) over all x, int32 of length 2^m: signs[x] =
     (-1)^Tr(x^d), placed through the antilog, and signs[0] = +1."""
     field.check_exponent(d)
-    return _signs(_parities(field, (d,), dual=False).reshape(-1))
+    signs = np.multiply(_parities(field, (d,), dual=False).reshape(-1), -2, dtype=np.int32)
+    signs += 1
+    return signs
 
 
 def _parity_transforms(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
@@ -295,25 +268,26 @@ def _parity_transforms(field: Field, ds: Sequence[int], dual: bool) -> np.ndarra
     or with dual the butterfly of the same signs placed at dual_index(x),
     straight from the parities p of _parities.
 
-    Up to q = 2^24 p is copied into the float32 view of the result and
-    transformed there: every partial sum of Hp is at most q, so float32 is
-    exact.  One exponent runs fwht on its row in place; several run
-    _rotating over all their rows at once, the runs of one block.  Then
-    H(1 - 2p) = q*delta_0 - 2Hp is written back one _BUTTERFLY_BLOCK at a
-    time, so the cast's temporary stays that small.  Above 2^24 each row
-    becomes int32 signs, which go through fwht's float64 products.
+    p is copied into the float32 view of the result up to q = 2^24, where
+    every partial sum of Hp, at most q, is exact in float32, and into the
+    int32 result itself above that.  Several rows that fit in one
+    _BUTTERFLY_BLOCK run _rotating all at once, as the runs of one block;
+    one row, or rows longer than a block, run fwht one at a time, in place,
+    in float64 on int32 rows (_product_type).
+    Then H(1 - 2p) = q*delta_0 - 2Hp is written back one _BUTTERFLY_BLOCK
+    at a time, so the cast's temporary stays that small.
     """
     bits = _parities(field, ds, dual)
     out = np.empty((len(ds), field.q), dtype=np.int32)
-    if field.q > 1 << 24:
-        for row, p in zip(out, bits.T):
-            fwht(_signs(p, out=row))
-        return out
-    hp = out.view(np.float32)
+    hp = out.view(np.float32) if field.q <= _FLOAT32_EXACT else out
     np.copyto(hp, bits.T)
     del bits
-    res = fwht(hp[0]) if len(ds) == 1 else _rotating(hp, np.empty_like(hp), field.m)
-    flat, res = out.reshape(-1), res.reshape(-1)
+    if len(ds) > 1 and field.q <= _BUTTERFLY_BLOCK:
+        hp = _rotating(hp, np.empty_like(hp), field.m)
+    else:
+        for row in hp:
+            fwht(row)
+    flat, res = out.reshape(-1), hp.reshape(-1)
     for lo in range(0, flat.size, _BUTTERFLY_BLOCK):
         hi = lo + _BUTTERFLY_BLOCK
         np.multiply(res[lo:hi], -2, out=flat[lo:hi], casting="unsafe")
@@ -353,7 +327,7 @@ def _product_type(a: np.ndarray, length: int, name: str) -> np.dtype:
     if a.dtype.kind in "fc":
         return a.dtype
     bound = length * max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    if bound <= 1 << 24:
+    if bound <= _FLOAT32_EXACT:
         return np.dtype(np.float32)
     if bound <= 1 << 53:
         return np.dtype(np.float64)
@@ -438,21 +412,24 @@ def fwht(a: np.ndarray) -> np.ndarray:
     for their dtype; DomainError when length * max|a| passes 2^53).  The
     low min(k, 16) index bits run on one 2^16-entry block at a time, in
     place when a has the product dtype and otherwise copied into a float
-    buffer that stays in L2 (_rotating).  The remaining bits
-    then run down the columns of a viewed as (2^(k-16), 2^16), a chunk of
-    columns at a time (_columns).  Factors commute, so their order does not
-    change the result.
+    buffer that stays in L2 (_rotating), with a second such buffer as
+    scratch.  The remaining bits then run down the columns of a viewed as
+    (2^(k-16), 2^16), a chunk of columns at a time (_columns).  The copy
+    buffer is allocated only for a copy or a column stage.  Factors commute,
+    so their order does not change the result.
     """
     n = a.size
     _check_butterfly_input(a, n, "fwht")
     ftype = _product_type(a, n, "fwht")
     size = min(n, _BUTTERFLY_BLOCK)
     rows = n // size
-    x, y = np.empty(max(size, rows), ftype), np.empty(max(size, rows), ftype)
+    copy = a.dtype != ftype
+    x = np.empty(max(size, rows), ftype) if copy or rows > 1 else None
+    y = np.empty(max(size, rows), ftype)
     low = size.bit_length() - 1
     for block in a.reshape(-1, size):
-        src = block if a.dtype == ftype else x[:size]
-        if src is not block:
+        src = x[:size] if copy else block
+        if copy:
             np.copyto(src, block, casting="unsafe")
         res = _rotating(src, y[:size], low)
         if res is not block:
@@ -486,12 +463,14 @@ def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
 
     The rows come from the parity bytes p of the exponents (see
     _parity_transforms).  Several exponents share one pass of each step:
-    one antilog gather for all their row factors, one popcount and one
-    scatter of len(ds) bytes per position, and one _rotating call per
-    Hadamard factor over all their tables, as the runs of one float32 block
-    in the memory of the result.  H(1 - 2p) = H1 - 2Hp, and H1 is q at 0
-    and 0 elsewhere.  Callers keep len(ds) within tables_per_block(field) so
-    that the block stays in L2; more exponents give the same rows.
+    one Field.power_rows call for all their row factors, one popcount and
+    one scatter of len(ds) bytes per position, and, while a table fits in
+    one 2^16-entry block, one _rotating call per Hadamard factor over all
+    their tables, as the runs of one float32 block in the memory of the
+    result; longer tables go through fwht one at a time.  H(1 - 2p) =
+    H1 - 2Hp, and H1 is q at 0 and 0 elsewhere.  Callers keep len(ds)
+    within tables_per_block(field) so that the block stays in L2; more
+    exponents give the same rows.
     """
     for d in ds:
         field.check_exponent(d)

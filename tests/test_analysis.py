@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walsh_lab.walsh as walsh_module
 from walsh_lab import (
     Field,
     DomainError,
@@ -618,3 +619,15 @@ class TestNoSix:
             check_no_six(field6)  # t = 3 odd
         with pytest.raises(DomainError):
             check_no_six(field8)  # t = 4 = 0 mod 4
+
+    def test_spectrum_from_the_subfield_alone(self, monkeypatch):
+        # the spectrum comes from family_spectrum on GF(2^t): no butterfly
+        # over GF(2^2t) runs, with or without tables
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_no_six ran the GF(2^2t) butterfly")
+
+        monkeypatch.setattr(walsh_module, "_parity_transforms", refuse)
+        for field in (make_field(12), make_field(12, table_cap=1), make_field(20)):
+            rep = check_no_six(field)
+            assert rep.absent and rep.tr_theta_inv_is_one and rep.theta_has_order_three
+            assert rep.d == 3 + (1 << (rep.t + 1))

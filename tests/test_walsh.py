@@ -167,10 +167,9 @@ class TestBatchedOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle reached the sign-table route")
 
-        for name in ("dual_index", "dual_indices", "dual_index_inv"):
+        for name in ("dual_index", "dual_indices", "dual_index_inv", "power_rows"):
             monkeypatch.setattr(Field, name, refuse)
-        for name in ("_parities", "_row_factors", "_exponent_ramp", "_parity_transforms",
-                     "fwht", "_rotating"):
+        for name in ("_parities", "_parity_transforms", "fwht", "_rotating"):
             monkeypatch.setattr(walsh_module, name, refuse)
         assert walsh_coefficients_at(field12, ds, points) == want
         assert walsh_coefficients_at(fn, ds, points) == want
@@ -415,6 +414,23 @@ class TestFwht:
         assert len(runs) == max(1, x.size >> 16) and all(runs)
         assert np.array_equal(x, want)
 
+    def test_allocates_only_the_buffers_it_uses(self):
+        # a float32 block is transformed where it lies: one 256 KiB scratch
+        # buffer, no copy buffer; an int32 input takes both and gives the
+        # same result
+        bits = np.random.default_rng(16).integers(0, 2, size=1 << 16)
+        want = fwht(bits.astype(np.int32))
+        x = bits.astype(np.float32)
+        fwht(x.copy())  # the Hadamard factors are built on first use
+        tracemalloc.start()
+        try:
+            fwht(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, want)
+        assert peak <= (1 << 18) + (1 << 14), f"peak {peak} bytes"
+
     def test_fwht_runs_in_place(self, field6):
         signs = truth_table(field6, 19)
         assert fwht(signs) is signs
@@ -553,6 +569,40 @@ class TestSignTransforms:
             pooled = list(pool.map(lambda b: sign_transforms(f, b), blocks))
         for one, many in zip(serial, pooled):
             assert np.array_equal(one, many)
+
+
+class TestInt32Result:
+    @pytest.mark.parametrize("m", [10, 12, 16, 17, 20])
+    def test_below_a_lowered_float32_limit(self, m, random_modulus, monkeypatch):
+        # the route above q = 2^24, run here by lowering the limit: the
+        # parity bytes go into the int32 result itself, several rows of one
+        # block through _rotating in int32, one row or longer rows through
+        # fwht in float64
+        rng = random.Random(2400 + m)
+        modulus = random_modulus(m, rng)
+        for table_cap in (DEFAULT_TABLE_CAP, 1):
+            f = make_field(m, modulus, table_cap=table_cap)
+            ds = rng.sample(range(1, f.order), max(3, tables_per_block(f) // 2 + 1))
+            signs = truth_table(f, ds[0])
+            want = np.stack([fwht(signs.copy())] + [fwht(truth_table(f, d)) for d in ds[1:]])
+            placed = np.empty_like(signs)
+            placed[f.dual_indices(np.arange(f.q, dtype=np.int32))] = signs
+            fwht(placed)
+            values, counts = np.unique(want[0], return_counts=True)
+            label = f"modulus={modulus:#x} ds={ds[:3]} tables={f.has_tables}"
+            seen = []
+            real = walsh_module._matmul
+            with monkeypatch.context() as patch:
+                patch.setattr(walsh_module, "_FLOAT32_EXACT", 1 << (m - 1))
+                patch.setattr(walsh_module, "_matmul",
+                              lambda a, b, out: seen.append(out.dtype) or real(a, b, out))
+                assert np.array_equal(sign_transforms(f, ds), want), label
+                assert np.array_equal(sign_transforms(f, ds[:1]), want[:1]), label
+                assert np.array_equal(walsh_coefficients(f, ds[0]), placed), label
+                assert walsh_spectrum(f, ds[0]).entries == \
+                    tuple(zip(values.tolist(), counts.tolist())), label
+            want_types = {np.dtype(np.float64)} | ({np.dtype(np.int32)} if m <= 16 else set())
+            assert set(seen) == want_types, label
 
 
 class TestInt32Exactness:

@@ -31,14 +31,11 @@ checkout's ``src``.
 * ``scan``: the bound and Sarwate checks over every invertible d at
   m in {10, 12, 14} and over the first 1,000 at m = 16, on one thread in
   ``cmd_scan``'s blocks of ``tables_per_block`` exponents, one call of
-  ``check_exponents`` per block (one ``check_bound`` or ``check_sarwate``
-  call per exponent where a checkout has no block function), after one
-  untimed block: the total, and the median and the maximum of each call's
-  time per exponent.
+  ``check_exponents`` per block, after one untimed block: the total, and
+  the median and the maximum of each call's time per exponent.
 * ``oracle``: the direct-summation oracle on one block of
   ``tables_per_block`` random ``(d, a)`` pairs at m in {12, 16, 20}, one
-  ``walsh_coefficients_at`` call per run (one ``walsh_coefficient`` call
-  per pair where a checkout has no batched oracle), after one untimed call:
+  ``walsh_coefficients_at`` call per run, after one untimed call:
   the median and the maximum time per pair over 201 runs at m = 12, 21 at
   m = 16 and 7 at m = 20; and the tracemalloc peak of one warm
   ``walsh_coefficient`` call at m in {20, 22}, with and without tables, in
@@ -105,28 +102,20 @@ def _measure_oracle() -> dict:
     import random
     import tracemalloc
 
-    import walsh_lab
-    from walsh_lab import make_field, walsh_coefficient
-
-    batched = getattr(walsh_lab, "walsh_coefficients_at", None)
-
-    def oracle(field, ds, points):
-        if batched:
-            return batched(field, ds, points)
-        return [walsh_coefficient(field, d, a) for d, a in zip(ds, points)]
+    from walsh_lab import make_field, tables_per_block, walsh_coefficient, walsh_coefficients_at
 
     rng = random.Random(20)
     out = {}
     for m, runs in ORACLE_RUNS.items():
         field = make_field(m)
-        k = walsh_lab.tables_per_block(field)
+        k = tables_per_block(field)
         ds = [rng.randrange(1, field.order) for _ in range(k)]
         points = [rng.randrange(field.q) for _ in range(k)]
-        oracle(field, ds, points)
+        walsh_coefficients_at(field, ds, points)
         per = []
         for _ in range(runs):
             start = time.perf_counter()
-            oracle(field, ds, points)
+            walsh_coefficients_at(field, ds, points)
             per.append((time.perf_counter() - start) / k)
         out[f"m={m}"] = {"pairs": k, "median_us": round(1e6 * statistics.median(per), 2),
                          "max_us": round(1e6 * max(per), 2)}
@@ -148,32 +137,21 @@ def _measure_scan() -> dict:
     """Run inside a side's interpreter: {"m=M CHECK": {...}} for SCAN_M."""
     from math import gcd
 
-    import walsh_lab
-    from walsh_lab import make_field
+    from walsh_lab import check_exponents, make_field, tables_per_block
 
-    # a checkout without the block function checks one exponent per call
-    block_check = getattr(walsh_lab, "check_exponents", None)
     out = {}
     for m in SCAN_M:
         field = make_field(m)
         ds = [d for d in range(1, field.order) if gcd(d, field.order) == 1][:SCAN_LIMIT.get(m)]
-        size = walsh_lab.tables_per_block(field) if block_check else 1
+        size = tables_per_block(field)
         blocks = [ds[lo:lo + size] for lo in range(0, len(ds), size)]
         for check in ("bound", "sarwate"):
-            if block_check:
-                def call(block, check=check):
-                    return block_check(field, block, check)
-            else:
-                one = getattr(walsh_lab, f"check_{check}")
-
-                def call(block, one=one):
-                    return [one(field, d) for d in block]
-            call(blocks[0])
+            check_exponents(field, blocks[0], check)
             per = []
             start = time.perf_counter()
             for block in blocks:
                 t0 = time.perf_counter()
-                call(block)
+                check_exponents(field, block, check)
                 per.append((time.perf_counter() - t0) / len(block))
             out[f"m={m} {check}"] = {
                 "exponents": len(ds), "block": size,
@@ -190,9 +168,9 @@ def _measure_layers() -> dict:
     import tracemalloc
 
     import numpy as np
-    import walsh_lab
-    from walsh_lab import (cli, fwht, make_field, sign_transforms, subfield_identities,
-                           truth_table, walsh_coefficients, walsh_spectrum)
+    from walsh_lab import (cli, family_spectrum, fwht, make_field, sign_transforms,
+                           subfield_identities, truth_table, walsh_coefficients,
+                           walsh_spectrum)
 
     def timed(call, setup=lambda: None, runs=7):
         # one untimed call first: a process's first call builds module caches
@@ -245,9 +223,7 @@ def _measure_layers() -> dict:
         signs = truth_table(make_field(m), LAYER_D)
         out[f"m={m}"] = {"fwht": timed(fwht, signs.copy, 201 if m < 20 else 5)}
         del signs
-    # a checkout without the fibre route records no such layer
-    family_spectrum = getattr(walsh_lab, "family_spectrum", None)
-    for t in FIBRE_T if family_spectrum else ():
+    for t in FIBRE_T:
         half = make_field(t)
         out[f"t={t}"] = {"family_spectrum": timed(lambda _: family_spectrum(half),
                                                   runs=3 if t >= 22 else 7)}
