@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .field import Field, check_exponent_range, make_field, mod_inverse, xor_span
 from .walsh import (Histogram, Spectrum, fwht, fwht_columns, sign_transforms,
-                    tables_per_block, truth_table, walsh_coefficients_at)
+                    tables_per_block, walsh_coefficients_at)
 
 # Entries per block of the coset sums.
 _BLOCK = 1 << 16
@@ -280,8 +280,9 @@ class SubfieldIdentities:
 
 
 def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
-    """Lemma moments, weighted identities and square identities from one truth
-    table, one butterfly over F and one over L.
+    """Lemma moments, weighted identities and square identities from one sign
+    table, one butterfly over F and one over L.  For odd m only the moments
+    exist, read from sign_transforms.
 
     M_b and the square identities come from the sign table by coset sums,
     before the butterfly runs on it in place.  M_b is not read from the
@@ -297,7 +298,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
     field.check_exponent(d)
     t = field.t
     if t is None:
-        signs = truth_table(field, d)
+        arr = sign_transforms(field, [d])[0]
     else:
         basis = field.subfield_basis()
         order = np.argsort(xor_span(basis, 1 << t))
@@ -310,7 +311,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
         # the boundary counts need x^d itself, so the signs are read from it
         signs, msums, sums, boundary, off, point_labels = _coset_sums(
             field, field.power_map(d), points)
-    arr = fwht(signs)
+        arr = fwht(signs)
     # W_d(a)^2 can reach 2^(2m), past int32, so the squares are taken in
     # int64 (einsum casts in buffered chunks).  By Parseval they sum to exactly
     # 2^(2m) <= 2^56 and every partial sum is smaller, so int64 is exact.

@@ -12,15 +12,15 @@ each product by the constant c^k read from two small tables because it is
 GF(2)-linear.  The int32 log, its blocked inverse scatter, serves scalar
 arithmetic only: it is built on the first mul, inv, pow or log_of, and no
 vector map reads it.  Above the cap the scalar operations fall back to
-shift-and-reduce polynomial multiplication, power_map builds a transient
-antilog for its call, power_rows builds each row as a geometric sequence
-instead of a gather, and antilog_blocks() streams the powers of alpha a
-block at a time, each block the one before times a constant, so the sign
-tables make no q-sized antilog.  trace_bits, scalar_mul_map, dual_indices
-and coset_labels need no tables: all are GF(2)-linear maps, filled by
-doubling over the polynomial basis (xor_span).  The maps to elements,
-power_map, scalar_mul_map, dual_indices and the antilog, are int32 (every
-element is below 2^28); trace_bits is uint8.
+shift-and-reduce polynomial multiplication and power_rows builds each row
+as a geometric sequence instead of a gather.  power_blocks(e, size) streams
+alpha^(e*i) a block at a time, each block the one before times a constant
+(with tables and e = 1, slices of the antilog); power_map and the sign
+tables read it, so neither makes a q-sized antilog.  trace_bits,
+scalar_mul_map, dual_indices and coset_labels need no tables: all are
+GF(2)-linear maps, filled by doubling over the polynomial basis (xor_span).
+The maps to elements, power_map, scalar_mul_map, dual_indices and the
+antilog, are int32 (every element is below 2^28); trace_bits is uint8.
 
 For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
@@ -403,23 +403,24 @@ class Field:
         exps %= self.order
         return self._alog[exps]
 
-    def antilog_blocks(self, size: int):
-        """Yield the int32 arrays [alpha^lo, ..., alpha^(hi - 1)] for lo = 0,
-        size, 2 size, ... below 2^m - 1, with hi = min(lo + size, 2^m - 1).
+    def power_blocks(self, e: int, size: int):
+        """Yield the int32 arrays [alpha^(e*lo), ..., alpha^(e*(hi - 1))] for
+        lo = 0, size, 2 size, ... below 2^m - 1, with hi = min(lo + size,
+        2^m - 1).
 
-        With tables they are slices of the antilog, which callers must not
-        modify.  Without them the first block is geometric(alpha, size) and
-        each next one the block before times alpha^size, in two reused
-        buffers, so a block is valid only until the next is drawn and no
-        array has more than size entries."""
+        With tables and e = 1 mod 2^m - 1 they are slices of the antilog,
+        which callers must not modify.  Otherwise the first block is
+        power_rows([e], size)[0] and each next one the block before times
+        alpha^(e*size), in two reused buffers, so a block is valid only until
+        the next is drawn and no array has more than size entries."""
         n = self.order
-        if self._alog is not None:
+        if self._alog is not None and e % n == 1:
             for lo in range(0, n, size):
                 yield self._alog[lo:lo + size]
             return
-        block = self.geometric(self.alpha, min(size, n))
+        block = self.power_rows([e], min(size, n))[0]
         if size < n:
-            halves = self._product_halves(self.exp(size))
+            halves = self._product_halves(self.exp(e * size))
             nxt = np.empty_like(block)
             ix = np.empty(size, dtype=np.intp)
             tmp = np.empty_like(block)
@@ -628,39 +629,18 @@ class Field:
         return xor_span(cols, self.q, np.int32)
 
     def power_map(self, d: int) -> np.ndarray:
-        """int32 array P with P[x] = x^d (values below 2^m <= 2^28), built by
-        exponent arithmetic: P[alpha^i] = alpha^(i*d mod (2^m - 1)).  Without
-        tables the antilog is built for this call and dropped after it.
-
-        Block by block, the exponents lo*d + j*d come from one int64 ramp of
-        j*d.  They stay below n^2 + n < 2^(2m) for n = 2^m - 1, so two folds
-        x -> (x & n) + (x >> m), which keep x mod n because 2^m = 1 mod n,
-        bring them to at most n + 1, and the antilog gather's mode="wrap"
-        finishes the reduction.  The buffers are reused across blocks.
-        """
+        """int32 array P with P[x] = x^d (values below 2^m <= 2^28): the
+        blocks of power_blocks(d) scattered at those of power_blocks(1), as
+        P[alpha^i] = alpha^(i*d), with P[0] = 0."""
         if d < 1:
             raise DomainError(f"exponent must be positive, got {d}")
-        alog = self.antilog()
-        m, n = self.m, self.order
-        d %= n
         out = np.zeros(self.q, dtype=np.int32)
-        size = min(_POWER_BLOCK, n)
-        ramp = np.arange(size, dtype=np.int64) * d
-        exps = np.empty(size, dtype=np.int64)
-        high = np.empty_like(exps)
+        size = min(_POWER_BLOCK, self.order)
         idx = np.empty(size, dtype=np.intp)
-        vals = np.empty(size, dtype=np.int32)
-        for lo in range(0, n, size):
-            k = min(size, n - lo)
-            e, ix, v = exps[:k], idx[:k], vals[:k]
-            np.add(ramp[:k], lo * d % n, out=e)
-            for _ in range(2):
-                np.right_shift(e, m, out=high[:k])
-                e &= n
-                e += high[:k]
-            alog.take(e, out=v, mode="wrap")
-            ix[:] = alog[lo:lo + k]
-            out[ix] = v
+        for pos, vals in zip(self.power_blocks(1, size), self.power_blocks(d, size)):
+            ix = idx[:pos.size]
+            ix[:] = pos
+            out[ix] = vals
         return out
 
     def scalar_mul_map(self, a: int) -> np.ndarray:

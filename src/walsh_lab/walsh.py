@@ -23,8 +23,8 @@ and i = r*W + j, Tr(alpha^(i*d)) = Tr(beta^(r*W) * beta^j) =
 parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
 arrays of about sqrt(q) entries from Field.power_rows give every value by
 one AND and one popcount, for every d.  _parities places the values of a
-block of rows at their block of Field.antilog_blocks(), at alpha^i, as
-bytes; without tables each block of positions is the one before times a
+block of rows at their block of Field.power_blocks(1, size), at alpha^i,
+as bytes; without tables each block of positions is the one before times a
 constant.  Only truth_table widens the bytes to int32 signs.
 walsh_spectrum, walsh_coefficients and sign_transforms share one route,
 _parity_transforms: it copies the bytes into the result, into its float32
@@ -228,10 +228,10 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     Row r of the values of d, i = r*W + j for j < W, is parity(v_r & b_j).
     The rows run R*W = 2^m entries, one past the last exponent; that one is
     dropped.  Each block of rows is popcounted into bytes, the K counts of
-    one i side by side, and scattered to its block of
-    field.antilog_blocks(), mapped through dual_indices with dual, the K
-    bytes of a position as one item; the counts become parities in one pass
-    at the end.
+    one i side by side, and scattered to its block of positions from
+    field.power_blocks(1, rows * W), mapped through dual_indices with dual,
+    the K bytes of a position as one item; the counts become parities in one
+    pass at the end.
     """
     k, w = len(ds), 1 << ((field.m + 1) // 2)
     heads = field.power_rows([d * w for d in ds], field.q // w)
@@ -243,7 +243,7 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     items = bits.view(np.dtype((np.void, k)))
     counts = np.empty(min(rows, v.shape[1]) * w * k, dtype=np.uint8)
     count_items, count_rows = counts.view(items.dtype), counts.reshape(-1, k).T
-    for r, pos in zip(range(0, v.shape[1], rows), field.antilog_blocks(rows * w)):
+    for r, pos in zip(range(0, v.shape[1], rows), field.power_blocks(1, rows * w)):
         # the AND runs along the rows of b, the popcount writes across them
         block = (v[:, r:r + rows] & b).reshape(k, -1)
         np.bitwise_count(block, out=count_rows[:, :block.shape[1]])

@@ -277,7 +277,7 @@ class TestSubfieldIdentities:
 
     @pytest.mark.parametrize("m,d", [(7, 11), (10, 67), (12, 7)])
     def test_tableless_report_matches_tables(self, m, d):
-        # even m reads the signs from power_map, odd m from truth_table
+        # even m reads the signs from power_map, odd m from sign_transforms
         ft, fn = make_field(m), make_field(m, table_cap=1)
         rt, rn = subfield_identities(ft, d), subfield_identities(fn, d)
         assert (rt.sum_residual, rt.square_sum_residual) == (0, 0)

@@ -321,18 +321,26 @@ class TestAntilog:
                 assert got.dtype == np.int32 and got.tolist() == chain, f"c={c} count={count}"
 
     @pytest.mark.parametrize("m", [5, 13, 14, 15])
-    def test_streamed_antilog_blocks_match_the_table(self, m, random_modulus):
+    def test_streamed_power_blocks_match_the_table(self, m, random_modulus):
         rng = random.Random(3100 + m)
         modulus = random_modulus(m, rng)
         ft = make_field(m, modulus)
         fn = make_field(m, modulus, table_cap=1)
-        for size in (16, 1000, 1 << 14, 1 << 15):
-            for f in (ft, fn):
-                blocks = [b.copy() for b in f.antilog_blocks(size)]
-                assert all(b.dtype == np.int32 for b in blocks)
-                assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-                assert np.array_equal(np.concatenate(blocks), ft.antilog()), \
-                    f"size={size} tables={f.has_tables}"
+        n = ft.order
+        for e in (1, 2, 6, n, n + 1, ft.q - 2, rng.randrange(3, n)):
+            want = ft.power_rows([e], n)[0]
+            if e == 1:
+                assert np.array_equal(want, ft.antilog())
+            sampled = sorted({0, 1, n - 1, *(rng.randrange(n) for _ in range(20))})
+            assert [int(want[i]) for i in sampled] == \
+                [ft._raw_pow(ft.alpha, e * i) for i in sampled], f"e={e}"
+            for size in (16, 1000, 1 << 14, 1 << 15):
+                for f in (ft, fn):
+                    blocks = [b.copy() for b in f.power_blocks(e, size)]
+                    assert all(b.dtype == np.int32 for b in blocks)
+                    assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+                    assert np.array_equal(np.concatenate(blocks), want), \
+                        f"e={e} size={size} tables={f.has_tables}"
 
     @pytest.mark.parametrize("m", range(2, 23))
     def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):
@@ -499,6 +507,25 @@ class TestPowerMap:
                 assert [int(pm[x]) for x in xs] == \
                     [_oracle_pow(f, x, d) if x else 0 for x in xs], \
                     f"m={m} tables={f.has_tables} d={d}"
+
+
+    def test_tableless_power_map_streams_both_sides(self, monkeypatch):
+        # no q-sized antilog: the result is the only array of q entries
+        ft, fn = make_field(20), make_field(20, table_cap=1)
+
+        def refuse(self):
+            raise AssertionError("power_map built an antilog")
+
+        monkeypatch.setattr(Field, "antilog", refuse)
+        want = ft.power_map(7)
+        tracemalloc.start()
+        try:
+            got = fn.power_map(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 2.0 * 4 * fn.q
 
 
 class TestTablelessMaps:

@@ -6,7 +6,10 @@ against a baseline checkout, written as one BENCH_*.json.
         --pairs exponent-sweep=4 --seconds 25
 
 Each side runs in its own interpreters with walsh_lab imported from that
-checkout's ``src``.
+checkout's ``src``.  The layers below run in four rounds, baseline, change,
+change, baseline, so that a burst on a shared machine falls on both sides;
+each side records per entry the median of its rounds' medians and the
+maximum of their maxima and peaks.
 
 * Layers: ``make_field`` (the antilog; the log waits for its first use),
   ``make_field_tableless`` (``table_cap=1``), ``trace_bits`` and
@@ -18,8 +21,10 @@ checkout's ``src``.
   call or library op pays) at m in {12, 16, 20, 22}, each the median and
   the maximum wall time of several runs (201 at m = 12, where a call takes
   microseconds; one untimed call goes first, so a stalled run, not a first
-  call, shows in the maximum) and the tracemalloc peak of one more, and at
-  each m the dtypes of the sign table, the butterfly output, ``power_map``
+  call, shows in the maximum) and the tracemalloc peak of one more;
+  ``power_map`` and ``power_map_tableless`` (``Field.power_map(7)`` on a
+  warm field with and without tables) at the same m; and at each m the
+  dtypes of the sign table, the butterfly output, ``power_map``
   and ``dual_indices``; ``fwht`` alone at m in {14, 24} as well;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
@@ -193,7 +198,7 @@ def _measure_layers() -> dict:
     out = {}
     for m in LAYER_M:
         runs = 201 if m == 12 else 7 if m < 22 else 5
-        field = make_field(m)
+        field, tableless = make_field(m), make_field(m, table_cap=1)
         signs = truth_table(field, LAYER_D)
         out[f"m={m}"] = {
             "make_field": timed(lambda _: make_field(m), runs=runs),
@@ -211,6 +216,8 @@ def _measure_layers() -> dict:
                                         runs=runs),
             "walsh_coefficients_cold": timed(
                 lambda _: walsh_coefficients(make_field(m), LAYER_D), runs=runs),
+            "power_map": timed(lambda _: field.power_map(LAYER_D), runs=runs),
+            "power_map_tableless": timed(lambda _: tableless.power_map(LAYER_D), runs=runs),
             "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
                       "power_map": str(field.power_map(LAYER_D).dtype),
                       "dual_indices": str(field.dual_indices(field.antilog()).dtype)},
@@ -218,7 +225,7 @@ def _measure_layers() -> dict:
         if m in IDENTITIES_M:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
-        del field, signs
+        del field, tableless, signs
     for m in FWHT_ONLY_M:
         signs = truth_table(make_field(m), LAYER_D)
         out[f"m={m}"] = {"fwht": timed(fwht, signs.copy, 201 if m < 20 else 5)}
@@ -272,6 +279,21 @@ def layers(checkout: Path) -> dict:
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--measure-layers"],
                           env=_side_env(checkout), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def merge_rounds(rounds: list, key: str = "") -> object:
+    """One record from several rounds of the same measurements: entry by
+    entry, the maximum of maxima, peaks and estimates made from a peak, the
+    median of any other number that differs between rounds, and otherwise
+    the first round's value."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {k: merge_rounds([r[k] for r in rounds], k) for k in first}
+    if all(r == first for r in rounds) or not isinstance(first, (int, float)):
+        return first
+    if key.startswith("max") or "peak" in key or "estimate" in key:
+        return max(rounds)
+    return statistics.median(rounds)
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -360,7 +382,10 @@ def main() -> int:
         parser.error("--baseline and --out are required")
     base = args.baseline.resolve()
     sides = {"baseline": base, "change": ROOT}
-    measured = {side: layers(checkout) for side, checkout in sides.items()}
+    rounds = {"baseline": [], "change": []}
+    for side in ("baseline", "change", "change", "baseline"):
+        rounds[side].append(layers(sides[side]))
+    measured = {side: merge_rounds(runs) for side, runs in rounds.items()}
     numpy_version = measured["change"].pop("numpy")
     measured["baseline"].pop("numpy")
     record = {
