@@ -494,7 +494,7 @@ class TestLazyLog:
 class TestPowerMap:
     @pytest.mark.parametrize("m", [2, 5, 12, 17])
     def test_matches_scalar_pow(self, m, random_modulus):
-        # m = 17 runs two blocks of the ramp
+        # m = 17 runs two blocks of power_blocks
         rng = random.Random(6000 + m)
         modulus = random_modulus(m, rng)
         q = 1 << m
@@ -507,7 +507,6 @@ class TestPowerMap:
                 assert [int(pm[x]) for x in xs] == \
                     [_oracle_pow(f, x, d) if x else 0 for x in xs], \
                     f"m={m} tables={f.has_tables} d={d}"
-
 
     def test_tableless_power_map_streams_both_sides(self, monkeypatch):
         # no q-sized antilog: the result is the only array of q entries
