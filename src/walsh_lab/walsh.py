@@ -27,12 +27,14 @@ block of rows at their block of Field.power_blocks(1, size), at alpha^i,
 as bytes; without tables each block of positions is the one before times a
 constant.  Only truth_table widens the bytes to int32 signs.
 walsh_spectrum, walsh_coefficients and sign_transforms share one route,
-_parity_transforms: it copies the bytes into the result, into its float32
-view up to q = 2^24, where float32 is exact, and into the int32 result
-itself above that, transforms them there and writes q*delta_0 - 2*Hp back
-one block at a time.  Several rows of at most 2^16 entries are
-transformed together by _rotating, one row or longer rows one at a time by
-fwht, whose products run in float64 on the int32 rows.
+_parity_transforms, which transforms the bytes in float32 up to q = 2^24,
+where float32 is exact, and in int32 above that, and writes
+q*delta_0 - 2*Hp into the int32 result one block at a time.  One row, or
+rows longer than 2^16 entries, it copies into the result (its float32 view
+up to q = 2^24) and transforms there by fwht, whose products run in
+float64 on int32 rows.  Several rows of at most 2^16 entries keep the
+(q, K) layout of the bytes: they are widened into one scratch array, and
+_rotating transforms them from there into the K rows of the result.
 
 fwht runs in place: H_(2^m) is the Kronecker product of factors H_16 (at
 most 4 index bits each), applied by np.matmul through BLAS, each product at
@@ -40,9 +42,10 @@ most 64^3 multiply-adds so that OpenBLAS runs it on the calling thread.
 The low 16 index bits run on one 2^16-entry block at a time, where it lies
 when the array is float32 and otherwise copied into a 256 KiB float32
 buffer, which stays in L2, and the remaining bits down the columns of the
-array, a chunk of columns at a time through two such buffers.  At m = 12 a
-call took 27-49 us, against 138-148 us for the radix-2 stages it replaced
-(medians of two runs on a 2-CPU VM; BENCH_18.json holds the second).
+array, a chunk of columns at a time through two such buffers.  The block
+stage (_rotating) multiplies tall slices by the factor,
+(rows x 2^b) @ H_(2^b), which OpenBLAS runs up to twice as fast as the same
+multiply-adds in the form H_(2^b) @ (2^b x rows) it replaced.
 walsh_spectrum histograms the butterfly output by sorting it in place, so
 with or without tables the result and the parity bytes are the only
 q-sized arrays that truth_table, walsh_spectrum and walsh_coefficients
@@ -55,8 +58,10 @@ exponents, which is what scan reads.  Up to tables_per_block(field) of
 them, K tables of 2^m entries in one 2^16-entry block, share each step:
 _parities keeps the K parities of a position side by side, so one gather,
 one popcount and one scatter of K-byte items serve the block, and
-_rotating transforms the K tables as the runs of one float32 block, which
-is the memory of the int32 result.  At m = 12 (K = 16) the
+_rotating transforms the (q, K) bytes, widened to float32 in that layout:
+each Hadamard factor carries the K tables along below the index bits it
+moves, and the last one leaves them as the K rows of the result.  At
+m = 12 (K = 16) the
 bound scan over all 1,728 invertible exponents took 0.069 s against
 0.147 s with one fwht(truth_table(field, d)) each, medians of 43 and 70 us
 per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4) 2.21 against
@@ -268,23 +273,28 @@ def _parity_transforms(field: Field, ds: Sequence[int], dual: bool) -> np.ndarra
     or with dual the butterfly of the same signs placed at dual_index(x),
     straight from the parities p of _parities.
 
-    p is copied into the float32 view of the result up to q = 2^24, where
-    every partial sum of Hp, at most q, is exact in float32, and into the
-    int32 result itself above that.  Several rows that fit in one
-    _BUTTERFLY_BLOCK run _rotating all at once, as the runs of one block;
-    one row, or rows longer than a block, run fwht one at a time, in place,
-    in float64 on int32 rows (_product_type).
+    Hp runs in float32 up to q = 2^24, where every partial sum, at most q,
+    is exact, and in int32 above that.  Several rows that fit in one
+    _BUTTERFLY_BLOCK keep the (q, K) layout of p: it is widened
+    contiguously into a scratch array, and _rotating transforms it from
+    there into the memory of the result, which it leaves as the K rows (or
+    in the scratch, which the write-back then reads).  One row, or rows
+    longer than a block, are copied into the result, into its float32 view
+    up to q = 2^24, and run fwht one at a time, in place, in float64 on
+    int32 rows (_product_type).
     Then H(1 - 2p) = q*delta_0 - 2Hp is written back one _BUTTERFLY_BLOCK
     at a time, so the cast's temporary stays that small.
     """
     bits = _parities(field, ds, dual)
     out = np.empty((len(ds), field.q), dtype=np.int32)
     hp = out.view(np.float32) if field.q <= _FLOAT32_EXACT else out
-    np.copyto(hp, bits.T)
-    del bits
     if len(ds) > 1 and field.q <= _BUTTERFLY_BLOCK:
-        hp = _rotating(hp, np.empty_like(hp), field.m)
+        x = bits.astype(hp.dtype)
+        del bits
+        hp = _rotating(x, hp, field.m)
     else:
+        np.copyto(hp, bits.T)
+        del bits
         for row in hp:
             fwht(row)
     flat, res = out.reshape(-1), hp.reshape(-1)
@@ -335,22 +345,26 @@ def _product_type(a: np.ndarray, length: int, name: str) -> np.dtype:
 
 
 def _rotating(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """H_(2^k) on each run of 2^k floats of x, with y of the same size as
-    scratch; returns whichever of the two holds the result.
+    """H_(2^k) along the top k bits of the index of x, which holds 2^k * K
+    entries laid out as (2^k, K), with y of the same size as scratch;
+    returns whichever of the two holds the result, laid out as (K, 2^k).
 
-    A factor of b bits views each run as (R, 2^b) and writes
-    H_(2^b) @ run.T, a (2^b, R) array: the transformed bits move from the
-    bottom of the index to the top.  The factors' bits sum to k, so after the
-    last one the index is back in order.  Each product is H_(2^b) times a
-    (2^b, c) slice, c = min(R, _PRODUCT_CAP / 4^b), all slices of all runs
-    in one call.
+    A factor of b bits views x as (2^b, R) and writes x.T @ H_(2^b), an
+    (R, 2^b) array, into y: the top b bits of the index are transformed and
+    move to the bottom, and the bits below them are carried along above.
+    The factors' bits sum to k, so one run of 2^k entries comes back in
+    order and a (2^k, K) array as K transformed rows.  Each factor is one
+    call over chunks of c rows, c = min(_PRODUCT_CAP / 4^b, the largest
+    power of two dividing R), so every 2-D product (c x 2^b) @ H_(2^b) runs
+    on the calling thread.  OpenBLAS runs this tall form up to twice as fast
+    as the same multiply-adds as H_(2^b) @ (2^b x c), and it reads x where
+    it lies.
     """
-    runs = x.size >> k
     for b in _factors(k):
-        side = 1 << b
-        c = min(1 << (k - b), _PRODUCT_CAP >> 2 * b)
-        _matmul(_hadamard(b, x.dtype), x.reshape(runs, -1, c, side).transpose(0, 1, 3, 2),
-                y.reshape(runs, side, -1, c).transpose(0, 2, 1, 3))
+        side, rows = 1 << b, x.size >> b
+        c = min(_PRODUCT_CAP >> 2 * b, rows & -rows)
+        _matmul(x.reshape(side, -1, c).transpose(1, 2, 0), _hadamard(b, x.dtype),
+                y.reshape(-1, c, side))
         x, y = y, x
     return x
 
@@ -365,7 +379,11 @@ def _columns(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     of each of the P matrices, c = min(q, _PRODUCT_CAP / 4^b).  A chunk of
     one column is one run of _rotating instead, whose products are full
     matrix products, not matrix-vector ones.  The result is cast back into
-    the chunk.
+    the chunk.  The chunks of several columns keep H_(2^b) on the left:
+    _rotating would leave a chunk transposed, (w, 2^k), and the transposed
+    copy back into the grid cost more than the tall products saved (fwht
+    at m = 22 took 21-26 ms with it and 13-18 ms without, three runs each
+    on a 2-CPU VM).
     """
     rows, n = grid.shape
     k = rows.bit_length() - 1
@@ -412,8 +430,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     for their dtype; DomainError when length * max|a| passes 2^53).  The
     low min(k, 16) index bits run on one 2^16-entry block at a time, in
     place when a has the product dtype and otherwise copied into a float
-    buffer that stays in L2 (_rotating), with a second such buffer as
-    scratch.  The remaining bits then run down the columns of a viewed as
+    buffer that stays in L2, with a second such buffer as scratch, as tall
+    products (rows x 2^b) @ H_(2^b) (_rotating).  The remaining bits then
+    run down the columns of a viewed as
     (2^(k-16), 2^16), a chunk of columns at a time (_columns).  The copy
     buffer is allocated only for a copy or a column stage.  Factors commute,
     so their order does not change the result.
@@ -465,9 +484,10 @@ def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
     _parity_transforms).  Several exponents share one pass of each step:
     one Field.power_rows call for all their row factors, one popcount and
     one scatter of len(ds) bytes per position, and, while a table fits in
-    one 2^16-entry block, one _rotating call per Hadamard factor over all
-    their tables, as the runs of one float32 block in the memory of the
-    result; longer tables go through fwht one at a time.  H(1 - 2p) =
+    one 2^16-entry block, one matrix product per Hadamard factor over all
+    their tables, which _rotating runs on the (q, len(ds)) bytes widened to
+    float32 and leaves as the rows of the result; longer tables go through
+    fwht one at a time.  H(1 - 2p) =
     H1 - 2Hp, and H1 is q at 0 and 0 elsewhere.  Callers keep len(ds)
     within tables_per_block(field) so that the block stays in L2; more
     exponents give the same rows.

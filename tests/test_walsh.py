@@ -399,6 +399,29 @@ class TestFwht:
             sign_transforms(f, list(range(1, f.order))[:tables_per_block(f)])
         assert sizes and max(sizes) <= 1 << 18
 
+    @pytest.mark.parametrize("route,k", [("fwht", 4), ("fwht", 12), ("fwht", 16), ("fwht", 17),
+                                         ("sign_transforms", 8), ("sign_transforms", 12),
+                                         ("sign_transforms", 14)])
+    def test_block_stage_multiplies_tall_slices_by_the_hadamard(self, route, k, monkeypatch):
+        # the block stage multiplies (rows x 2^b) slices by H_(2^b) on the
+        # right; only the column stage past 2^16 entries has H on the left
+        products = []
+        real = walsh_module._matmul
+        monkeypatch.setattr(walsh_module, "_matmul",
+                            lambda a, b, out: products.append((a, b, out.dtype)) or real(a, b, out))
+        if route == "fwht":
+            fwht(np.random.default_rng(k).integers(-1, 2, size=1 << k).astype(np.int32))
+        else:
+            f = make_field(k)
+            sign_transforms(f, list(range(1, f.order))[:tables_per_block(f)])
+        block = [(a, b, dtype) for a, b, dtype in products
+                 if a is not walsh_module._hadamard(a.shape[-1].bit_length() - 1, dtype)]
+        assert block and (len(block) < len(products)) == (k > 16)
+        for a, b, dtype in block:
+            bits = b.shape[0].bit_length() - 1
+            assert b is walsh_module._hadamard(bits, dtype)
+            assert a.shape[-2] << 2 * bits <= walsh_module._PRODUCT_CAP
+
     @pytest.mark.parametrize("k", [0, 3, 12, 16, 17, 19])
     def test_float32_runs_in_place_and_matches_int32(self, k, monkeypatch):
         # a float32 array is its own product dtype: each 2^16-entry block is
@@ -464,7 +487,7 @@ class TestFwhtColumns:
         calls = []
         real = walsh_module._matmul
         monkeypatch.setattr(walsh_module, "_matmul",
-                            lambda a, b, out: calls.append(b.shape) or real(a, b, out))
+                            lambda a, b, out: calls.append((a.shape, b.shape)) or real(a, b, out))
         flat = fwht(x.reshape(-1).copy())
         flat_calls = calls[:]
         calls.clear()
@@ -472,9 +495,11 @@ class TestFwhtColumns:
         assert np.array_equal(out.reshape(-1), flat)
         assert np.array_equal(flat, _radix2_reference(x.reshape(-1)))
         assert len(calls) <= len(flat_calls)
-        # no product is narrower than fwht's narrowest
-        assert min((s[-1] for s in calls), default=1) >= min((s[-1] for s in flat_calls),
-                                                             default=1)
+        # each (rows x 2^b) @ H_(2^b) product is as tall as the cap allows,
+        # or covers the whole column
+        for a_shape, b_shape in calls:
+            rows, side = a_shape[-2], b_shape[0]
+            assert rows * side * side == walsh_module._PRODUCT_CAP or rows * side == x.size
 
     def test_one_column_chunks(self):
         # 2^17 rows fill a chunk with one column; each runs through the flat kernel
@@ -526,8 +551,10 @@ class TestSignTransforms:
             assert np.array_equal(row, fwht(truth_table(f, d))), f"d={d}"
             assert np.array_equal(sign_transforms(f, [d])[0], row)
 
-    @pytest.mark.parametrize("m", [6, 8, 10, 12])
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 8, 9, 10, 12])
     def test_random_moduli_with_and_without_tables(self, m, random_modulus):
+        # a full block, and K in {2, 3, 5, 17, 33}: a carried axis whose
+        # length is not a power of two, and K past tables_per_block
         rng = random.Random(9100 + m)
         for _ in range(3):
             modulus = random_modulus(m, rng)
@@ -535,11 +562,13 @@ class TestSignTransforms:
             fn = make_field(m, modulus, table_cap=1)
             assert ft.has_tables and not fn.has_tables
             ds = [d for d in range(1, ft.order) if gcd(d, ft.order) == 1]
-            block = rng.sample(ds, min(len(ds), tables_per_block(ft)))
-            want = np.stack([_oracle_transform(ft, d) for d in block])
-            for f in (ft, fn):
-                assert np.array_equal(sign_transforms(f, block), want), \
-                    f"modulus={modulus:#x} tables={f.has_tables}"
+            blocks = [rng.sample(ds, min(len(ds), tables_per_block(ft)))]
+            blocks += [rng.choices(range(1, ft.order), k=k) for k in (2, 3, 5, 17, 33)]
+            for block in blocks:
+                want = np.stack([_oracle_transform(ft, d) for d in block])
+                for f in (ft, fn):
+                    assert np.array_equal(sign_transforms(f, block), want), \
+                        f"modulus={modulus:#x} K={len(block)} tables={f.has_tables}"
 
     def test_non_invertible_exponents_and_blocks_of_several_sizes(self, field8, field12):
         # any exponent in range has a sign table, and a block may hold more
