@@ -45,7 +45,9 @@ buffer, which stays in L2, and the remaining bits down the columns of the
 array, a chunk of columns at a time through two such buffers.  The block
 stage (_rotating) multiplies tall slices by the factor,
 (rows x 2^b) @ H_(2^b), which OpenBLAS runs up to twice as fast as the same
-multiply-adds in the form H_(2^b) @ (2^b x rows) it replaced.
+multiply-adds in the form H_(2^b) @ (2^b x rows) it replaced: fwht of an
+int32 sign table took 24 against 30 us at m = 12, 0.14 against 0.31 ms at
+m = 16 and 21 against 40 ms at m = 22 (medians, BENCH_25.json, 2-CPU VM).
 walsh_spectrum histograms the butterfly output by sorting it in place, so
 with or without tables the result and the parity bytes are the only
 q-sized arrays that truth_table, walsh_spectrum and walsh_coefficients
@@ -61,11 +63,10 @@ one popcount and one scatter of K-byte items serve the block, and
 _rotating transforms the (q, K) bytes, widened to float32 in that layout:
 each Hadamard factor carries the K tables along below the index bits it
 moves, and the last one leaves them as the K rows of the result.  At
-m = 12 (K = 16) the
-bound scan over all 1,728 invertible exponents took 0.069 s against
-0.147 s with one fwht(truth_table(field, d)) each, medians of 43 and 70 us
-per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4) 2.21 against
-2.60 s.  From m = 16 up K = 1, and fwht transforms each row.
+m = 12 (K = 16) the bound scan over all 1,728 invertible exponents took
+0.069 s against 0.147 s with one fwht(truth_table(field, d)) each, medians
+of 43 and 70 us per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4)
+2.21 against 2.60 s.  From m = 16 up K = 1, and fwht transforms each row.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -432,10 +433,10 @@ def fwht(a: np.ndarray) -> np.ndarray:
     place when a has the product dtype and otherwise copied into a float
     buffer that stays in L2, with a second such buffer as scratch, as tall
     products (rows x 2^b) @ H_(2^b) (_rotating).  The remaining bits then
-    run down the columns of a viewed as
-    (2^(k-16), 2^16), a chunk of columns at a time (_columns).  The copy
-    buffer is allocated only for a copy or a column stage.  Factors commute,
-    so their order does not change the result.
+    run down the columns of a viewed as (2^(k-16), 2^16), a chunk of
+    columns at a time (_columns).  The copy buffer is allocated only for a
+    copy or a column stage.  Factors commute, so their order does not
+    change the result.
     """
     n = a.size
     _check_butterfly_input(a, n, "fwht")
@@ -487,10 +488,9 @@ def sign_transforms(field: Field, ds: Sequence[int]) -> np.ndarray:
     one 2^16-entry block, one matrix product per Hadamard factor over all
     their tables, which _rotating runs on the (q, len(ds)) bytes widened to
     float32 and leaves as the rows of the result; longer tables go through
-    fwht one at a time.  H(1 - 2p) =
-    H1 - 2Hp, and H1 is q at 0 and 0 elsewhere.  Callers keep len(ds)
-    within tables_per_block(field) so that the block stays in L2; more
-    exponents give the same rows.
+    fwht one at a time.  H(1 - 2p) = H1 - 2Hp, and H1 is q at 0 and 0
+    elsewhere.  Callers keep len(ds) within tables_per_block(field) so that
+    the block stays in L2; more exponents give the same rows.
     """
     for d in ds:
         field.check_exponent(d)
