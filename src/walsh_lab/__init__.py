@@ -51,6 +51,7 @@ from .analysis import (
     check_no_six,
     check_sarwate,
     conjugate_power_multiset,
+    coset_leaders,
     dickson_is_permutation,
     dickson_value,
     exponent_profile,

@@ -16,13 +16,16 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
+import numpy as np
+
 from . import __version__
-from .analysis import check_exponents, family_spectrum, sextic_census, subfield_identities
+from .analysis import (check_exponents, coset_leaders, family_spectrum, sextic_census,
+                       subfield_identities)
 from .code import is_degenerate_exponent, weight_distribution
 from .errors import DomainError, WalshLabError
 from .field import DEFAULT_TABLE_CAP, MAX_DEGREE, check_degree, check_even, make_field
 from .predict import compare, predicted_spectrum_t_even, predicted_spectrum_t_odd
-from .walsh import tables_per_block, walsh_spectrum
+from .walsh import walsh_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,18 +189,17 @@ def cmd_scan(args) -> int:
     check_even(m)
     fld = _make_field(args, m)
     ds = [d for d in range(1, fld.q - 1) if gcd(d, fld.order) == 1]
-    size = tables_per_block(fld)
-    blocks = [ds[lo:lo + size] for lo in range(0, len(ds), size)]
-
-    def run(block):
-        return check_exponents(fld, block, args.check)
-
     if threads == 1:
-        parts = list(map(run, blocks))
+        results = check_exponents(fld, ds, args.check)
     else:
+        # check_exponents sums one witness oracle pair per cyclotomic coset,
+        # so each worker takes whole cosets
+        cosets = np.unique(coset_leaders(fld, ds), return_inverse=True)[1] % threads
+        chunks = [[d for d, c in zip(ds, cosets.tolist()) if c == i] for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, blocks))
-    results = [r for part in parts for r in part]
+            by_d = {r.d: r for part in ex.map(
+                lambda chunk: check_exponents(fld, chunk, args.check), chunks) for r in part}
+        results = [by_d[d] for d in ds]
     entries = [(r.d, 1 if r.holds else 0) for r in results]
     failures = [r.d for r in results if not r.holds]
     meta = {

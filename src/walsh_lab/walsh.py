@@ -84,7 +84,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -164,10 +164,14 @@ def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]
       * Tr(a*x) = parity(u & x), where bit j of u is Tr(a * alpha^j) =
         parity(a & (t >> j)) and bit k of t is s[k], k < 2m - 1, because
         a * alpha^j is the sum of alpha^(b + j) over the bits b of a.
-    The pairs go tables_per_block(field) at a time, each group summed over
-    blocks of rows of i of at most _BUTTERFLY_BLOCK entries for the group,
-    so the only arrays that grow with q are s (2q bytes) and, without
-    tables, the antilog built for the call.
+    Each block of rows of i holds at most _BUTTERFLY_BLOCK entries, so its
+    row budget is R = _BUTTERFLY_BLOCK // W rows.  The pairs go
+    k = isqrt(R) at a time, and a block takes R // k >= k rows of each
+    pair of its group (k = 32 at m = 12, 16 at m = 16, 8 at m = 20): on a
+    2-CPU VM groups of 8 to 32 pairs were fastest at m = 12 to 20, and one
+    of R pairs, one row each, was 5-15% slower.  The only arrays that grow
+    with q are s (2q bytes) and, without tables, the antilog built for the
+    call.
     """
     if len(ds) != len(points):
         raise DomainError(f"need one point per exponent, got {len(ds)} and {len(points)}")
@@ -188,7 +192,7 @@ def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]
     parities = np.bitwise_count(np.asarray(points, dtype=np.int64)[:, None] & (t >> shifts)) & 1
     us = (parities.astype(np.int64) << shifts).sum(axis=1).astype(np.int32)
     w = 1 << ((m + 1) // 2)
-    size = tables_per_block(field)
+    size = isqrt(_BUTTERFLY_BLOCK // w)
     out: list[int] = []
     for first in range(0, len(ds), size):
         d = np.asarray(ds[first:first + size], dtype=np.int64)[:, None] % n
@@ -196,7 +200,7 @@ def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]
         ramp = (np.arange(w, dtype=np.int64) * d % n).astype(np.intp)[:, None, :]
         heads = (np.arange(field.q // w, dtype=np.int64) * (w * d % n) % n).astype(np.intp)
         u = us[first:first + size, None]
-        rows = max(1, _BUTTERFLY_BLOCK // (k * w))
+        rows = _BUTTERFLY_BLOCK // (k * w)
         ones = np.zeros(k, dtype=np.int64)
         for r in range(0, heads.shape[1], rows):
             lo = r * w

@@ -22,6 +22,7 @@ from walsh_lab import (
     check_no_six,
     check_sarwate,
     conjugate_power_multiset,
+    coset_leaders,
     dickson_is_permutation,
     dickson_value,
     exponent_profile,
@@ -484,7 +485,7 @@ class TestDickson:
 
 
 def _blocks(field, ds):
-    """ds cut as cmd_scan cuts it, tables_per_block(field) at a time."""
+    """ds cut into sign_transforms blocks, tables_per_block(field) at a time."""
     size = tables_per_block(field)
     return [ds[lo:lo + size] for lo in range(0, len(ds), size)]
 
@@ -535,15 +536,16 @@ class TestBoundChecks:
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_blocks_equal_one_exponent_checks(self, m):
-        # cmd_scan's blocks, the last one ragged, against one call per exponent
+        # blocks, the last one ragged, and all of ds in one call (as cmd_scan
+        # passes it on one thread) against one call per exponent
         f = make_field(m)
         ds = [d for d in range(1, f.order) if gcd(d, f.order) == 1]
         blocks = _blocks(f, ds)
         assert sum(map(len, blocks)) == len(ds)
         for name, check in (("bound", check_bound), ("sarwate", check_sarwate)):
-            got = [r for block in blocks for r in check_exponents(f, block, name)]
-            assert got == [check(f, d) for d in ds], name
-        assert check_exponents(f, ds, "bound") == [check_bound(f, d) for d in ds]
+            want = [check(f, d) for d in ds]
+            assert [r for block in blocks for r in check_exponents(f, block, name)] == want, name
+            assert check_exponents(f, ds, name) == want, name
 
     def test_block_without_tables_and_a_ragged_end(self, random_modulus):
         rng = random.Random(4412)
@@ -602,6 +604,21 @@ class TestBoundChecks:
         maxima = {r.max_walsh for r in check_exponents(f, cls, "bound")}
         assert len(maxima) == 1, (m, hex(f.modulus), cls)
         assert maxima == {check_bound(f, e).max_walsh for e in cls}
+
+
+class TestCosetLeaders:
+    @pytest.mark.parametrize("m", [2, 5, 8, 11, 12])
+    def test_least_member_of_each_coset(self, m):
+        f = make_field(m)
+        ds = list(range(1, f.order))
+        want = [min(d * 2**j % f.order for j in range(m)) for d in ds]
+        assert coset_leaders(f, ds).tolist() == want
+        assert coset_leaders(f, []).tolist() == []
+
+    def test_refuses_what_is_not_an_exponent(self, field6):
+        for bad in (0, 63, 1 << 70):
+            with pytest.raises(DomainError):
+                coset_leaders(field6, [5, bad])
 
 
 class TestNoSix:

@@ -3,10 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from walsh_lab import cli, make_field
+from walsh_lab import analysis, cli, make_field
+from walsh_lab.analysis import check_exponents
 from walsh_lab.errors import DomainError
+from walsh_lab.walsh import sign_transforms, walsh_coefficients_at
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -270,6 +273,69 @@ class TestScanCommand:
         assert (one["meta"].pop("threads"), two["meta"].pop("threads")) == (1, 2)
         assert one == two
         assert run(capsys, *argv, "1", "--table-cap", "1") == (0, serial, "")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m, pairs", [(8, 16), (10, 60), (12, 144)])
+    def test_one_oracle_pair_per_class(self, capsys, monkeypatch, m, pairs, threads):
+        # W_d(a) = W_2d(a): a full Sarwate scan sums phi(2^m - 1) / m pairs,
+        # one per class {d * 2^j}, not one per witness
+        summed = []
+
+        def counted(field, ds, points):
+            summed.extend(zip(ds, points))
+            return walsh_coefficients_at(field, ds, points)
+
+        monkeypatch.setattr(analysis, "walsh_coefficients_at", counted)
+        argv = ["scan", "--m", str(m), "--check", "sarwate", "--threads", threads]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and parse(out)["meta"]["scanned"] == pairs * m
+        assert len(summed) == len(set(summed)) == pairs
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_workers_take_whole_classes(self, capsys, monkeypatch, threads):
+        calls = []
+
+        def recorded(field, ds, check):
+            calls.append(list(ds))
+            return check_exponents(field, ds, check)
+
+        monkeypatch.setattr(cli, "check_exponents", recorded)
+        code, out, _ = run(capsys, "scan", "--m", "10", "--check", "sarwate",
+                           "--threads", threads)
+        assert code == 0
+        ds = [e["value"] for e in parse(out)["entries"]]
+        if threads == "1":
+            assert calls == [ds]
+            return
+        # the pool stays parallel, and no class is split between workers
+        assert len(calls) == 2
+        assert sorted(d for chunk in calls for d in chunk) == ds
+        for chunk in calls:
+            assert chunk == sorted(chunk)
+            assert {2 * d % 1023 for d in chunk} == set(chunk)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_wrong_row_outside_the_class_representative_is_caught(self, monkeypatch,
+                                                                      threads):
+        # d = 14 shares its class, and so its oracle pair, with 7; a butterfly
+        # value of 14 that disagrees with 7's must still raise
+        m, rep = 10, 7
+        d = 2 * rep % 1023
+        bumped = []
+
+        def faulty(field, block):
+            arr = sign_transforms(field, block)
+            for k, e in enumerate(block):
+                if e == d:
+                    u = int(np.argmax(arr[k, 1:] >= 1 << (m // 2 + 1))) + 1
+                    arr[k, u] += 4
+                    bumped.append(u)
+            return arr
+
+        monkeypatch.setattr(analysis, "sign_transforms", faulty)
+        with pytest.raises(RuntimeError, match="disagrees with the oracle"):
+            cli.main(["scan", "--m", str(m), "--check", "sarwate", "--threads", threads])
+        assert len(bumped) == 1
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALSH_LAB_THREADS", "3")

@@ -28,23 +28,26 @@ maximum of their maxima and peaks.
   and ``dual_indices``; ``fwht`` alone at m in {14, 24} as well;
   ``subfield_identities`` (field warm) at m in {12, 16, 20}, with 3 runs at
   m = 20; and ``family_spectrum`` (the fibre route ``verify`` runs, on a
-  warm GF(2^t)) at t in {10, 14, 18, 22}, with 3 runs at t = 22.
+  warm GF(2^t)) at t in {10, 14, 18, 22}, with 201 runs at t <= 14, where
+  a call takes about a millisecond, and 3 at t = 22.
 * ``one_exponent``: ``walsh_spectrum``, ``walsh_coefficients`` and
   ``sign_transforms(f, [d])`` at m in {16, 18, 20, 22}, each warm and on a
   fresh ``make_field(m)`` (``_cold``), with 51, 21, 7 and 5 runs; and
   ``Field.dual_indices`` over 2^20 elements of a warm GF(2^20), 51 runs.
 * ``scan``: the bound and Sarwate checks over every invertible d at
-  m in {10, 12, 14} and over the first 1,000 at m = 16, on one thread in
-  ``cmd_scan``'s blocks of ``tables_per_block`` exponents, one call of
-  ``check_exponents`` per block, after one untimed block: the total, and
-  the median and the maximum of each call's time per exponent.
-* ``oracle``: the direct-summation oracle on one block of
-  ``tables_per_block`` random ``(d, a)`` pairs at m in {12, 16, 20}, one
-  ``walsh_coefficients_at`` call per run, after one untimed call:
-  the median and the maximum time per pair over 201 runs at m = 12, 21 at
-  m = 16 and 7 at m = 20; and the tracemalloc peak of one warm
-  ``walsh_coefficient`` call at m in {20, 22}, with and without tables, in
-  MiB and in units of 4q bytes.
+  m in {10, 12, 14} and over the 1,024 exponents of the first 64 classes
+  {d * 2^j mod 2^m - 1} at m = 16, each sweep one ``check_exponents`` call
+  on all of them, as ``cmd_scan`` makes on one thread, after one untimed
+  call on a block of ``tables_per_block`` exponents: sweeps repeat until
+  a round has spent ``SCAN_SECONDS`` on them, at least once, and record
+  their count, the median and the maximum time per sweep, and the median
+  per exponent.
+* ``oracle``: the direct-summation oracle on ``ORACLE_PAIRS`` random
+  ``(d, a)`` pairs at m in {12, 16, 20}, one ``walsh_coefficients_at``
+  call per run, after one untimed call: the median and the maximum time
+  per pair over 201 runs at m = 12, 21 at m = 16 and 7 at m = 20; and the
+  tracemalloc peak of one warm ``walsh_coefficient`` call at m in
+  {20, 22}, with and without tables, in MiB and in units of 4q bytes.
 * In process, 201 runs each: ``cli.build_parser`` and
   ``cli.main(["identities", "--m", "12", "--d", "131"])`` with stdout
   captured, the call the ``subfield-identities`` workload repeats; every run
@@ -94,26 +97,28 @@ SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
 SCAN_M = (10, 12, 14, 16)
-SCAN_LIMIT = {16: 1000}
+SCAN_CLASSES = {16: 64}
+SCAN_SECONDS = 1.0
 ORACLE_RUNS = {12: 201, 16: 21, 20: 7}
+ORACLE_PAIRS = 16
 ORACLE_PEAK_M = (20, 22)
 ONE_EXPONENT_RUNS = {16: 51, 18: 21, 20: 7, 22: 5}
 DUAL_INDICES_M = 20
 
 
 def _measure_oracle() -> dict:
-    """Run inside a side's interpreter: per-pair times of the oracle on one
-    block of pairs, and the peak of one warm walsh_coefficient call."""
+    """Run inside a side's interpreter: per-pair times of the oracle on
+    ORACLE_PAIRS pairs, and the peak of one warm walsh_coefficient call."""
     import random
     import tracemalloc
 
-    from walsh_lab import make_field, tables_per_block, walsh_coefficient, walsh_coefficients_at
+    from walsh_lab import make_field, walsh_coefficient, walsh_coefficients_at
 
     rng = random.Random(20)
     out = {}
+    k = ORACLE_PAIRS
     for m, runs in ORACLE_RUNS.items():
         field = make_field(m)
-        k = tables_per_block(field)
         ds = [rng.randrange(1, field.order) for _ in range(k)]
         points = [rng.randrange(field.q) for _ in range(k)]
         walsh_coefficients_at(field, ds, points)
@@ -147,22 +152,23 @@ def _measure_scan() -> dict:
     out = {}
     for m in SCAN_M:
         field = make_field(m)
-        ds = [d for d in range(1, field.order) if gcd(d, field.order) == 1][:SCAN_LIMIT.get(m)]
-        size = tables_per_block(field)
-        blocks = [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+        n = field.order
+        ds = [d for d in range(1, n) if gcd(d, n) == 1]
+        if m in SCAN_CLASSES:
+            reps = sorted({min(d * 2**j % n for j in range(m)) for d in ds})[:SCAN_CLASSES[m]]
+            ds = sorted(r * 2**j % n for r in reps for j in range(m))
         for check in ("bound", "sarwate"):
-            check_exponents(field, blocks[0], check)
-            per = []
-            start = time.perf_counter()
-            for block in blocks:
-                t0 = time.perf_counter()
-                check_exponents(field, block, check)
-                per.append((time.perf_counter() - t0) / len(block))
+            check_exponents(field, ds[:tables_per_block(field)], check)
+            sweeps = []
+            while not sweeps or sum(sweeps) < SCAN_SECONDS:
+                start = time.perf_counter()
+                check_exponents(field, ds, check)
+                sweeps.append(time.perf_counter() - start)
             out[f"m={m} {check}"] = {
-                "exponents": len(ds), "block": size,
-                "total_s": round(time.perf_counter() - start, 4),
-                "median_us": round(1e6 * statistics.median(per), 2),
-                "max_us": round(1e6 * max(per), 2)}
+                "exponents": len(ds), "sweeps": len(sweeps),
+                "median_s": round(statistics.median(sweeps), 5),
+                "max_s": round(max(sweeps), 5),
+                "median_us": round(1e6 * statistics.median(sweeps) / len(ds), 2)}
     return out
 
 
@@ -232,8 +238,8 @@ def _measure_layers() -> dict:
         del signs
     for t in FIBRE_T:
         half = make_field(t)
-        out[f"t={t}"] = {"family_spectrum": timed(lambda _: family_spectrum(half),
-                                                  runs=3 if t >= 22 else 7)}
+        out[f"t={t}"] = {"family_spectrum": timed(
+            lambda _: family_spectrum(half), runs=3 if t >= 22 else 7 if t > 14 else 201)}
     one = {}
     for m, runs in ONE_EXPONENT_RUNS.items():
         field = make_field(m)
