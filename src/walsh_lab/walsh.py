@@ -4,11 +4,13 @@ Two independent routes exist on purpose.  walsh_coefficients_at sums the
 character values directly from the definition, for a list of (d, a) pairs
 at once, and walsh_coefficient is its one-pair case; they are the oracle,
 and they share no helper with the route below (see walsh_coefficients_at).
-scan checks the Sarwate witnesses of a block of exponents with one call:
-at m = 12 (16 pairs a call) it took 17 us per pair against 63 us for the
-one-pair summation through power_map and scalar_mul_map it replaced, and
-the Sarwate scan over all 1,728 exponents 0.117 against 0.258 s, where the
-bound scan takes 0.072 s (medians, 2-CPU VM, BENCH_20.json).
+check_exponents calls walsh_coefficients_at once, after the transforms,
+on one pair per cyclotomic coset and witness: 144 pairs for the 1,728
+witnesses at m = 12.  There the oracle took 2.4-3.3 ms of a 48-66 ms
+Sarwate scan, against 30-36 ms of 75-92 ms with one call per block of 16
+exponents (three in-process runs each, 2-CPU VM).  The Sarwate scan over
+all 1,728 exponents took 0.046 against 0.071 s, where the bound scan
+takes 0.038 to 0.046 s (medians, BENCH_26.json).
 fwht(truth_table(field, d)) computes all 2^m coefficients
 with the Walsh-Hadamard transform, as products by small Hadamard matrices,
 into the int32 sign table: every partial sum is a signed sum of distinct

@@ -276,9 +276,9 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("m, pairs", [(8, 16), (10, 60), (12, 144)])
-    def test_one_oracle_pair_per_class(self, capsys, monkeypatch, m, pairs, threads):
+    def test_one_oracle_pair_per_coset(self, capsys, monkeypatch, m, pairs, threads):
         # W_d(a) = W_2d(a): a full Sarwate scan sums phi(2^m - 1) / m pairs,
-        # one per class {d * 2^j}, not one per witness
+        # one per coset {d * 2^j}, not one per witness
         summed = []
 
         def counted(field, ds, points):
@@ -292,7 +292,7 @@ class TestScanCommand:
         assert len(summed) == len(set(summed)) == pairs
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_workers_take_whole_classes(self, capsys, monkeypatch, threads):
+    def test_workers_take_whole_cosets(self, capsys, monkeypatch, threads):
         calls = []
 
         def recorded(field, ds, check):
@@ -307,7 +307,7 @@ class TestScanCommand:
         if threads == "1":
             assert calls == [ds]
             return
-        # the pool stays parallel, and no class is split between workers
+        # the pool stays parallel, and no coset is split between workers
         assert len(calls) == 2
         assert sorted(d for chunk in calls for d in chunk) == ds
         for chunk in calls:
@@ -315,9 +315,8 @@ class TestScanCommand:
             assert {2 * d % 1023 for d in chunk} == set(chunk)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_a_wrong_row_outside_the_class_representative_is_caught(self, monkeypatch,
-                                                                      threads):
-        # d = 14 shares its class, and so its oracle pair, with 7; a butterfly
+    def test_a_wrong_row_off_the_coset_leader_is_caught(self, monkeypatch, threads):
+        # d = 14 shares its coset, and so its oracle pair, with 7; a butterfly
         # value of 14 that disagrees with 7's must still raise
         m, rep = 10, 7
         d = 2 * rep % 1023

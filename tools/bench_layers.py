@@ -35,7 +35,7 @@ maximum of their maxima and peaks.
   fresh ``make_field(m)`` (``_cold``), with 51, 21, 7 and 5 runs; and
   ``Field.dual_indices`` over 2^20 elements of a warm GF(2^20), 51 runs.
 * ``scan``: the bound and Sarwate checks over every invertible d at
-  m in {10, 12, 14} and over the 1,024 exponents of the first 64 classes
+  m in {10, 12, 14} and over the 1,024 exponents of the first 64 cosets
   {d * 2^j mod 2^m - 1} at m = 16, each sweep one ``check_exponents`` call
   on all of them, as ``cmd_scan`` makes on one thread, after one untimed
   call on a block of ``tables_per_block`` exponents: sweeps repeat until
@@ -97,7 +97,7 @@ SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
 SCAN_M = (10, 12, 14, 16)
-SCAN_CLASSES = {16: 64}
+SCAN_COSETS = {16: 64}
 SCAN_SECONDS = 1.0
 ORACLE_RUNS = {12: 201, 16: 21, 20: 7}
 ORACLE_PAIRS = 16
@@ -154,9 +154,10 @@ def _measure_scan() -> dict:
         field = make_field(m)
         n = field.order
         ds = [d for d in range(1, n) if gcd(d, n) == 1]
-        if m in SCAN_CLASSES:
-            reps = sorted({min(d * 2**j % n for j in range(m)) for d in ds})[:SCAN_CLASSES[m]]
-            ds = sorted(r * 2**j % n for r in reps for j in range(m))
+        if m in SCAN_COSETS:
+            # coset leaders computed here: a baseline may predate coset_leaders
+            leaders = sorted({min(d * 2**j % n for j in range(m)) for d in ds})
+            ds = sorted(e * 2**j % n for e in leaders[:SCAN_COSETS[m]] for j in range(m))
         for check in ("bound", "sarwate"):
             check_exponents(field, ds[:tables_per_block(field)], check)
             sweeps = []
