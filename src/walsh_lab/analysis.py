@@ -8,8 +8,8 @@ Conventions shared by everything here:
   * L is the index-2 subfield GF(2^t) of GF(2^m), m = 2t.
   * c is a designated element of the order-(2^t + 1) unit subgroup, c != 1,
     so c is outside L and cbar = c^(2^t) = c^-1.  Operations that only need
-    c^(2^t+1) = 1 default to the full subgroup generator; the ones tied to
-    the sextic census prefer order 5 when 5 divides 2^t + 1.
+    c^(2^t+1) = 1 take the full subgroup generator; the ones tied to the
+    sextic census take the element of order 5 when 5 divides 2^t + 1.
   * theta = c + cbar, an element of L.
 """
 
@@ -36,24 +36,12 @@ def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _resolve_c(field: Field, c: int | None, subgroup_order: int | None, prefer_five: bool) -> tuple[int, int]:
-    """Pick (c, order of c).  c must satisfy c != 1 and c^(2^t + 1) = 1."""
-    t = field.need_even()
-    full = (1 << t) + 1
-    if c is not None:
-        if c == 1 or field.pow(c, full) != 1:
-            raise DomainError(f"c = 0x{c:x} is not a nontrivial element of the order-{full} subgroup")
-        k = c
-        order = 1
-        while k != 1:
-            k = field.mul(k, c)
-            order += 1
-        return c, order
-    if subgroup_order is None:
-        subgroup_order = 5 if prefer_five and full % 5 == 0 else full
-    if subgroup_order < 2 or full % subgroup_order != 0:
-        raise DomainError(f"subgroup order {subgroup_order} must divide 2^t + 1 = {full} and exceed 1")
-    return field.designated_generator(subgroup_order), subgroup_order
+def _designated_c(field: Field, prefer_five: bool) -> tuple[int, int]:
+    """(c, order of c): the generator of the order-(2^t + 1) subgroup, or
+    with prefer_five its order-5 element when 5 divides 2^t + 1."""
+    full = (1 << field.need_even()) + 1
+    order = 5 if prefer_five and full % 5 == 0 else full
+    return field.designated_generator(order), order
 
 
 # -- exponent classification -------------------------------------------------
@@ -159,11 +147,10 @@ class PowerMultiset(Histogram):
     entries: tuple[tuple[int, int], ...]
 
 
-def conjugate_power_multiset(field: Field, d: int, c: int | None = None,
-                             subgroup_order: int | None = None) -> PowerMultiset:
+def conjugate_power_multiset(field: Field, d: int) -> PowerMultiset:
     t = field.need_even()
     field.check_exponent(d)
-    c, order = _resolve_c(field, c, subgroup_order, prefer_five=False)
+    c, order = _designated_c(field, prefer_five=False)
     cbar = field.pow(c, 1 << t)
     counts: Counter[int] = Counter()
     for x in field.subfield_elements():
@@ -304,8 +291,7 @@ def subfield_identities(field: Field, d: int) -> SubfieldIdentities:
         order = np.argsort(xor_span(basis, 1 << t))
         # c = alpha^((2^m - 1)/(2^t + 1)) and gamma^i = alpha^(i (2^t + 1)), so
         # the products c * gamma^i are read off the antilog, with no log table
-        step = (1 << t) + 1
-        c = field.designated_generator(step)
+        c, step = _designated_c(field, prefer_five=False)
         points = xor_span([field.exp(field.order // step + i * step) for i in range(t)],
                           1 << t)[order[1:]]
         # the boundary counts need x^d itself, so the signs are read from it
@@ -351,15 +337,14 @@ class SolutionSet:
     elements: tuple[int, ...]
 
 
-def walsh_solution_set(field: Field, i: int, b: int, c: int | None = None,
-                       subgroup_order: int | None = None) -> SolutionSet:
+def walsh_solution_set(field: Field, i: int, b: int) -> SolutionSet:
     """Exhaustive scan of L for the solution set; the contract is the set itself."""
     t = field.need_even()
     if not 1 <= i <= t - 2:
         raise DomainError(f"need 0 < i < t - 1 = {t - 1}, got i = {i}")
     if not field.in_subfield(b):
         raise DomainError("b must lie in the subfield L")
-    c, order = _resolve_c(field, c, subgroup_order, prefer_five=True)
+    c, order = _designated_c(field, prefer_five=True)
     theta = c ^ field.pow(c, 1 << t)
     e = 1 << (i + 1)
     shift = field.pow(field.mul(b, theta), e)
@@ -370,8 +355,7 @@ def walsh_solution_set(field: Field, i: int, b: int, c: int | None = None,
     return SolutionSet(i=i, b=b, c=c, c_order=order, theta=theta, elements=elements)
 
 
-def walsh_from_solutions(field: Field, i: int, a: int, b: int, c: int | None = None,
-                         subgroup_order: int | None = None) -> int:
+def walsh_from_solutions(field: Field, i: int, a: int, b: int) -> int:
     """W_d(a + b*cbar) for d = 1 + 2^i + 2^(i+t), evaluated through the solution set:
 
         2^t * sum over z in S_b of (-1)^Tr_t(z^(1 + 2^(i+1)) * theta^(-2^(i+1)) + a*z)
@@ -383,7 +367,7 @@ def walsh_from_solutions(field: Field, i: int, a: int, b: int, c: int | None = N
         raise DomainError("a must lie in the subfield L")
     d = 1 + (1 << i) + (1 << (i + t))
     field.check_invertible(d)
-    ss = walsh_solution_set(field, i, b, c=c, subgroup_order=subgroup_order)
+    ss = walsh_solution_set(field, i, b)
     e = 1 << (i + 1)
     theta_inv_e = field.pow(ss.theta, -e)
     total = 0
@@ -568,22 +552,21 @@ def family_spectrum(field: Field, i: int = 1) -> Spectrum:
 # -- Dickson polynomials -------------------------------------------------------
 
 
-def dickson_value(field: Field, x: int, n: int = 5) -> int:
-    """D_n(x, 1) in characteristic 2 via the recurrence D_k = x*D_(k-1) + D_(k-2)."""
-    if n < 1:
-        raise DomainError(f"Dickson index must be positive, got {n}")
+def dickson_value(field: Field, x: int) -> int:
+    """D_5(x, 1) in characteristic 2 via the recurrence D_k = x*D_(k-1) + D_(k-2)."""
     field.check_element(x, "x")
     prev, cur = 0, x  # D_0 = 2 = 0, D_1 = x
-    for _ in range(n - 1):
+    for _ in range(4):
         prev, cur = cur, field.mul(x, cur) ^ prev
     return cur
 
 
-def dickson_is_permutation(field: Field, n: int = 5) -> bool:
-    """Permutation test by exhaustive image and by gcd(n, 2^(2t) - 1); they must agree."""
-    image = {dickson_value(field, x, n) for x in range(field.q)}
+def dickson_is_permutation(field: Field) -> bool:
+    """Permutation test of D_5 by exhaustive image and by gcd(5, 2^(2t) - 1);
+    they must agree."""
+    image = {dickson_value(field, x) for x in range(field.q)}
     by_image = len(image) == field.q
-    by_gcd = gcd(n, field.q * field.q - 1) == 1
+    by_gcd = gcd(5, field.q * field.q - 1) == 1
     if by_image != by_gcd:
         raise RuntimeError("Dickson permutation criteria disagree; implementation bug")
     return by_image
@@ -649,9 +632,9 @@ def check_exponents(field: Field, ds: Sequence[int], check: str) -> list:
     W_d(a) = W_(d')(a) for the coset leader d' of d (coset_leaders): after
     the blocks, one walsh_coefficients_at call sums each distinct (d', a)
     once, and every row's butterfly value is compared with its pair's sum.
-    A scan that passes whole cosets sums one pair per coset (16, 60, 144
-    and 756 at m = 8, 10, 12 and 14, where it finds 128, 600, 1,728 and
-    10,584 witnesses); a wrong witness makes a pair of its own."""
+    A scan that passes whole cosets sums one pair per coset, phi(2^m - 1)/m
+    pairs (16, 60, 144 and 756 at m = 8, 10, 12 and 14); a wrong witness
+    makes a pair of its own."""
     t = field.need_even()
     if check not in ("bound", "sarwate"):
         raise DomainError(f"check must be 'bound' or 'sarwate', got {check!r}")
@@ -716,7 +699,7 @@ def check_no_six(field: Field) -> NoSixReport:
     spec = family_spectrum(make_field(t, table_cap=field.table_cap))
     banned = 6 << t
     absent = spec.count(banned) == 0 and spec.count(-banned) == 0
-    c = field.designated_generator(5)
+    c = _designated_c(field, prefer_five=True)[0]
     theta = c ^ field.pow(c, 1 << t)
     tr_one = field.subfield_trace(field.inv(theta)) == 1
     order_three = theta != 1 and field.pow(theta, 3) == 1

@@ -193,10 +193,14 @@ def cmd_scan(args) -> int:
         results = check_exponents(fld, ds, args.check)
     else:
         # check_exponents sums one witness oracle pair per cyclotomic coset,
-        # so each worker takes whole cosets
-        cosets = np.unique(coset_leaders(fld, ds), return_inverse=True)[1] % threads
-        chunks = [[d for d, c in zip(ds, cosets.tolist()) if c == i] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        # so each worker takes whole cosets, every N-th by rank of leader;
+        # --threads caps the pool, which gets one worker per non-empty group
+        ranks = np.unique(coset_leaders(fld, ds), return_inverse=True)[1] % threads
+        groups: dict[int, list[int]] = {}
+        for d, r in zip(ds, ranks.tolist()):
+            groups.setdefault(r, []).append(d)
+        chunks = list(groups.values())
+        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
             by_d = {r.d: r for part in ex.map(
                 lambda chunk: check_exponents(fld, chunk, args.check), chunks) for r in part}
         results = [by_d[d] for d in ds]

@@ -6,11 +6,7 @@ at once, and walsh_coefficient is its one-pair case; they are the oracle,
 and they share no helper with the route below (see walsh_coefficients_at).
 check_exponents calls walsh_coefficients_at once, after the transforms,
 on one pair per cyclotomic coset and witness: 144 pairs for the 1,728
-witnesses at m = 12.  There the oracle took 2.4-3.3 ms of a 48-66 ms
-Sarwate scan, against 30-36 ms of 75-92 ms with one call per block of 16
-exponents (three in-process runs each, 2-CPU VM).  The Sarwate scan over
-all 1,728 exponents took 0.046 against 0.071 s, where the bound scan
-takes 0.038 to 0.046 s (medians, BENCH_26.json).
+witnesses at m = 12.
 fwht(truth_table(field, d)) computes all 2^m coefficients
 with the Walsh-Hadamard transform, as products by small Hadamard matrices,
 into the int32 sign table: every partial sum is a signed sum of distinct
@@ -46,10 +42,8 @@ when the array is float32 and otherwise copied into a 256 KiB float32
 buffer, which stays in L2, and the remaining bits down the columns of the
 array, a chunk of columns at a time through two such buffers.  The block
 stage (_rotating) multiplies tall slices by the factor,
-(rows x 2^b) @ H_(2^b), which OpenBLAS runs up to twice as fast as the same
-multiply-adds in the form H_(2^b) @ (2^b x rows) it replaced: fwht of an
-int32 sign table took 24 against 30 us at m = 12, 0.14 against 0.31 ms at
-m = 16 and 21 against 40 ms at m = 22 (medians, BENCH_25.json, 2-CPU VM).
+(rows x 2^b) @ H_(2^b), a form OpenBLAS runs faster than
+H_(2^b) @ (2^b x rows).
 walsh_spectrum histograms the butterfly output by sorting it in place, so
 with or without tables the result and the parity bytes are the only
 q-sized arrays that truth_table, walsh_spectrum and walsh_coefficients
@@ -64,11 +58,9 @@ _parities keeps the K parities of a position side by side, so one gather,
 one popcount and one scatter of K-byte items serve the block, and
 _rotating transforms the (q, K) bytes, widened to float32 in that layout:
 each Hadamard factor carries the K tables along below the index bits it
-moves, and the last one leaves them as the K rows of the result.  At
-m = 12 (K = 16) the bound scan over all 1,728 invertible exponents took
-0.069 s against 0.147 s with one fwht(truth_table(field, d)) each, medians
-of 43 and 70 us per exponent (BENCH_19.json, 2-CPU VM); at m = 14 (K = 4)
-2.21 against 2.60 s.  From m = 16 up K = 1, and fwht transforms each row.
+moves, and the last one leaves them as the K rows of the result.  K = 16
+at m = 12 and 4 at m = 14; from m = 16 up K = 1, and fwht transforms each
+row.
 
 Index reconciliation: the butterfly natively computes
 F(u) = sum_x signs[x] * (-1)^parity(u & x), while the Walsh coefficient wants
@@ -170,10 +162,9 @@ def walsh_coefficients_at(field: Field, ds: Sequence[int], points: Sequence[int]
     row budget is R = _BUTTERFLY_BLOCK // W rows.  The pairs go
     k = isqrt(R) at a time, and a block takes R // k >= k rows of each
     pair of its group (k = 32 at m = 12, 16 at m = 16, 8 at m = 20): on a
-    2-CPU VM groups of 8 to 32 pairs were fastest at m = 12 to 20, and one
-    of R pairs, one row each, was 5-15% slower.  The only arrays that grow
-    with q are s (2q bytes) and, without tables, the antilog built for the
-    call.
+    2-CPU VM groups of 8 to 32 pairs were fastest at m = 12 to 20.  The
+    only arrays that grow with q are s (2q bytes) and, without tables, the
+    antilog built for the call.
     """
     if len(ds) != len(points):
         raise DomainError(f"need one point per exponent, got {len(ds)} and {len(points)}")
@@ -363,9 +354,8 @@ def _rotating(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     order and a (2^k, K) array as K transformed rows.  Each factor is one
     call over chunks of c rows, c = min(_PRODUCT_CAP / 4^b, the largest
     power of two dividing R), so every 2-D product (c x 2^b) @ H_(2^b) runs
-    on the calling thread.  OpenBLAS runs this tall form up to twice as fast
-    as the same multiply-adds as H_(2^b) @ (2^b x c), and it reads x where
-    it lies.
+    on the calling thread.  OpenBLAS runs this tall form faster than
+    H_(2^b) @ (2^b x c), and it reads x where it lies.
     """
     for b in _factors(k):
         side, rows = 1 << b, x.size >> b
@@ -388,9 +378,7 @@ def _columns(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     matrix products, not matrix-vector ones.  The result is cast back into
     the chunk.  The chunks of several columns keep H_(2^b) on the left:
     _rotating would leave a chunk transposed, (w, 2^k), and the transposed
-    copy back into the grid cost more than the tall products saved (fwht
-    at m = 22 took 21-26 ms with it and 13-18 ms without, three runs each
-    on a 2-CPU VM).
+    copy back into the grid costs more than the tall products save.
     """
     rows, n = grid.shape
     k = rows.bit_length() - 1

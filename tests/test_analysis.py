@@ -166,19 +166,6 @@ class TestPowerMultiset:
         )
         assert total >= 2 ** 7
 
-    def test_explicit_subgroup_order(self, field12):
-        mult = conjugate_power_multiset(field12, 131, subgroup_order=5)
-        assert mult.c_order == 5
-        assert mult.total() == 64
-
-    def test_c_validation(self, field6):
-        with pytest.raises(DomainError):
-            conjugate_power_multiset(field6, 19, c=1)
-        with pytest.raises(DomainError):
-            conjugate_power_multiset(field6, 19, c=field6.alpha)  # not on the unit circle
-        with pytest.raises(DomainError):
-            conjugate_power_multiset(field6, 19, subgroup_order=5)
-
     def test_reconstruction_rejects_outsiders(self, field6):
         mult = conjugate_power_multiset(field6, 19)
         outsider = next(x for x in range(64) if not field6.in_subfield(x))
@@ -474,14 +461,6 @@ class TestDickson:
     def test_permutation_parity(self):
         for t in range(2, 8):
             assert dickson_is_permutation(make_field(t)) == (t % 2 == 1)
-
-    def test_trivial_index(self, field6):
-        assert all(dickson_value(field6, x, 1) == x for x in range(64))
-        assert dickson_is_permutation(field6, 1)
-
-    def test_bad_index(self, field6):
-        with pytest.raises(DomainError):
-            dickson_value(field6, 3, 0)
 
 
 def _blocks(field, ds):

@@ -314,6 +314,43 @@ class TestScanCommand:
             assert chunk == sorted(chunk)
             assert {2 * d % 1023 for d in chunk} == set(chunk)
 
+    @pytest.mark.parametrize("threads", [2, 64, 10**6])
+    def test_pool_is_capped_by_the_cosets(self, capsys, monkeypatch, threads):
+        # m = 10 has 60 cosets: a pool of N gets min(N, 60) workers and one
+        # non-empty group each.  The stand-in runs every group on the calling
+        # thread, so a large N starts no thread.
+        requested, calls = [], []
+
+        class Inline:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        def recorded(field, ds, check):
+            calls.append(list(ds))
+            return check_exponents(field, ds, check)
+
+        argv = ["scan", "--m", "10", "--check", "sarwate", "--threads"]
+        code, serial, _ = run(capsys, *argv, "1")
+        assert code == 0
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(cli, "check_exponents", recorded)
+        code, pooled, _ = run(capsys, *argv, str(threads))
+        assert code == 0
+        assert requested == [min(threads, 60)]
+        assert len(calls) == min(threads, 60) and all(calls)
+        one, many = parse(serial), parse(pooled)
+        assert (one["meta"].pop("threads"), many["meta"].pop("threads")) == (1, threads)
+        assert one == many
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_a_wrong_row_off_the_coset_leader_is_caught(self, monkeypatch, threads):
         # d = 14 shares its coset, and so its oracle pair, with 7; a butterfly

@@ -218,6 +218,36 @@ class TestSpectrumInvariants:
         assert s.count(999) == 0
         assert s.values() == (-16, 0, 16)
 
+    @pytest.mark.parametrize("m, sample", [(m, None) for m in range(3, 13)] + [(14, 128), (16, 64)])
+    def test_mceliece_divisibility(self, m, sample):
+        # Tr(x^d + a*x) has algebraic degree wt_2(d), so by McEliece's
+        # theorem every W_d(a) is divisible by 2^ceil(m / wt_2(d)); every
+        # invertible d up to m = 12, a seeded sample above
+        f = make_field(m)
+        ds = _invertible(f)
+        if sample:
+            ds = sorted(random.Random(600 + m).sample(ds, sample))
+        for block in _blocks(f, ds):
+            for d, row in zip(block, sign_transforms(f, block)):
+                step = 1 << -(-m // bin(d).count("1"))
+                assert not (row % step).any(), f"m={m} d={d}"
+
+    @pytest.mark.parametrize("m, sample, four", [(4, None, 4), (8, None, 24), (16, 128, None)])
+    def test_at_least_four_values(self, m, sample, four):
+        # Helleseth: for m a power of two, W_d(a) over a != 0 takes at least
+        # four values unless d is a power of 2 mod 2^m - 1.  Exactly four
+        # occur for all 4 such d at m = 4 and 24 of the 120 at m = 8.
+        f = make_field(m)
+        powers = {pow(2, j, f.order) for j in range(m)}
+        ds = [d for d in _invertible(f) if d not in powers]
+        if sample:
+            ds = sorted(random.Random(700 + m).sample(ds, sample))
+        counts = [np.unique(row[1:]).size for block in _blocks(f, ds)
+                  for row in sign_transforms(f, block)]
+        assert min(counts) >= 4, f"m={m}"
+        if four is not None:
+            assert counts.count(4) == four
+
 
 class TestTruthTable:
     def test_signs_are_plus_minus_one(self, field6):
@@ -525,6 +555,10 @@ def _oracle_transform(field: Field, d: int) -> np.ndarray:
 def _blocks(field: Field, ds: list[int]) -> list[list[int]]:
     size = tables_per_block(field)
     return [ds[lo:lo + size] for lo in range(0, len(ds), size)]
+
+
+def _invertible(field: Field) -> list[int]:
+    return [d for d in range(1, field.order) if gcd(d, field.order) == 1]
 
 
 class TestSignTransforms:

@@ -39,9 +39,9 @@ maximum of their maxima and peaks.
   {d * 2^j mod 2^m - 1} at m = 16, each sweep one ``check_exponents`` call
   on all of them, as ``cmd_scan`` makes on one thread, after one untimed
   call on a block of ``tables_per_block`` exponents: sweeps repeat until
-  a round has spent ``SCAN_SECONDS`` on them, at least once, and record
-  their count, the median and the maximum time per sweep, and the median
-  per exponent.
+  a round has spent ``SCAN_SECONDS`` on them and made at least
+  ``SCAN_MIN_SWEEPS``, and record their count, the median and the maximum
+  time per sweep, and the median per exponent.
 * ``oracle``: the direct-summation oracle on ``ORACLE_PAIRS`` random
   ``(d, a)`` pairs at m in {12, 16, 20}, one ``walsh_coefficients_at``
   call per run, after one untimed call: the median and the maximum time
@@ -99,6 +99,8 @@ IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
 SCAN_M = (10, 12, 14, 16)
 SCAN_COSETS = {16: 64}
 SCAN_SECONDS = 1.0
+# A sweep at m = 14 takes 1.0-1.9 s, so SCAN_SECONDS alone would give it one
+SCAN_MIN_SWEEPS = 3
 ORACLE_RUNS = {12: 201, 16: 21, 20: 7}
 ORACLE_PAIRS = 16
 ORACLE_PEAK_M = (20, 22)
@@ -161,7 +163,7 @@ def _measure_scan() -> dict:
         for check in ("bound", "sarwate"):
             check_exponents(field, ds[:tables_per_block(field)], check)
             sweeps = []
-            while not sweeps or sum(sweeps) < SCAN_SECONDS:
+            while len(sweeps) < SCAN_MIN_SWEEPS or sum(sweeps) < SCAN_SECONDS:
                 start = time.perf_counter()
                 check_exponents(field, ds, check)
                 sweeps.append(time.perf_counter() - start)
