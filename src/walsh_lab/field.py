@@ -5,22 +5,30 @@ x^j in the residue class modulo a fixed primitive polynomial, so addition is
 XOR and zero/one are the ints 0 and 1.  The generator alpha is the class of x,
 i.e. the int 2.
 
-When the field is small enough (2^m <= table_cap, default 2^22 entries) the
-int32 antilog alog[i] = alpha^i is built once, as geometric(alpha, 2^m - 1).
+A field with tables (2^m <= table_cap, default 2^22 entries) has the int32
+antilog alog[i] = alpha^i, built as geometric(alpha, 2^m - 1).
 geometric(c, n) fills c^k for k < n by doubling, out[k:2k] = c^k * out[:k],
 each product by the constant c^k read from two small tables because it is
-GF(2)-linear.  The int32 log, its blocked inverse scatter, serves scalar
-arithmetic only: it is built on the first mul, inv, pow or log_of, and no
-vector map reads it.  Above the cap the scalar operations fall back to
-shift-and-reduce polynomial multiplication and power_rows builds each row
-as a geometric sequence instead of a gather.  power_blocks(e, size) streams
-alpha^(e*i) a block at a time, each block the one before times a constant
-(with tables and e = 1, slices of the antilog); power_map and the sign
-tables read it, so neither makes a q-sized antilog.  trace_bits,
-scalar_mul_map, dual_indices and coset_labels need no tables: all are
-GF(2)-linear maps, filled by doubling over the polynomial basis (xor_span).
-The maps to elements, power_map, scalar_mul_map, dual_indices and the
-antilog, are int32 (every element is below 2^28); trace_bits is uint8.
+GF(2)-linear.  While 2^m <= 2^16 (one _POWER_BLOCK) construction builds
+it.  Above that a one-exponent call would read it once, as slices, so it
+waits: the first mul, inv, pow, log_of or antilog(), or the field's second
+plain walk of power_blocks(1, size), builds it, and the first walk streams.
+The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
+it is built on the first mul, inv, pow or log_of, and no vector map reads
+it.  Until the antilog exists, and always above the cap, exp and
+power_rows work without it: exp by square-and-multiply, power_rows one
+geometric sequence per row instead of a gather; above the cap the scalar
+operations fall back to shift-and-reduce polynomial multiplication.
+power_blocks(e, size) streams alpha^(e*i) a block at a time, each block the
+one before times a constant (with a built antilog and e = 1, slices of
+it); with dual it streams dual_index(alpha^(e*i)), each block the one
+before through the linear map dual_index(c * dual_index_inv(u)).
+power_map and the sign tables read these streams, so neither makes a
+q-sized antilog.  trace_bits, scalar_mul_map, dual_indices and
+coset_labels need no tables: all are GF(2)-linear maps, filled by doubling
+over the polynomial basis (xor_span).  The maps to elements, power_map,
+scalar_mul_map, dual_indices and the antilog, are int32 (every element is
+below 2^28); trace_bits is uint8.
 
 For m = 2t the subfield L = GF(2^t) has one coordinate system, a =
 sum_i k_i gamma^i over subfield_basis(), and coset_labels() names x + L by
@@ -269,9 +277,9 @@ class Field:
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
         """Check m and the degree of the modulus (DomainError),
         verify that alpha has order 2^m - 1, build the antilog if
-        2^m <= table_cap (the log waits for its first use), and derive the
-        trace mask and the dual-index matrix from Tr(alpha^k) by Newton's
-        identities."""
+        2^m <= min(table_cap, 2^16) (a larger one waits for its first use,
+        and the log always does), and derive the trace mask and the
+        dual-index matrix from Tr(alpha^k) by Newton's identities."""
         check_degree(m)
         # not bit_length: a negative modulus has the right one too, and the
         # reduction loops never end on it
@@ -289,8 +297,9 @@ class Field:
             self._verify_primitive()
             _PROVEN_PRIMITIVE.add((m, modulus))
 
-        self._alog = self._antilog() if self.q <= table_cap else None
+        self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
         self._log: np.ndarray | None = None
+        self._walked = False  # a plain power_blocks(1, size) walk has streamed
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix.
@@ -335,13 +344,20 @@ class Field:
                     f"modulus 0x{self.modulus:x} is not primitive: alpha order divides {self.order // p}"
                 )
 
-    def _product_halves(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+    def _product_halves(self, c: int, dual: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The two tables of y -> c*y for _apply_halves with h = m // 2: the
-        XOR spans of the columns c * alpha^j for j < h and for j >= h."""
+        XOR spans of the columns c * alpha^j for j < h and for j >= h.  With
+        dual, those of u -> dual_index(c * dual_index_inv(u)), the same
+        product in dual coordinates, whose column j is
+        dual_index(c * dual_index_inv(2^j))."""
         m, h = self.m, self.m // 2
-        cols = [c]
-        for _ in range(m - 1):
-            cols.append(self._mulx(cols[-1]))
+        if dual:
+            cols = [self.dual_index(_polymul_mod(c, r, self.modulus, m))
+                    for r in self._dual_rows_inv]
+        else:
+            cols = [c]
+            for _ in range(m - 1):
+                cols.append(self._mulx(cols[-1]))
         return xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
 
     def geometric(self, c: int, count: int) -> np.ndarray:
@@ -380,22 +396,31 @@ class Field:
         """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1."""
         return self.geometric(self.alpha, self.order)
 
+    def _table(self) -> np.ndarray:
+        """The stored antilog, built on first use; only for a field with
+        tables.  Threads that share the field may each build it once, the
+        same table, and the last assignment stays."""
+        if self._alog is None:
+            self._alog = self._antilog()
+        return self._alog
+
     def _logs(self) -> np.ndarray:
         """The int32 log table, scattered from the antilog on first use;
         only for a field with tables."""
         if self._log is None:
-            self._log = _log_from_antilog(self._alog, self.q)
+            self._log = _log_from_antilog(self._table(), self.q)
         return self._log
 
     def antilog(self) -> np.ndarray:
-        """int32 alpha^i for 0 <= i < 2^m - 1: the stored table, which
-        callers must not modify, or without tables one built for this call."""
-        return self._alog if self._alog is not None else self._antilog()
+        """int32 alpha^i for 0 <= i < 2^m - 1: with tables the stored
+        antilog, built by this call if it is the first to need it, which
+        callers must not modify; without tables one built for this call."""
+        return self._table() if self.has_tables else self._antilog()
 
     def power_rows(self, es: Sequence[int], count: int) -> np.ndarray:
         """int32 (len(es), count) array with entry (k, j) = alpha^(es[k] * j):
-        gathered from the antilog, or without tables one geometric sequence
-        per row."""
+        gathered from the antilog once it is built, otherwise one geometric
+        sequence per row."""
         if self._alog is None:
             return np.stack([self.geometric(self.exp(e), count) for e in es])
         exps = np.multiply.outer(np.asarray(es, dtype=np.int64) % self.order,
@@ -403,24 +428,34 @@ class Field:
         exps %= self.order
         return self._alog[exps]
 
-    def power_blocks(self, e: int, size: int):
+    def power_blocks(self, e: int, size: int, dual: bool = False):
         """Yield the int32 arrays [alpha^(e*lo), ..., alpha^(e*(hi - 1))] for
         lo = 0, size, 2 size, ... below 2^m - 1, with hi = min(lo + size,
-        2^m - 1).
+        2^m - 1), or with dual the same blocks mapped through dual_index.
 
-        With tables and e = 1 mod 2^m - 1 they are slices of the antilog,
-        which callers must not modify.  Otherwise the first block is
-        power_rows([e], size)[0] and each next one the block before times
-        alpha^(e*size), in two reused buffers, so a block is valid only until
-        the next is drawn and no array has more than size entries."""
+        With tables, e = 1 mod 2^m - 1 and no dual, they are slices of the
+        antilog, which callers must not modify; the field's first such walk
+        before the antilog exists streams instead, and its second builds
+        the antilog.  Otherwise the first block is power_rows([e], size)[0]
+        (with dual, through dual_indices) and each next one the block
+        before times c = alpha^(e*size), with dual through
+        dual_index(c * dual_index_inv(u)), in two reused buffers, so a
+        block is valid only until the next is drawn and no array has more
+        than size entries.  A dual walk never builds the antilog: it would
+        read one block of it."""
         n = self.order
-        if self._alog is not None and e % n == 1:
-            for lo in range(0, n, size):
-                yield self._alog[lo:lo + size]
-            return
+        if not dual and e % n == 1 and self.has_tables:
+            if self._alog is not None or self._walked:
+                alog = self._table()
+                for lo in range(0, n, size):
+                    yield alog[lo:lo + size]
+                return
+            self._walked = True
         block = self.power_rows([e], min(size, n))[0]
+        if dual:
+            block = self.dual_indices(block)
         if size < n:
-            halves = self._product_halves(self.exp(e * size))
+            halves = self._product_halves(self.exp(e * size), dual)
             nxt = np.empty_like(block)
             ix = np.empty(size, dtype=np.intp)
             tmp = np.empty_like(block)
@@ -453,7 +488,10 @@ class Field:
 
     @property
     def has_tables(self) -> bool:
-        return self._alog is not None
+        """2^m <= table_cap: the field keeps an antilog and a log, each
+        built when the module docstring says, and serves scalar arithmetic
+        from them."""
+        return self.q <= self.table_cap
 
     def add(self, x: int, y: int) -> int:
         return x ^ y
@@ -461,7 +499,7 @@ class Field:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        if self._alog is not None:
+        if self.has_tables:
             log = self._logs()
             return int(self._alog[(int(log[x]) + int(log[y])) % self.order])
         return _polymul_mod(x, y, self.modulus, self.m)
@@ -469,8 +507,9 @@ class Field:
     def inv(self, x: int) -> int:
         if x == 0:
             raise DomainError("0 has no multiplicative inverse")
-        if self._alog is not None:
-            return int(self._alog[(self.order - int(self._logs()[x])) % self.order])
+        if self.has_tables:
+            log = self._logs()
+            return int(self._alog[(self.order - int(log[x])) % self.order])
         return self._raw_pow(x, self.order - 1)
 
     def pow(self, x: int, e: int) -> int:
@@ -482,12 +521,14 @@ class Field:
                 return 1
             raise DomainError("0 has no negative powers")
         e %= self.order
-        if self._alog is not None:
-            return int(self._alog[(int(self._logs()[x]) * e) % self.order])
+        if self.has_tables:
+            log = self._logs()
+            return int(self._alog[(int(log[x]) * e) % self.order])
         return self._raw_pow(x, e)
 
     def exp(self, i: int) -> int:
-        """alpha^i for any integer i."""
+        """alpha^i for any integer i: read from the antilog once it is
+        built, otherwise by square-and-multiply."""
         if self._alog is not None:
             return int(self._alog[i % self.order])
         return self._raw_pow(self.alpha, i % self.order)
@@ -495,7 +536,7 @@ class Field:
     def log_of(self, x: int) -> int:
         if x == 0:
             raise DomainError("log of 0 is undefined")
-        if self._alog is None:
+        if not self.has_tables:
             raise UnsupportedError("discrete logs need log tables (2^m exceeds table_cap)")
         return int(self._logs()[x])
 

@@ -22,8 +22,8 @@ parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
 arrays of about sqrt(q) entries from Field.power_rows give every value by
 one AND and one popcount, for every d.  _parities places the values of a
 block of rows at their block of Field.power_blocks(1, size), at alpha^i,
-as bytes; without tables each block of positions is the one before times a
-constant.  Only truth_table widens the bytes to int32 signs.
+as bytes; unless the field's antilog is built, each block of positions is
+the one before times a constant.  Only truth_table widens the bytes to int32 signs.
 walsh_spectrum, walsh_coefficients and sign_transforms share one route,
 _parity_transforms, which transforms the bytes in float32 up to q = 2^24,
 where float32 is exact, and in int32 above that, and writes
@@ -69,8 +69,11 @@ trace form is symmetric.  So on the sign table in the polynomial basis
 W_d(a) = F(dual_index(a)): dual_index is a bijection, hence the output
 multiset of fwht equals the coefficient multiset and walsh_spectrum can
 histogram the raw butterfly output.  walsh_coefficients places each sign at
-dual_index(x) instead, mapping each block of positions through
-Field.dual_indices, and then the butterfly's entry a is W_d(a) itself.
+dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
+Its positions are the dual stream of Field.power_blocks: dual_index(c*y) =
+(D M_c D^-1)(dual_index(y)) for the dual-index matrix D and the product
+M_c by c, so each block of dual positions is the one before through one
+linear map, with no pass over the elements alpha^i themselves.
 """
 
 from __future__ import annotations
@@ -232,9 +235,8 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     The rows run R*W = 2^m entries, one past the last exponent; that one is
     dropped.  Each block of rows is popcounted into bytes, the K counts of
     one i side by side, and scattered to its block of positions from
-    field.power_blocks(1, rows * W), mapped through dual_indices with dual,
-    the K bytes of a position as one item; the counts become parities in one
-    pass at the end.
+    field.power_blocks(1, rows * W, dual), the K bytes of a position as one
+    item; the counts become parities in one pass at the end.
     """
     k, w = len(ds), 1 << ((field.m + 1) // 2)
     heads = field.power_rows([d * w for d in ds], field.q // w)
@@ -246,12 +248,10 @@ def _parities(field: Field, ds: Sequence[int], dual: bool) -> np.ndarray:
     items = bits.view(np.dtype((np.void, k)))
     counts = np.empty(min(rows, v.shape[1]) * w * k, dtype=np.uint8)
     count_items, count_rows = counts.view(items.dtype), counts.reshape(-1, k).T
-    for r, pos in zip(range(0, v.shape[1], rows), field.power_blocks(1, rows * w)):
+    for r, pos in zip(range(0, v.shape[1], rows), field.power_blocks(1, rows * w, dual)):
         # the AND runs along the rows of b, the popcount writes across them
         block = (v[:, r:r + rows] & b).reshape(k, -1)
         np.bitwise_count(block, out=count_rows[:, :block.shape[1]])
-        if dual:
-            pos = field.dual_indices(pos)
         items[pos.astype(np.intp)] = count_items[:pos.size]
     bits &= 1
     return bits.reshape(-1, k)

@@ -279,6 +279,7 @@ class TestSubfieldIdentities:
         # the sign table, M_b, the butterfly's transposed copy and its
         # half-size scratch are the only q-sized int32 arrays alive at once
         f = make_field(18)
+        f.antilog()  # built here, not by a walk inside the traced call
         tracemalloc.start()
         try:
             subfield_identities(f, 5)

@@ -1,5 +1,6 @@
 """Field arithmetic against hand-computed GF(8)/GF(4) facts and cross-route checks."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -343,6 +344,26 @@ class TestAntilog:
                         f"e={e} size={size} tables={f.has_tables}"
 
     @pytest.mark.parametrize("m", range(2, 23))
+    def test_dual_stream_is_dual_indices_of_the_plain_one(self, m, random_modulus):
+        # block sizes 1 and 7 run every block up to m = 12 and a prefix
+        # above, 2^14 and 2^m - 1 or more the whole stream; with tables the
+        # first plain walk streams and the second reads the antilog
+        rng = random.Random(8000 + m)
+        modulus = random_modulus(m, rng)
+        for table_cap in (DEFAULT_TABLE_CAP, 1):
+            f = make_field(m, modulus, table_cap=table_cap)
+            n = f.order
+            for e in (1, rng.randrange(2, max(3, n))):
+                for size in (1, 7, 1 << 14, n, n + 5):
+                    limit = None if m <= 12 or size > 7 else 3000 // size
+                    plain = itertools.islice(f.power_blocks(e, size), limit)
+                    dual = itertools.islice(f.power_blocks(e, size, dual=True), limit)
+                    for k, (p, u) in enumerate(itertools.zip_longest(plain, dual)):
+                        assert u.dtype == np.int32 and u.size == min(size, n - k * size)
+                        assert np.array_equal(u, f.dual_indices(p)), \
+                            f"e={e} size={size} block={k} tables={f.has_tables}"
+
+    @pytest.mark.parametrize("m", range(2, 23))
     def test_doubling_matches_the_vector_recurrence(self, m, random_modulus):
         rng = random.Random(2000 + m)
         for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
@@ -421,15 +442,50 @@ def _oracle_pow(f: Field, x: int, e: int) -> int:
 
 
 class TestLazyLog:
-    def test_make_field_builds_only_the_antilog(self):
+    def test_make_field_builds_no_q_sized_array_above_one_block(self):
+        # an antilog of at most one _POWER_BLOCK is built with the field; a
+        # larger one, and every log, waits for its first use
+        small = make_field(16)
+        assert small._alog is not None and small._log is None
         tracemalloc.start()
         try:
             f = make_field(20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.has_tables and f._log is None
-        assert peak <= 1.1 * 4 * f.q, f"peak {peak / (4 * f.q):.3f} x 4q"
+        assert f.has_tables and f._alog is None and f._log is None
+        # not even a uint8 array of q entries
+        assert peak < f.q, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("first", ["mul", "inv", "pow", "log_of", "antilog"])
+    def test_first_table_use_builds_the_antilog_once(self, first, monkeypatch):
+        built = []
+        antilog = Field._antilog
+
+        def counted(self):
+            built.append(self.m)
+            return antilog(self)
+
+        monkeypatch.setattr(Field, "_antilog", counted)
+        f = make_field(17)
+        assert f.has_tables and f._alog is None
+        assert f.exp(5) == 32 and f.power_rows([3], 4).tolist() == [[1, 8, 64, 512]]
+        assert built == []  # neither reads a table it would have to build
+        x = f.exp(1000)
+        if first == "antilog":
+            assert f.antilog()[1000] == x
+        elif first == "log_of":
+            assert f.log_of(x) == 1000
+        elif first == "pow":
+            assert f.pow(f.alpha, 1000) == x
+        elif first == "inv":
+            assert f.mul(f.inv(x), x) == 1
+        else:
+            assert f.mul(f.alpha, f.exp(999)) == x
+        assert built == [17] and f._alog is not None
+        alog = f._alog
+        assert f.inv(x) == f.exp(-1000) and f.log_of(f.pow(x, 3)) == 3000
+        assert built == [17] and f._alog is alog
 
     @pytest.mark.parametrize("first", ["mul", "inv", "pow", "log_of"])
     def test_scalar_ops_build_the_log_once(self, first, monkeypatch, random_modulus):

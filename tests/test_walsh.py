@@ -2,7 +2,9 @@
 frozen spectra for two reference parameter sets."""
 
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -15,6 +17,7 @@ from walsh_lab import (
     PRIMITIVE_POLY,
     DomainError,
     Field,
+    check_exponents,
     family_spectrum,
     fwht,
     fwht_columns,
@@ -701,6 +704,7 @@ class TestMemory:
         # the sign table is the only q-sized array: the butterfly runs on it
         # in place and the histogram sorts it in place
         f = make_field(m)
+        f.antilog()  # built here, not by the traced call's walk
         d = 3 + (1 << (m // 2 + 1))
         expected = walsh_spectrum(f, d)
         tracemalloc.start()
@@ -721,6 +725,8 @@ class TestMemory:
         # without tables as products by a constant, and walsh_coefficients
         # maps each block to dual coordinates: no q-sized position array
         f = make_field(m, table_cap=table_cap)
+        if f.has_tables:
+            f.antilog()  # built here, not by the traced call's walk
         d = 3 + (1 << (m // 2 + 1))
         expected = fn(f, d)
         tracemalloc.start()
@@ -776,6 +782,98 @@ class TestStreamedSignTables:
                     got = walsh_module._parity_transforms(fn, (d,), dual=dual)[0]
                     assert got.dtype == np.int32
                     assert np.array_equal(got, want), f"modulus={modulus:#x} d={d} dual={dual}"
+
+
+class TestColdFields:
+    """Above one _POWER_BLOCK a field builds its antilog on first use: a
+    one-exponent call on a fresh field streams its positions, and the
+    second plain walk builds the antilog for the calls after it."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        built = []
+        antilog = Field._antilog
+
+        def counted(self):
+            built.append(self.m)
+            return antilog(self)
+
+        monkeypatch.setattr(Field, "_antilog", counted)
+        return built
+
+    @pytest.mark.parametrize("fn", [truth_table, walsh_coefficients, walsh_spectrum],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("m", [18, 20])
+    def test_a_cold_call_streams_and_a_second_builds_once(self, m, fn, monkeypatch,
+                                                          random_modulus):
+        rng = random.Random(9000 + m)
+        modulus = random_modulus(m, rng)
+        d = 3 + (1 << (m // 2 + 1))
+        want = fn(make_field(m, modulus, table_cap=1), d)
+        built = self._count_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            f = make_field(m, modulus)
+            got = fn(f, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        same = (lambda x: x == want) if fn is walsh_spectrum else \
+            (lambda x: np.array_equal(x, want))
+        assert same(got) and f.has_tables and f._alog is None and built == []
+        # the whole call, make_field included, peaks at the result, its
+        # bytes and the butterfly's buffers
+        assert peak <= 1.6 * 4 * f.q, f"peak {peak / (4 * f.q):.2f} x 4q"
+        assert same(fn(f, d))
+        # the dual stream of walsh_coefficients would read one block of the
+        # antilog, so only a plain walk builds it
+        assert built == ([] if fn is walsh_coefficients else [m])
+        assert same(fn(f, d)) and same(fn(f, d))
+        assert built == ([] if fn is walsh_coefficients else [m])
+        f.antilog()
+        assert built == [m] and f._alog is not None
+
+    @pytest.mark.parametrize("check", ["bound", "sarwate"])
+    def test_check_exponents_builds_the_antilog_once(self, check, monkeypatch):
+        # one exponent per block at m = 18: the second block's walk builds
+        # the antilog, which the third block and the oracle read
+        m = 18
+        f = make_field(m)
+        n = f.order
+        ds = [d for d in (3, 5, 7, 11, 13) if gcd(d, n) == 1][:3]
+        want = check_exponents(make_field(m, table_cap=1), ds, check)
+        built = self._count_builds(monkeypatch)
+        assert check_exponents(f, ds, check) == want
+        assert built == [m]
+
+    def test_threads_sharing_a_cold_field_agree(self):
+        # scan workers share one field: whichever thread walks second, or
+        # several at once, builds the antilog while the others stream
+        m, ds = 17, [3, 5, 7, 9, 11, 13, 15, 17]
+        want = [sign_transforms(make_field(m, table_cap=1), [d])[0] for d in ds]
+        f = make_field(m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [ex.submit(sign_transforms, f, [d]) for d in ds]
+                got = [fut.result(timeout=60)[0] for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert f._alog is not None and np.array_equal(f._alog, f._antilog())
+
+    @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
+    @pytest.mark.parametrize("m", [17, 19, 20])
+    def test_cold_coefficients_equal_the_oracle(self, m, table_cap, random_modulus):
+        rng = random.Random(9100 + m)
+        f = make_field(m, random_modulus(m, rng), table_cap=table_cap)
+        d = rng.randrange(1, f.order)
+        got = walsh_coefficients(f, d)
+        assert f._alog is None
+        points = [0, 1, *(rng.randrange(f.q) for _ in range(6))]
+        assert [int(got[a]) for a in points] == walsh_coefficients_at(f, [d] * 8, points), \
+            f"modulus={f.modulus:#x} d={d} tables={f.has_tables}"
 
 
 class TestOneExponentTransforms:

@@ -11,10 +11,13 @@ change, baseline, so that a burst on a shared machine falls on both sides;
 each side records per entry the median of its rounds' medians and the
 maximum of their maxima and peaks.
 
-* Layers: ``make_field`` (the antilog; the log waits for its first use),
-  ``make_field_tableless`` (``table_cap=1``), ``trace_bits`` and
-  ``log_build`` (the first ``log_of`` on a fresh field, which builds the
-  log where it is lazy), ``truth_table`` (field warm) and
+* Layers: ``make_field`` (the antilog up to 2^16 entries; a larger one
+  and the log wait for their first use), ``make_field_tableless``
+  (``table_cap=1``), ``trace_bits`` and ``log_build`` (the first ``log_of``
+  on a fresh field, which builds the log where it is lazy, and above 2^16
+  entries the antilog before it), ``antilog`` at m in {16, 20, 22} (the
+  first ``antilog()`` on a fresh field: the deferred build, where it is
+  deferred), ``truth_table`` (field warm) and
   ``truth_table_cold`` (a fresh field per run), ``fwht`` (on a fresh copy
   of the signs), ``walsh_spectrum`` and ``walsh_coefficients`` (field warm)
   and their ``_cold`` variants (on a fresh ``make_field(m)``, what one CLI
@@ -35,8 +38,10 @@ maximum of their maxima and peaks.
   fresh ``make_field(m)`` (``_cold``), with 51, 21, 7 and 5 runs; and
   ``Field.dual_indices`` over 2^20 elements of a warm GF(2^20), 51 runs.
 * ``scan``: the bound and Sarwate checks over every invertible d at
-  m in {10, 12, 14} and over the 1,024 exponents of the first 64 cosets
-  {d * 2^j mod 2^m - 1} at m = 16, each sweep one ``check_exponents`` call
+  m in {10, 12, 14}, over the 1,024 exponents of the first 64 cosets
+  {d * 2^j mod 2^m - 1} at m = 16 and over the 576 of the first 32 at
+  m = 18 (one table per block, where the field's second walk over the
+  powers of alpha builds its antilog), each sweep one ``check_exponents`` call
   on all of them, as ``cmd_scan`` makes on one thread, after one untimed
   call on a block of ``tables_per_block`` exponents: sweeps repeat until
   a round has spent ``SCAN_SECONDS`` on them and made at least
@@ -87,6 +92,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYER_M = (12, 16, 20, 22)
+ANTILOG_M = (16, 20, 22)
 FWHT_ONLY_M = (14, 24)
 IDENTITIES_M = (12, 16, 20)
 LAYER_D = 7
@@ -96,8 +102,8 @@ MAX_ESTIMATE_MB = 5 * 1024
 SLOW_ARGV = ["verify", "--theorem", "todd", "--t", "13"]
 ESTIMATE_ARGV = ["spectrum", "--m", "24", "--d", str(3 + (1 << 13))]
 IN_PROCESS_ARGV = ["identities", "--m", "12", "--d", "131"]
-SCAN_M = (10, 12, 14, 16)
-SCAN_COSETS = {16: 64}
+SCAN_M = (10, 12, 14, 16, 18)
+SCAN_COSETS = {16: 64, 18: 32}
 SCAN_SECONDS = 1.0
 # A sweep at m = 14 takes 1.0-1.9 s, so SCAN_SECONDS alone would give it one
 SCAN_MIN_SWEEPS = 3
@@ -231,6 +237,8 @@ def _measure_layers() -> dict:
                       "power_map": str(field.power_map(LAYER_D).dtype),
                       "dual_indices": str(field.dual_indices(field.antilog()).dtype)},
         }
+        if m in ANTILOG_M:
+            out[f"m={m}"]["antilog"] = timed(lambda f: f.antilog(), lambda: make_field(m), runs)
         if m in IDENTITIES_M:
             out[f"m={m}"]["subfield_identities"] = timed(
                 lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
