@@ -12,7 +12,7 @@ each product by the constant c^k read from two small tables because it is
 GF(2)-linear.  While 2^m <= 2^16 (one _POWER_BLOCK) construction builds
 it.  Above that a one-exponent call would read it once, as slices, so it
 waits: the first mul, inv, pow, log_of or antilog(), or the field's second
-plain walk of power_blocks(1, size), builds it, and the first walk streams.
+walk of power_blocks(1, size), plain or dual, builds it; the first streams.
 The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
 it is built on the first mul, inv, pow or log_of, and no vector map reads
 it.  Until the antilog exists, and always above the cap, exp and
@@ -21,8 +21,8 @@ geometric sequence per row instead of a gather; above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication.
 power_blocks(e, size) streams alpha^(e*i) a block at a time, each block the
 one before times a constant (with a built antilog and e = 1, slices of
-it); with dual it streams dual_index(alpha^(e*i)), each block the one
-before through the linear map dual_index(c * dual_index_inv(u)).
+it); with dual it yields dual_index(alpha^(e*i)), each streamed block the
+one before through the linear map dual_index(c * dual_index_inv(u)).
 power_map and the sign tables read these streams, so neither makes a
 q-sized antilog.  trace_bits, scalar_mul_map, dual_indices and
 coset_labels need no tables: all are GF(2)-linear maps, filled by doubling
@@ -299,7 +299,7 @@ class Field:
 
         self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
         self._log: np.ndarray | None = None
-        self._walked = False  # a plain power_blocks(1, size) walk has streamed
+        self._walked = False  # a power_blocks(1, size) walk has streamed
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix.
@@ -433,22 +433,22 @@ class Field:
         lo = 0, size, 2 size, ... below 2^m - 1, with hi = min(lo + size,
         2^m - 1), or with dual the same blocks mapped through dual_index.
 
-        With tables, e = 1 mod 2^m - 1 and no dual, they are slices of the
-        antilog, which callers must not modify; the field's first such walk
-        before the antilog exists streams instead, and its second builds
-        the antilog.  Otherwise the first block is power_rows([e], size)[0]
-        (with dual, through dual_indices) and each next one the block
-        before times c = alpha^(e*size), with dual through
+        With tables and e = 1 mod 2^m - 1 they are slices of the antilog,
+        which callers must not modify, or with dual each slice through
+        dual_indices; the field's first such walk, plain or dual, before
+        the antilog exists streams instead, and its second builds the
+        antilog.  A stream's first block is power_rows([e], size)[0] (with
+        dual, through dual_indices) and each next one the block before
+        times c = alpha^(e*size), with dual through
         dual_index(c * dual_index_inv(u)), in two reused buffers, so a
         block is valid only until the next is drawn and no array has more
-        than size entries.  A dual walk never builds the antilog: it would
-        read one block of it."""
+        than size entries."""
         n = self.order
-        if not dual and e % n == 1 and self.has_tables:
+        if e % n == 1 and self.has_tables:
             if self._alog is not None or self._walked:
                 alog = self._table()
                 for lo in range(0, n, size):
-                    yield alog[lo:lo + size]
+                    yield self.dual_indices(alog[lo:lo + size]) if dual else alog[lo:lo + size]
                 return
             self._walked = True
         block = self.power_rows([e], min(size, n))[0]
