@@ -23,7 +23,8 @@ arrays of about sqrt(q) entries from Field.power_rows give every value by
 one AND and one popcount, for every d.  _parities places the values of a
 block of rows at their block of Field.power_blocks(1, size), at alpha^i,
 as bytes; unless the field's antilog is built, each block of positions is
-the one before times a constant.  Only truth_table widens the bytes to int32 signs.
+the one before times a constant.  Only truth_table widens the bytes to
+int32 signs.
 walsh_spectrum, walsh_coefficients and sign_transforms share one route,
 _parity_transforms, which transforms the bytes in float32 up to q = 2^24,
 where float32 is exact, and in int32 above that, and writes
@@ -47,9 +48,10 @@ H_(2^b) @ (2^b x rows).
 walsh_spectrum histograms the butterfly output by sorting it in place, so
 with or without tables the result and the parity bytes are the only
 q-sized arrays that truth_table, walsh_spectrum and walsh_coefficients
-make: each peaks at about 1.25-1.27 times the 4q bytes of the result
-(tracemalloc, m = 19 to 22); the float buffers add 0.5 MiB (1 MiB in
-float64).
+make, apart from the antilog that a field's second walk builds once: each
+peaks at about 1.25-1.27 times the 4q bytes of the result (tracemalloc,
+m = 19 to 22, make_field included on a fresh field); the float buffers
+add 0.5 MiB (1 MiB in float64).
 
 sign_transforms(field, ds) is fwht(truth_table(field, d)) for a block of
 exponents, which is what scan reads.  Up to tables_per_block(field) of
