@@ -13,6 +13,8 @@ GF(2)-linear.  While 2^m <= 2^16 (one _POWER_BLOCK) construction builds
 it.  Above that a one-exponent call would read it once, as slices, so it
 waits: the first mul, inv, pow, log_of or antilog(), or the field's second
 walk of power_blocks(1, size), plain or dual, builds it; the first streams.
+The stored antilog lives in an anonymous mapping of its own, not in the
+malloc heap, wherever it is built.
 The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
 it is built on the first mul, inv, pow or log_of, and no vector map reads
 it.  Until the antilog exists, and always above the cap, exp and
@@ -21,8 +23,8 @@ geometric sequence per row instead of a gather; above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication.
 power_blocks(e, size) streams alpha^(e*i) a block at a time, each block the
 one before times a constant (with a built antilog and e = 1, slices of
-it); with dual it yields dual_index(alpha^(e*i)), each streamed block the
-one before through the linear map dual_index(c * dual_index_inv(u)).
+it); with dual it yields dual_index(alpha^(e*i)), always streamed, each
+block the one before through the linear map dual_index(c * dual_index_inv(u)).
 power_map and the sign tables read these streams, so neither makes a
 q-sized antilog.  trace_bits, scalar_mul_map, dual_indices and
 coset_labels need no tables: all are GF(2)-linear maps, filled by doubling
@@ -57,6 +59,8 @@ parity pairing, return coefficients indexed by the element.
 
 from __future__ import annotations
 
+import mmap
+import threading
 from collections.abc import Sequence
 from math import gcd
 
@@ -72,8 +76,8 @@ DEFAULT_TABLE_CAP = 1 << 22
 _POWER_BLOCK = 1 << 16
 
 # The same for the doubling steps of geometric(), smaller: at 12 bytes of
-# temporaries per entry, building the antilog of GF(2^20) peaks at 1.06
-# times the table.
+# temporaries per entry, building the antilog of GF(2^20) takes 6% of the
+# table beside it.
 _ANTILOG_BLOCK = 1 << 14
 
 # Entries geometric() takes from the scalar chain of products before
@@ -297,9 +301,12 @@ class Field:
             self._verify_primitive()
             _PROVEN_PRIMITIVE.add((m, modulus))
 
-        self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
+        self._alog: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._walked = False  # a power_blocks(1, size) walk has streamed
+        self._lock = threading.Lock()  # one thread builds the tables
+        if self.q <= min(table_cap, _POWER_BLOCK):
+            self._table()
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix.
@@ -360,8 +367,9 @@ class Field:
                 cols.append(self._mulx(cols[-1]))
         return xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
 
-    def geometric(self, c: int, count: int) -> np.ndarray:
-        """int32 array with entry k = c^k for 0 <= k < count.
+    def geometric(self, c: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """int32 array with entry k = c^k for 0 <= k < count, written to
+        out (int32, count entries) if given.
 
         The first min(count, 64) entries come from the scalar chain of
         products by c, each two reads from the tables of _product_halves(c),
@@ -370,7 +378,8 @@ class Field:
         _product_halves(c^k) and in blocks through one reused intp index
         buffer, so the result is the only array of count entries.
         """
-        out = np.empty(count, dtype=np.int32)
+        if out is None:
+            out = np.empty(count, dtype=np.int32)
         k = min(count, _ANTILOG_HEAD)
         head = [1]
         low, high = (half.tolist() for half in self._product_halves(c))
@@ -392,23 +401,36 @@ class Field:
             k <<= 1
         return out
 
-    def _antilog(self) -> np.ndarray:
-        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1."""
-        return self.geometric(self.alpha, self.order)
+    def _antilog(self, out: np.ndarray | None = None) -> np.ndarray:
+        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1, written
+        to out if given."""
+        return self.geometric(self.alpha, self.order, out)
 
     def _table(self) -> np.ndarray:
-        """The stored antilog, built on first use; only for a field with
-        tables.  Threads that share the field may each build it once, the
-        same table, and the last assignment stays."""
+        """The stored antilog, built on first use by one thread while the
+        others wait; only for a field with tables.
+
+        It is written to an anonymous mapping of its own.  Built late, after
+        frees of q-sized arrays have raised glibc's mmap threshold, a heap
+        table would sit below the temporaries of the calls after it, whose
+        frees are then trimmed from the top of the heap and fault in again on
+        every call (2,274 minor faults per warm subfield_identities at
+        m = 20).  tracemalloc does not see the mapping."""
         if self._alog is None:
-            self._alog = self._antilog()
+            with self._lock:
+                if self._alog is None:
+                    mapped = mmap.mmap(-1, 4 * self.order)
+                    self._alog = self._antilog(np.frombuffer(mapped, dtype=np.int32))
         return self._alog
 
     def _logs(self) -> np.ndarray:
-        """The int32 log table, scattered from the antilog on first use;
-        only for a field with tables."""
+        """The int32 log table, scattered from the antilog on first use by
+        one thread; only for a field with tables."""
         if self._log is None:
-            self._log = _log_from_antilog(self._table(), self.q)
+            alog = self._table()
+            with self._lock:
+                if self._log is None:
+                    self._log = _log_from_antilog(alog, self.q)
         return self._log
 
     def antilog(self) -> np.ndarray:
@@ -433,24 +455,24 @@ class Field:
         lo = 0, size, 2 size, ... below 2^m - 1, with hi = min(lo + size,
         2^m - 1), or with dual the same blocks mapped through dual_index.
 
-        With tables and e = 1 mod 2^m - 1 they are slices of the antilog,
-        which callers must not modify, or with dual each slice through
-        dual_indices; the field's first such walk, plain or dual, before
-        the antilog exists streams instead, and its second builds the
-        antilog.  A stream's first block is power_rows([e], size)[0] (with
-        dual, through dual_indices) and each next one the block before
-        times c = alpha^(e*size), with dual through
-        dual_index(c * dual_index_inv(u)), in two reused buffers, so a
-        block is valid only until the next is drawn and no array has more
-        than size entries."""
+        With tables and e = 1 mod 2^m - 1 the plain blocks are slices of
+        the antilog, which callers must not modify; the field's first such
+        walk, plain or dual, before the antilog exists streams instead, and
+        its second builds the antilog.  Other blocks, and dual ones always,
+        stream: the first is power_rows([e], size)[0] (with dual, through
+        dual_indices) and each next one the block before times
+        c = alpha^(e*size), with dual through dual_index(c * dual_index_inv(u)),
+        in two reused buffers, so a block is valid only until the next is
+        drawn and no array has more than size entries."""
         n = self.order
         if e % n == 1 and self.has_tables:
-            if self._alog is not None or self._walked:
-                alog = self._table()
-                for lo in range(0, n, size):
-                    yield self.dual_indices(alog[lo:lo + size]) if dual else alog[lo:lo + size]
-                return
+            if self._alog is None and self._walked:
+                self._table()
             self._walked = True
+            if self._alog is not None and not dual:
+                for lo in range(0, n, size):
+                    yield self._alog[lo:lo + size]
+                return
         block = self.power_rows([e], min(size, n))[0]
         if dual:
             block = self.dual_indices(block)

@@ -74,9 +74,8 @@ histogram the raw butterfly output.  walsh_coefficients places each sign at
 dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
 Its positions are the dual stream of Field.power_blocks: dual_index(c*y) =
 (D M_c D^-1)(dual_index(y)) for the dual-index matrix D and the product
-M_c by c, so unless the field's antilog is built each block of dual
-positions is the one before through one linear map, with no pass over
-the elements alpha^i themselves.
+M_c by c, so each block of dual positions is the one before through one
+linear map, with no pass over the elements alpha^i themselves.
 """
 
 from __future__ import annotations

@@ -347,7 +347,9 @@ class TestAntilog:
     def test_dual_stream_is_dual_indices_of_the_plain_one(self, m, random_modulus):
         # block sizes 1 and 7 run every block up to m = 12 and a prefix
         # above, 2^14 and 2^m - 1 or more the whole stream; with tables the
-        # first plain walk streams and the second reads the antilog
+        # first walk streams, the second (the first dual one) builds the
+        # antilog, and the plain walks after it read its slices while the
+        # dual ones stream from its first block
         rng = random.Random(8000 + m)
         modulus = random_modulus(m, rng)
         for table_cap in (DEFAULT_TABLE_CAP, 1):
@@ -462,9 +464,9 @@ class TestLazyLog:
         built = []
         antilog = Field._antilog
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self.m)
-            return antilog(self)
+            return antilog(self, *args)
 
         monkeypatch.setattr(Field, "_antilog", counted)
         f = make_field(17)

@@ -794,9 +794,9 @@ class TestColdFields:
         built = []
         antilog = Field._antilog
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self.m)
-            return antilog(self)
+            return antilog(self, *args)
 
         monkeypatch.setattr(Field, "_antilog", counted)
         return built
@@ -842,11 +842,12 @@ class TestColdFields:
         assert check_exponents(f, ds, check) == want
         assert built == [m]
 
-    def test_threads_sharing_a_cold_field_agree(self):
-        # scan workers share one field: whichever thread walks second, or
-        # several at once, builds the antilog while the others stream
+    def test_threads_sharing_a_cold_field_agree(self, monkeypatch):
+        # scan workers share one field: one thread builds the antilog, once,
+        # while the others stream or wait for it
         m, ds = 17, [3, 5, 7, 9, 11, 13, 15, 17]
         want = [sign_transforms(make_field(m, table_cap=1), [d])[0] for d in ds]
+        built = self._count_builds(monkeypatch)
         f = make_field(m)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -857,6 +858,7 @@ class TestColdFields:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert built == [m]
         assert f._alog is not None and np.array_equal(f._alog, f._antilog())
 
     @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["tables", "tableless"])
