@@ -13,8 +13,8 @@ GF(2)-linear.  While 2^m <= 2^16 (one _POWER_BLOCK) construction builds
 it.  Above that a one-exponent call would read it once, as slices, so it
 waits: the first mul, inv, pow, log_of or antilog(), or the field's second
 walk of power_blocks(1, size), plain or dual, builds it; the first streams.
-The stored antilog lives in an anonymous mapping of its own, not in the
-malloc heap, wherever it is built.
+An antilog built after construction lives in an anonymous mapping of its
+own, not in the malloc heap.
 The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
 it is built on the first mul, inv, pow or log_of, and no vector map reads
 it.  Until the antilog exists, and always above the cap, exp and
@@ -301,12 +301,10 @@ class Field:
             self._verify_primitive()
             _PROVEN_PRIMITIVE.add((m, modulus))
 
-        self._alog: np.ndarray | None = None
+        self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
         self._log: np.ndarray | None = None
         self._walked = False  # a power_blocks(1, size) walk has streamed
-        self._lock = threading.Lock()  # one thread builds the tables
-        if self.q <= min(table_cap, _POWER_BLOCK):
-            self._table()
+        self._lock = threading.Lock()  # one thread builds the late tables
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix.
@@ -410,12 +408,15 @@ class Field:
         """The stored antilog, built on first use by one thread while the
         others wait; only for a field with tables.
 
-        It is written to an anonymous mapping of its own.  Built late, after
-        frees of q-sized arrays have raised glibc's mmap threshold, a heap
-        table would sit below the temporaries of the calls after it, whose
-        frees are then trimmed from the top of the heap and fault in again on
-        every call (2,274 minor faults per warm subfield_identities at
-        m = 20).  tracemalloc does not see the mapping."""
+        Built here, above one block, it is written to an anonymous mapping
+        of its own.  After frees of q-sized arrays have raised glibc's mmap
+        threshold, a heap table would sit below the temporaries of the
+        calls after it, whose frees are then trimmed from the top of the
+        heap and fault in again on every call (2,274 minor faults per warm
+        subfield_identities at m = 20).  tracemalloc does not see the
+        mapping.  A table of one block is built with the field, on the
+        heap: mapping it would add a map, an unmap and its page faults to
+        every make_field."""
         if self._alog is None:
             with self._lock:
                 if self._alog is None:

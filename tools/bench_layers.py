@@ -17,7 +17,7 @@ maximum of their maxima and peaks.
   on a fresh field, which builds the log where it is lazy, and above 2^16
   entries the antilog before it), ``antilog`` at m in {16, 20, 22} (the
   first ``antilog()`` on a fresh field: the deferred build, where it is
-  deferred; the stored table is an anonymous mapping, which tracemalloc
+  deferred; a deferred table is an anonymous mapping, which tracemalloc
   does not see, so its peak is the build's temporaries), ``truth_table``
   (field warm) and
   ``truth_table_cold`` (a fresh field per run), ``fwht`` (on a fresh copy
