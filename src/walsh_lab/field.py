@@ -319,6 +319,7 @@ class Field:
         self._subfield_set: frozenset[int] | None = None
         self._trace_bits: np.ndarray | None = None
         self._dual_halves: tuple[np.ndarray, np.ndarray] | None = None
+        self._dual_steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -354,16 +355,24 @@ class Field:
         XOR spans of the columns c * alpha^j for j < h and for j >= h.  With
         dual, those of u -> dual_index(c * dual_index_inv(u)), the same
         product in dual coordinates, whose column j is
-        dual_index(c * dual_index_inv(2^j))."""
+        dual_index(c * dual_index_inv(2^j)), cached per c: its m scalar
+        products and dual indices cost as much as mapping a 2^14-entry
+        block, and a loop of walsh_coefficients steps by the same c on
+        every call."""
         m, h = self.m, self.m // 2
         if dual:
+            if c in self._dual_steps:
+                return self._dual_steps[c]
             cols = [self.dual_index(_polymul_mod(c, r, self.modulus, m))
                     for r in self._dual_rows_inv]
         else:
             cols = [c]
             for _ in range(m - 1):
                 cols.append(self._mulx(cols[-1]))
-        return xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
+        halves = xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
+        if dual:
+            self._dual_steps[c] = halves
+        return halves
 
     def geometric(self, c: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """int32 array with entry k = c^k for 0 <= k < count, written to
@@ -474,7 +483,10 @@ class Field:
                 for lo in range(0, n, size):
                     yield self._alog[lo:lo + size]
                 return
-        block = self.power_rows([e], min(size, n))[0]
+        if e % n == 1 and self._alog is not None:  # only with dual
+            block = self._alog[:size]
+        else:
+            block = self.power_rows([e], min(size, n))[0]
         if dual:
             block = self.dual_indices(block)
         if size < n:
