@@ -6,15 +6,20 @@ XOR and zero/one are the ints 0 and 1.  The generator alpha is the class of x,
 i.e. the int 2.
 
 A field with tables (2^m <= table_cap, default 2^22 entries) has the int32
-antilog alog[i] = alpha^i, built as geometric(alpha, 2^m - 1).
-geometric(c, n) fills c^k for k < n by doubling, out[k:2k] = c^k * out[:k],
-each product by the constant c^k read from two small tables because it is
-GF(2)-linear.  While 2^m <= 2^16 (one _POWER_BLOCK) construction builds
-it.  Above that a one-exponent call would read it once, as slices, so it
-waits: the first mul, inv, pow, log_of or antilog(), or the field's second
-walk of power_blocks(1, size), plain or dual, builds it; the first streams.
-An antilog built after construction lives in an anonymous mapping of its
-own, not in the malloc heap.
+antilog alog[i] = alpha^i.  While 2^m <= 2^16 (one _POWER_BLOCK)
+construction builds it.  Above that a one-exponent call would read it once,
+as slices, so it waits: the first mul, inv, pow, log_of or antilog(), or
+the field's second walk of power_blocks(1, size), plain or dual, builds it;
+the first streams.  An antilog built after construction lives in an
+anonymous mapping of its own, not in the malloc heap.  Which route builds
+it depends on q alone.  For 2^8 <= q <= 2^15 it is one outer product: the
+coordinates of alpha^i are shifted copies of the trace m-sequence, so
+alpha^(rH + j) = alpha^j * alpha^(rH) is read, for rows of H = 64, from two
+product tables whose columns are windows of the scalar chain alpha^k,
+k < H + m (see Field._antilog).  At every other q, the late tables
+included, it is geometric(alpha, 2^m - 1): geometric(c, n) fills c^k for
+k < n by doubling, out[k:2k] = c^k * out[:k], each product by the constant
+c^k read from two small tables because it is GF(2)-linear.
 The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
 it is built on the first mul, inv, pow or log_of, and no vector map reads
 it.  Until the antilog exists, and always above the cap, exp and
@@ -47,9 +52,13 @@ Additive characters are tied to bitmask indices through the trace bilinear
 form: dual_index(a) is the bitmask u with Tr(a*x) = parity(u & x) for every
 x, computed from the m x m bit matrix G[i][j] = Tr(alpha^(i+j)).  Its
 entries Tr(alpha^k), k <= 2m - 2, are power sums of the roots of the modulus,
-read off its coefficients by Newton's identities with no field arithmetic.  G
-is invertible (the trace form is non-degenerate), so dual_index is a bijection
-and dual_index_inv recovers a from u.  dual_indices maps an array of
+read off its coefficients by Newton's identities with no field arithmetic:
+from k = m on these are the recurrence of the modulus, run on the bits of
+one int W = sum_k Tr(alpha^k) 2^k, and row j of G is the window
+(W >> j) mod 2^m.  G is invertible (the trace form is non-degenerate), so
+dual_index is a bijection and dual_index_inv recovers a from u; the rows of
+G^-1 are built on the first dual_index_inv or step of a dual stream, which
+the spectra and the identities never take.  dual_indices maps an array of
 elements at once, through the XOR spans of the low and high halves of the
 rows of G.  walsh.py leans on this twice: Tr(y*x) = parity(dual_index(y) & x)
 gives the values of the sign table without logs, and placing the signs at
@@ -83,8 +92,15 @@ _ANTILOG_BLOCK = 1 << 14
 # Entries geometric() takes from the scalar chain of products before
 # doubling starts: a doubling step costs some tens of microseconds of numpy
 # calls whatever its width, more than 64 scalar products.  A power of two,
-# so the steps after it still double.
+# so the steps after it still double.  Also the row width of the antilog's
+# outer product.
 _ANTILOG_HEAD = 64
+
+# The field sizes q whose antilog is that outer product, not doubling: below
+# them the head and a doubling step or two cost less, above them its two
+# q-sized gathers cost more than the doubling steps they replace.
+_OUTER_MIN_Q = 1 << 8
+_OUTER_MAX_Q = 1 << 15
 
 # The (m, modulus) pairs whose primitivity proof has passed in this process:
 # a modulus is proved once, and one that fails is never added, so it fails
@@ -156,10 +172,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def xor_span(cols: list[int], q: int, dtype=np.int64) -> np.ndarray:
+def xor_span(cols: Sequence[int] | np.ndarray, q: int, dtype=np.int64) -> np.ndarray:
     """Array S over [0, q) of the given dtype with S[x] = XOR of cols[j] over
-    the set bits j of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j]."""
-    out = np.zeros(q, dtype=dtype)
+    the set bits j of x, filled by doubling: S[2^j : 2^(j+1)] = S[:2^j] ^ cols[j].
+    cols holds ints, or is a 2-D array whose rows are XORed whole, so that S
+    has one such row per x."""
+    out = np.zeros((q, *cols.shape[1:]) if isinstance(cols, np.ndarray) else q, dtype=dtype)
     for j, c in enumerate(cols):
         k = 1 << j
         np.bitwise_xor(out[:k], c, out=out[k:2 * k])
@@ -198,22 +216,27 @@ def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
     return log
 
 
-def _trace_powers(modulus: int, m: int, n: int) -> list[int]:
-    """Tr(alpha^k) for 0 <= k < n, from Newton's identities over GF(2).
+def _trace_powers(modulus: int, m: int, n: int) -> int:
+    """The window W = sum_k Tr(alpha^k) 2^k over 0 <= k < n, one bit a step.
 
     Tr(alpha^k) is the k-th power sum p_k of the roots of the modulus, whose
-    elementary symmetric functions e_i are its coefficients: e_i is bit m - i.
-    With p_0 = m mod 2, p_k = sum_{i<k} e_i p_(k-i) + (k mod 2) e_k for
-    k <= m, and p_k = sum_{i<=m} e_i p_(k-i) above m.
+    elementary symmetric functions e_i are its coefficients: e_i is bit
+    m - i.  By Newton's identities over GF(2), p_0 = m mod 2,
+    p_k = sum_{0<i<k} e_i p_(k-i) + (k mod 2) e_k for k < m, and
+    p_k = sum_{i<=m} e_i p_(k-i) from m on, the recurrence of the
+    modulus itself (the trace sequence is an m-sequence): each sum is the
+    parity of the window's last bits under the low bits of the modulus.
     """
-    e = [(modulus >> (m - i)) & 1 for i in range(m + 1)]
-    p = [m & 1]
+    taps = modulus & ((1 << m) - 1)
+    w = m & 1
     for k in range(1, n):
-        s = (k & 1) & e[k] if k <= m else 0
-        for i in range(1, min(k, m + 1)):
-            s ^= e[i] & p[k - i]
-        p.append(s)
-    return p
+        if k < m:
+            # p_(k-1) .. p_1 under e_1 .. e_(k-1), p_0 left out, and (k mod 2) e_k
+            s = (((w >> 1) << (m - k + 1)) & taps).bit_count() + (k & (modulus >> (m - k)))
+        else:
+            s = ((w >> (k - m)) & taps).bit_count()
+        w |= (s & 1) << k
+    return w
 
 
 def _invert_bit_matrix(rows: list[int], m: int) -> list[int]:
@@ -281,9 +304,11 @@ class Field:
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
         """Check m and the degree of the modulus (DomainError),
         verify that alpha has order 2^m - 1, build the antilog if
-        2^m <= min(table_cap, 2^16) (a larger one waits for its first use,
-        and the log always does), and derive the trace mask and the
-        dual-index matrix from Tr(alpha^k) by Newton's identities."""
+        2^m <= min(table_cap, 2^16) (as an outer product for
+        2^8 <= 2^m <= 2^15, by doubling otherwise; a larger one waits for
+        its first use, and the log always does), and derive the trace mask
+        and the dual-index matrix from the window of Tr(alpha^k).  The
+        inverse of that matrix waits for its first use."""
         check_degree(m)
         # not bit_length: a negative modulus has the right one too, and the
         # reduction loops never end on it
@@ -307,13 +332,11 @@ class Field:
         self._lock = threading.Lock()  # one thread builds the late tables
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
-        # dual-indexing matrix.
+        # dual-indexing matrix, whose row j is the window of m traces from k = j.
         tr = _trace_powers(modulus, m, 2 * m - 1)
-        self.trace_mask = sum(tr[i] << i for i in range(m))
-        self._dual_rows = [
-            sum(tr[i + j] << i for i in range(m)) for j in range(m)
-        ]
-        self._dual_rows_inv = _invert_bit_matrix(self._dual_rows, m)
+        self.trace_mask = tr & self.order
+        self._dual_rows = [(tr >> j) & self.order for j in range(m)]
+        self._dual_rows_inv: list[int] | None = None
 
         self._subfield: tuple[int, ...] | None = None
         self._subfield_set: frozenset[int] | None = None
@@ -364,7 +387,7 @@ class Field:
             if c in self._dual_steps:
                 return self._dual_steps[c]
             cols = [self.dual_index(_polymul_mod(c, r, self.modulus, m))
-                    for r in self._dual_rows_inv]
+                    for r in self._dual_inv()]
         else:
             cols = [c]
             for _ in range(m - 1):
@@ -410,8 +433,42 @@ class Field:
 
     def _antilog(self, out: np.ndarray | None = None) -> np.ndarray:
         """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1, written
-        to out if given."""
-        return self.geometric(self.alpha, self.order, out)
+        to out if given.
+
+        For 2^8 <= q <= 2^15 it is one outer product, in rows of H = 64:
+        alpha^(rH + j) = alpha^j * y_r with y_r = alpha^(rH), and y -> alpha^j * y
+        is GF(2)-linear, so row r is low[y_r mod 2^h] ^ high[y_r >> h] with
+        h = m // 2, two gathers of whole rows.  Column b of these tables,
+        alpha^(j + b) over j, is a window of the scalar chain alpha^k for
+        k < H + m (a Hankel matrix), so they are xor_span of m windows.  One
+        more column, j = H, steps y_r to y_(r+1) in a scalar chain.  Other
+        sizes take geometric(alpha, 2^m - 1)."""
+        m, h, width = self.m, self.m // 2, _ANTILOG_HEAD
+        if not _OUTER_MIN_Q <= self.q <= _OUTER_MAX_Q:
+            return self.geometric(self.alpha, self.order, out)
+        chain = [1]
+        for _ in range(width + m - 1):
+            x = chain[-1] << 1
+            chain.append(x ^ self.modulus if x >> m else x)
+        seq = np.array(chain, dtype=np.int32)
+        # row b is seq[b : b + width + 1], all m of them inside seq
+        windows = np.lib.stride_tricks.as_strided(
+            seq, (m, width + 1), seq.strides * 2, writeable=False)
+        low = xor_span(windows[:h], 1 << h, np.int32)
+        high = xor_span(windows[h:], 1 << (m - h), np.int32)
+        step_low, step_high = low[:, width].tolist(), high[:, width].tolist()
+        mask = (1 << h) - 1
+        heads = [1]
+        for _ in range(self.q // width - 1):
+            heads.append(step_low[heads[-1] & mask] ^ step_high[heads[-1] >> h])
+        heads = np.array(heads)
+        rows = np.take(low[:, :width], heads & mask, axis=0)
+        rows ^= np.take(high[:, :width], heads >> h, axis=0)
+        alog = rows.reshape(-1)[:self.order]  # the last entry is alpha^order = 1
+        if out is None:
+            return alog
+        out[:] = alog
+        return out
 
     def _table(self) -> np.ndarray:
         """The stored antilog, built on first use by one thread while the
@@ -653,13 +710,23 @@ class Field:
             j += 1
         return u
 
+    def _dual_inv(self) -> list[int]:
+        """The rows of G^-1, inverted on first use by one thread: the
+        identities and the spectra never read them."""
+        if self._dual_rows_inv is None:
+            with self._lock:
+                if self._dual_rows_inv is None:
+                    self._dual_rows_inv = _invert_bit_matrix(self._dual_rows, self.m)
+        return self._dual_rows_inv
+
     def dual_index_inv(self, u: int) -> int:
-        """Inverse of dual_index, via the precomputed inverse of G."""
+        """Inverse of dual_index, via the inverse of G."""
+        rows = self._dual_inv()
         a = 0
         j = 0
         while u:
             if u & 1:
-                a ^= self._dual_rows_inv[j]
+                a ^= rows[j]
             u >>= 1
             j += 1
         return a

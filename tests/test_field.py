@@ -2,7 +2,10 @@
 
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from walsh_lab import (
     subfield_identities,
     truth_table,
     walsh_coefficients,
+    walsh_spectrum,
 )
 
 
@@ -288,14 +292,26 @@ class TestVectorizedMaps:
 
 class TestAntilog:
     @pytest.mark.parametrize("m", range(2, 17))
-    def test_matches_the_mulx_chain(self, m, random_modulus):
+    def test_matches_the_mulx_chain(self, m, random_modulus, monkeypatch):
         # m <= 6 lies inside the scalar head of the antilog (fewer than 64
-        # entries); from m = 7 on, doubling continues past it
+        # entries); at m = 7 doubling continues past it; m = 8 to 15 take
+        # the outer product in rows of 64, and m = 16 doubles again
         assert 2**6 - 1 < field_module._ANTILOG_HEAD < 2**7 - 1
+        assert (field_module._OUTER_MIN_Q, field_module._OUTER_MAX_Q) == (2**8, 2**15)
+        doubled = []
+        geometric = Field.geometric
+
+        def counted(self, *args):
+            doubled.append(args[:2])
+            return geometric(self, *args)
+
+        monkeypatch.setattr(Field, "geometric", counted)
         rng = random.Random(1000 + m)
         for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
             f = Field(m, modulus, table_cap=1)
+            doubled.clear()
             alog = f._antilog()
+            assert doubled == ([] if 8 <= m <= 15 else [(2, f.order)])
             assert alog.dtype == np.int32 and alog.shape == (f.order,)
             x = 1
             chain = []
@@ -547,6 +563,75 @@ class TestLazyLog:
         fn = make_field(12, table_cap=1 << 11)
         with pytest.raises(UnsupportedError):
             fn.log_of(3)
+
+
+class TestLazyDualInverse:
+    @staticmethod
+    def _count_inversions(monkeypatch) -> list[int]:
+        inverted = []
+        invert = field_module._invert_bit_matrix
+
+        def counted(rows, m):
+            inverted.append(m)
+            return invert(rows, m)
+
+        monkeypatch.setattr(field_module, "_invert_bit_matrix", counted)
+        return inverted
+
+    @pytest.mark.parametrize("m", [12, 20])
+    def test_identities_and_spectra_never_invert(self, m, monkeypatch):
+        inverted = self._count_inversions(monkeypatch)
+        f = make_field(m)
+        subfield_identities(f, 7)
+        walsh_spectrum(make_field(m), 7)
+        assert inverted == [] and f._dual_rows_inv is None
+
+    @pytest.mark.parametrize("first", ["dual_index_inv", "dual_step"])
+    def test_first_use_inverts_once(self, first, monkeypatch):
+        # at m = 17 the dual positions of walsh_coefficients take more than
+        # one block, so its dual stream steps
+        inverted = self._count_inversions(monkeypatch)
+        f = make_field(17)
+        if first == "dual_index_inv":
+            assert f.dual_index_inv(f.dual_index(77)) == 77
+        else:
+            walsh_coefficients(f, 7)
+        assert inverted == [17]
+        rows = f._dual_rows_inv
+        walsh_coefficients(f, 11)
+        assert f.dual_index_inv(f.dual_index(5)) == 5
+        assert inverted == [17] and f._dual_rows_inv is rows
+
+    def test_threads_sharing_a_fresh_field_invert_once(self, monkeypatch):
+        # five fresh fields, each shared by four threads that start together
+        inverted = self._count_inversions(monkeypatch)
+        points = list(range(1, 400))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                f = make_field(20)
+                want = [f.dual_index(a) for a in points]
+                start = threading.Barrier(4)
+
+                def work(k):
+                    start.wait(timeout=60)
+                    return [f.dual_index_inv(u) for u in want[k::4]]
+
+                with ThreadPoolExecutor(max_workers=4) as ex:
+                    futures = [ex.submit(work, k) for k in range(4)]
+                    got = [fut.result(timeout=60) for fut in futures]
+                assert got == [points[k::4] for k in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert inverted == [20] * 5
+
+    @pytest.mark.parametrize("m", range(2, 29))
+    def test_roundtrip_with_random_moduli(self, m, random_modulus):
+        rng = random.Random(4000 + m)
+        f = make_field(m, random_modulus(m, rng), table_cap=1)
+        for a in [0, 1, 2, f.q - 1] + [rng.randrange(f.q) for _ in range(50)]:
+            assert f.dual_index_inv(f.dual_index(a)) == a, f"modulus={f.modulus:#x} a={a}"
 
 
 class TestPowerMap:

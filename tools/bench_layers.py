@@ -6,10 +6,11 @@ against a baseline checkout, written as one BENCH_*.json.
         --pairs exponent-sweep=4 --seconds 25
 
 Each side runs in its own interpreters with walsh_lab imported from that
-checkout's ``src``.  The layers below run in four rounds, baseline, change,
-change, baseline, so that a burst on a shared machine falls on both sides;
-each side records per entry the median of its rounds' medians and the
-maximum of their maxima and peaks.
+checkout's ``src``.  The layers below run in eight rounds, baseline,
+change, change, baseline twice, so that a burst on a shared machine falls
+on both sides: a whole interpreter's layers can read 5-10% faster or slower
+than the same code's in the next, so each side records per entry the median
+of its four rounds' medians and the maximum of their maxima and peaks.
 
 * Layers: ``make_field`` (the antilog up to 2^16 entries; a larger one
   and the log wait for their first use), ``make_field_tableless``
@@ -26,7 +27,9 @@ maximum of their maxima and peaks.
   call or library op pays) at m in {12, 16, 20, 22}, each the median and
   the maximum wall time of several runs (201 at m = 12, where a call takes
   microseconds; one untimed call goes first, so a stalled run, not a first
-  call, shows in the maximum) and the tracemalloc peak of one more;
+  call, shows in the maximum; the runs of an entry take at least
+  ``LAYER_SECONDS``, and at each m they are spread over ``LAYER_ROUNDS``
+  rounds of all the entries) and the tracemalloc peak of one more;
   ``power_map`` and ``power_map_tableless`` (``Field.power_map(7)`` on a
   warm field with and without tables) at the same m; and at each m the
   dtypes of the sign table, the butterfly output, ``power_map``
@@ -83,6 +86,7 @@ maximum of their maxima and peaks.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -114,6 +118,13 @@ ORACLE_PAIRS = 16
 ORACLE_PEAK_M = (20, 22)
 ONE_EXPONENT_RUNS = {16: 51, 18: 21, 20: 7, 22: 5}
 DUAL_INDICES_M = 20
+# On a shared VM the same code runs up to 2x slower for 0.1 s and more at
+# a time, longer than 201 calls at m = 12 take, so one such stretch moved a
+# side's m = 12 layers by 10-35%.  So each layer's runs take at least
+# LAYER_SECONDS, and at each m they go in LAYER_ROUNDS rounds over all the
+# layers, a share of every layer's runs in each.
+LAYER_SECONDS = 0.4
+LAYER_ROUNDS = 5
 
 
 def _measure_oracle() -> dict:
@@ -194,57 +205,77 @@ def _measure_layers() -> dict:
                            subfield_identities, truth_table, walsh_coefficients,
                            walsh_spectrum)
 
-    def timed(call, setup=lambda: None, runs=7):
+    none = lambda: None  # noqa: E731
+
+    def interleaved(entries):
+        """{name: {wall_s, max_s, peak_mb}} for entries {name: (call,
+        setup, runs)}: the runs of all entries go in LAYER_ROUNDS rounds,
+        each entry in every round, so a slow stretch of the machine falls
+        on all of them, not on one entry's runs."""
         # one untimed call first: a process's first call builds module caches
         # (and BLAS its buffers), which the maximum of the runs should not show
-        call(setup())
-        walls = []
-        for _ in range(runs):
+        for call, setup, _ in entries.values():
+            call(setup())
+        walls = {name: [] for name in entries}
+        for _ in range(LAYER_ROUNDS):
+            for name, (call, setup, runs) in entries.items():
+                end = time.perf_counter() + LAYER_SECONDS / LAYER_ROUNDS
+                for k in itertools.count():
+                    if k >= -(-runs // LAYER_ROUNDS) and time.perf_counter() >= end:
+                        break
+                    arg = setup()
+                    start = time.perf_counter()
+                    call(arg)
+                    walls[name].append(time.perf_counter() - start)
+        out = {}
+        for name, (call, setup, _) in entries.items():
             arg = setup()
-            start = time.perf_counter()
+            tracemalloc.start()
             call(arg)
-            walls.append(time.perf_counter() - start)
-        arg = setup()
-        tracemalloc.start()
-        call(arg)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return {"wall_s": round(statistics.median(walls), 6), "max_s": round(max(walls), 6),
-                "peak_mb": round(peak / 2**20, 3)}
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            # to 0.1 us: a call at m = 12 can take 5 us
+            out[name] = {"wall_s": round(statistics.median(walls[name]), 7),
+                         "max_s": round(max(walls[name]), 7), "peak_mb": round(peak / 2**20, 3)}
+        return out
+
+    def timed(call, setup=none, runs=7):
+        return interleaved({"": (call, setup, runs)})[""]
 
     out = {}
     for m in LAYER_M:
         runs = 201 if m == 12 else 7 if m < 22 else 5
         field, tableless = make_field(m), make_field(m, table_cap=1)
         signs = truth_table(field, LAYER_D)
-        out[f"m={m}"] = {
-            "make_field": timed(lambda _: make_field(m), runs=runs),
-            "make_field_tableless": timed(lambda _: make_field(m, table_cap=1), runs=runs),
-            "trace_bits": timed(lambda f: f.trace_bits(), lambda: make_field(m), runs),
-            "log_build": timed(lambda f: f.log_of(2), lambda: make_field(m), runs),
-            "truth_table": timed(lambda _: truth_table(field, LAYER_D), runs=runs),
-            "truth_table_cold": timed(lambda f: truth_table(f, LAYER_D), lambda: make_field(m),
-                                      runs),
-            "fwht": timed(fwht, signs.copy, runs),
-            "walsh_spectrum": timed(lambda _: walsh_spectrum(field, LAYER_D), runs=runs),
-            "walsh_spectrum_cold": timed(lambda _: walsh_spectrum(make_field(m), LAYER_D),
-                                         runs=runs),
-            "walsh_coefficients": timed(lambda _: walsh_coefficients(field, LAYER_D),
-                                        runs=runs),
-            "walsh_coefficients_cold": timed(
-                lambda _: walsh_coefficients(make_field(m), LAYER_D), runs=runs),
-            "power_map": timed(lambda _: field.power_map(LAYER_D), runs=runs),
-            "power_map_tableless": timed(lambda _: tableless.power_map(LAYER_D), runs=runs),
-            "dtype": {"signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
-                      "power_map": str(field.power_map(LAYER_D).dtype),
-                      "dual_indices": str(field.dual_indices(field.antilog()).dtype)},
+        cold = lambda: make_field(m)  # noqa: E731
+        entries = {
+            "make_field": (lambda _: make_field(m), none, runs),
+            "make_field_tableless": (lambda _: make_field(m, table_cap=1), none, runs),
+            "trace_bits": (lambda f: f.trace_bits(), cold, runs),
+            "log_build": (lambda f: f.log_of(2), cold, runs),
+            "truth_table": (lambda _: truth_table(field, LAYER_D), none, runs),
+            "truth_table_cold": (lambda f: truth_table(f, LAYER_D), cold, runs),
+            "fwht": (fwht, signs.copy, runs),
+            "walsh_spectrum": (lambda _: walsh_spectrum(field, LAYER_D), none, runs),
+            "walsh_spectrum_cold": (lambda _: walsh_spectrum(make_field(m), LAYER_D), none,
+                                    runs),
+            "walsh_coefficients": (lambda _: walsh_coefficients(field, LAYER_D), none, runs),
+            "walsh_coefficients_cold": (lambda _: walsh_coefficients(make_field(m), LAYER_D),
+                                        none, runs),
+            "power_map": (lambda _: field.power_map(LAYER_D), none, runs),
+            "power_map_tableless": (lambda _: tableless.power_map(LAYER_D), none, runs),
         }
         if m in ANTILOG_M:
-            out[f"m={m}"]["antilog"] = timed(lambda f: f.antilog(), lambda: make_field(m), runs)
+            entries["antilog"] = (lambda f: f.antilog(), cold, runs)
         if m in IDENTITIES_M:
-            out[f"m={m}"]["subfield_identities"] = timed(
-                lambda _: subfield_identities(field, LAYER_D), runs=3 if m >= 20 else runs)
-        del field, tableless, signs
+            entries["subfield_identities"] = (lambda _: subfield_identities(field, LAYER_D), none,
+                                              3 if m >= 20 else runs)
+        out[f"m={m}"] = interleaved(entries)
+        out[f"m={m}"]["dtype"] = {
+            "signs": str(signs.dtype), "fwht": str(fwht(signs.copy()).dtype),
+            "power_map": str(field.power_map(LAYER_D).dtype),
+            "dual_indices": str(field.dual_indices(field.antilog()).dtype)}
+        del field, tableless, signs, entries
     for m in FWHT_ONLY_M:
         signs = truth_table(make_field(m), LAYER_D)
         out[f"m={m}"] = {"fwht": timed(fwht, signs.copy, 201 if m < 20 else 5)}
@@ -402,7 +433,7 @@ def main() -> int:
     base = args.baseline.resolve()
     sides = {"baseline": base, "change": ROOT}
     rounds = {"baseline": [], "change": []}
-    for side in ("baseline", "change", "change", "baseline"):
+    for side in ("baseline", "change", "change", "baseline") * 2:
         rounds[side].append(layers(sides[side]))
     measured = {side: merge_rounds(runs) for side, runs in rounds.items()}
     numpy_version = measured["change"].pop("numpy")
