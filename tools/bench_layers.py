@@ -86,7 +86,6 @@ of its four rounds' medians and the maximum of their maxima and peaks.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -205,7 +204,8 @@ def _measure_layers() -> dict:
                            subfield_identities, truth_table, walsh_coefficients,
                            walsh_spectrum)
 
-    none = lambda: None  # noqa: E731
+    def none():
+        return None
 
     def interleaved(entries):
         """{name: {wall_s, max_s, peak_mb}} for entries {name: (call,
@@ -219,14 +219,13 @@ def _measure_layers() -> dict:
         walls = {name: [] for name in entries}
         for _ in range(LAYER_ROUNDS):
             for name, (call, setup, runs) in entries.items():
-                end = time.perf_counter() + LAYER_SECONDS / LAYER_ROUNDS
-                for k in itertools.count():
-                    if k >= -(-runs // LAYER_ROUNDS) and time.perf_counter() >= end:
-                        break
+                done, end = 0, time.perf_counter() + LAYER_SECONDS / LAYER_ROUNDS
+                while done < -(-runs // LAYER_ROUNDS) or time.perf_counter() < end:
                     arg = setup()
                     start = time.perf_counter()
                     call(arg)
                     walls[name].append(time.perf_counter() - start)
+                    done += 1
         out = {}
         for name, (call, setup, _) in entries.items():
             arg = setup()
@@ -247,7 +246,10 @@ def _measure_layers() -> dict:
         runs = 201 if m == 12 else 7 if m < 22 else 5
         field, tableless = make_field(m), make_field(m, table_cap=1)
         signs = truth_table(field, LAYER_D)
-        cold = lambda: make_field(m)  # noqa: E731
+
+        def cold():
+            return make_field(m)
+
         entries = {
             "make_field": (lambda _: make_field(m), none, runs),
             "make_field_tableless": (lambda _: make_field(m, table_cap=1), none, runs),
