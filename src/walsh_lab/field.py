@@ -29,7 +29,8 @@ operations fall back to shift-and-reduce polynomial multiplication.
 power_blocks(e, size) streams alpha^(e*i) a block at a time, each block the
 one before times a constant (with a built antilog and e = 1, slices of
 it); with dual it yields dual_index(alpha^(e*i)), always streamed, each
-block the one before through the linear map dual_index(c * dual_index_inv(u)).
+block the one before through M_c^T, the transpose of the product M_c by c:
+Tr(c*y*x) = Tr(y*(c*x)) for every x, so dual_index(c*y) = M_c^T dual_index(y).
 power_map and the sign tables read these streams, so neither makes a
 q-sized antilog.  trace_bits, scalar_mul_map, dual_indices and
 coset_labels need no tables: all are GF(2)-linear maps, filled by doubling
@@ -57,8 +58,8 @@ from k = m on these are the recurrence of the modulus, run on the bits of
 one int W = sum_k Tr(alpha^k) 2^k, and row j of G is the window
 (W >> j) mod 2^m.  G is invertible (the trace form is non-degenerate), so
 dual_index is a bijection and dual_index_inv recovers a from u; the rows of
-G^-1 are built on the first dual_index_inv or step of a dual stream, which
-the spectra and the identities never take.  dual_indices maps an array of
+G^-1 are built only on the first dual_index_inv, which the spectra, the
+identities and the dual stream never call.  dual_indices maps an array of
 elements at once, through the XOR spans of the low and high halves of the
 rows of G.  walsh.py leans on this twice: Tr(y*x) = parity(dual_index(y) & x)
 gives the values of the sign table without logs, and placing the signs at
@@ -200,6 +201,42 @@ def _apply_halves(halves: tuple[np.ndarray, np.ndarray], src: np.ndarray,
     dst ^= tmp
 
 
+def _halves(cols: Sequence[int] | np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 XOR spans of cols[:h] and cols[h:] with h = m // 2: the
+    tables of _apply_halves for the linear map with these m columns."""
+    h = m // 2
+    return xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
+
+
+def _select(rows: Sequence[int], a: int) -> int:
+    """XOR of rows[j] over the set bits j of a."""
+    u = 0
+    j = 0
+    while a:
+        if a & 1:
+            u ^= rows[j]
+        a >>= 1
+        j += 1
+    return u
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """The n columns of the bit matrix with these rows: bit i of column j
+    is bit j of rows[i]."""
+    bits = np.array(rows, dtype=np.int64)[:, None] >> np.arange(n) & 1
+    return (bits.T @ (1 << np.arange(len(rows)))).tolist()
+
+
+def _chain(low: list[int], high: list[int], n: int) -> list[int]:
+    """[1, c, ..., c^n] for the product by c read, as in _apply_halves, from
+    its two tables given as lists."""
+    h, mask = len(low).bit_length() - 1, len(low) - 1
+    out = [1]
+    for _ in range(n):
+        out.append(low[out[-1] & mask] ^ high[out[-1] >> h])
+    return out
+
+
 def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
     """int32 inverse of the antilog over [0, q): log[alog[i]] = i, log[0] = -1.
     Scattered in blocks through one reused intp index buffer and one int32
@@ -284,18 +321,13 @@ def check_invertible(m: int, d: int) -> None:
 
 
 def mod_inverse(d: int, n: int) -> int:
-    """Inverse of d modulo n by extended Euclid; NonInvertibleError carries the gcd."""
+    """Inverse of d modulo n, in [0, n); NonInvertibleError carries the gcd."""
     if n < 2:
         raise DomainError(f"modulus for inversion must be at least 2, got {n}")
-    r0, r1 = n, d % n
-    s0, s1 = 0, 1
-    while r1:
-        qt = r0 // r1
-        r0, r1 = r1, r0 - qt * r1
-        s0, s1 = s1, s0 - qt * s1
-    if r0 != 1:
-        raise NonInvertibleError(d, n, r0)
-    return s0 % n
+    g = gcd(d, n)
+    if g != 1:
+        raise NonInvertibleError(d, n, g)
+    return pow(d, -1, n)
 
 
 class Field:
@@ -329,7 +361,7 @@ class Field:
         self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
         self._log: np.ndarray | None = None
         self._walked = False  # a power_blocks(1, size) walk has streamed
-        self._lock = threading.Lock()  # one thread builds the late tables
+        self._lock = threading.RLock()  # one thread builds the late tables
 
         # Tr(alpha^k) for k <= 2m - 2 feeds the trace mask and the
         # dual-indexing matrix, whose row j is the window of m traces from k = j.
@@ -373,29 +405,26 @@ class Field:
                     f"modulus 0x{self.modulus:x} is not primitive: alpha order divides {self.order // p}"
                 )
 
+    def _product_columns(self, c: int, n: int) -> list[int]:
+        """c * alpha^j for j < n, one shift-and-reduce a step; for n = m the
+        columns of the product M_c: y -> c*y."""
+        cols = [c]
+        for _ in range(n - 1):
+            cols.append(self._mulx(cols[-1]))
+        return cols
+
     def _product_halves(self, c: int, dual: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The two tables of y -> c*y for _apply_halves with h = m // 2: the
-        XOR spans of the columns c * alpha^j for j < h and for j >= h.  With
-        dual, those of u -> dual_index(c * dual_index_inv(u)), the same
-        product in dual coordinates, whose column j is
-        dual_index(c * dual_index_inv(2^j)), cached per c: its m scalar
-        products and dual indices cost as much as mapping a 2^14-entry
-        block, and a loop of walsh_coefficients steps by the same c on
-        every call."""
-        m, h = self.m, self.m // 2
-        if dual:
-            if c in self._dual_steps:
-                return self._dual_steps[c]
-            cols = [self.dual_index(_polymul_mod(c, r, self.modulus, m))
-                    for r in self._dual_inv()]
-        else:
-            cols = [c]
-            for _ in range(m - 1):
-                cols.append(self._mulx(cols[-1]))
-        halves = xor_span(cols[:h], 1 << h, np.int32), xor_span(cols[h:], 1 << (m - h), np.int32)
-        if dual:
-            self._dual_steps[c] = halves
-        return halves
+        """The two tables of M_c: y -> c*y for _apply_halves.  With dual,
+        those of the same product in dual coordinates,
+        dual_index(y) -> dual_index(c*y), which is M_c^T, since
+        Tr(c*y*x) = Tr(y*(c*x)) for every x: its columns are the bit-transpose
+        of those of M_c.  Dual tables are cached per c, as a loop of
+        walsh_coefficients steps by the same c on every call."""
+        if not dual:
+            return _halves(self._product_columns(c, self.m), self.m)
+        if c not in self._dual_steps:
+            self._dual_steps[c] = _halves(_transpose(self._product_columns(c, self.m), self.m), self.m)
+        return self._dual_steps[c]
 
     def geometric(self, c: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """int32 array with entry k = c^k for 0 <= k < count, written to
@@ -411,12 +440,7 @@ class Field:
         if out is None:
             out = np.empty(count, dtype=np.int32)
         k = min(count, _ANTILOG_HEAD)
-        head = [1]
-        low, high = (half.tolist() for half in self._product_halves(c))
-        h = self.m // 2
-        mask = (1 << h) - 1
-        for _ in range(k):
-            head.append(low[head[-1] & mask] ^ high[head[-1] >> h])
+        head = _chain(*(half.tolist() for half in self._product_halves(c)), k)
         out[:k] = head[:k]
         ck = head[k]  # c^k
         idx = np.empty(min(_ANTILOG_BLOCK, count), dtype=np.intp)
@@ -446,23 +470,13 @@ class Field:
         m, h, width = self.m, self.m // 2, _ANTILOG_HEAD
         if not _OUTER_MIN_Q <= self.q <= _OUTER_MAX_Q:
             return self.geometric(self.alpha, self.order, out)
-        chain = [1]
-        for _ in range(width + m - 1):
-            x = chain[-1] << 1
-            chain.append(x ^ self.modulus if x >> m else x)
-        seq = np.array(chain, dtype=np.int32)
+        seq = np.array(self._product_columns(1, width + m), dtype=np.int32)
         # row b is seq[b : b + width + 1], all m of them inside seq
         windows = np.lib.stride_tricks.as_strided(
             seq, (m, width + 1), seq.strides * 2, writeable=False)
-        low = xor_span(windows[:h], 1 << h, np.int32)
-        high = xor_span(windows[h:], 1 << (m - h), np.int32)
-        step_low, step_high = low[:, width].tolist(), high[:, width].tolist()
-        mask = (1 << h) - 1
-        heads = [1]
-        for _ in range(self.q // width - 1):
-            heads.append(step_low[heads[-1] & mask] ^ step_high[heads[-1] >> h])
-        heads = np.array(heads)
-        rows = np.take(low[:, :width], heads & mask, axis=0)
+        low, high = _halves(windows, m)
+        heads = np.array(_chain(low[:, width].tolist(), high[:, width].tolist(), self.q // width - 1))
+        rows = np.take(low[:, :width], heads & ((1 << h) - 1), axis=0)
         rows ^= np.take(high[:, :width], heads >> h, axis=0)
         alog = rows.reshape(-1)[:self.order]  # the last entry is alpha^order = 1
         if out is None:
@@ -484,21 +498,24 @@ class Field:
         heap: mapping it would add a map, an unmap and its page faults to
         every make_field."""
         if self._alog is None:
-            with self._lock:
-                if self._alog is None:
-                    mapped = mmap.mmap(-1, 4 * self.order)
-                    self._alog = self._antilog(np.frombuffer(mapped, dtype=np.int32))
+            self._once("_alog", lambda: self._antilog(
+                np.frombuffer(mmap.mmap(-1, 4 * self.order), dtype=np.int32)))
         return self._alog
 
     def _logs(self) -> np.ndarray:
         """The int32 log table, scattered from the antilog on first use by
         one thread; only for a field with tables."""
         if self._log is None:
-            alog = self._table()
-            with self._lock:
-                if self._log is None:
-                    self._log = _log_from_antilog(alog, self.q)
+            self._once("_log", lambda: _log_from_antilog(self._table(), self.q))
         return self._log
+
+    def _once(self, name: str, build) -> None:
+        """Set the attribute name, if it is still None, to build(), under
+        the field's lock: one thread builds a late table while the others
+        wait, and a build may call another (the log reads the antilog)."""
+        with self._lock:
+            if getattr(self, name) is None:
+                setattr(self, name, build())
 
     def antilog(self) -> np.ndarray:
         """int32 alpha^i for 0 <= i < 2^m - 1: with tables the stored
@@ -512,7 +529,7 @@ class Field:
         sequence per row."""
         if self._alog is None:
             return np.stack([self.geometric(self.exp(e), count) for e in es])
-        exps = np.multiply.outer(np.asarray(es, dtype=np.int64) % self.order,
+        exps = np.multiply.outer(np.array([e % self.order for e in es], dtype=np.int64),
                                  np.arange(count, dtype=np.int64))
         exps %= self.order
         return self._alog[exps]
@@ -528,9 +545,10 @@ class Field:
         its second builds the antilog.  Other blocks, and dual ones always,
         stream: the first is power_rows([e], size)[0] (with dual, through
         dual_indices) and each next one the block before times
-        c = alpha^(e*size), with dual through dual_index(c * dual_index_inv(u)),
-        in two reused buffers, so a block is valid only until the next is
-        drawn and no array has more than size entries."""
+        c = alpha^(e*size), with dual through M_c^T, the product by c in dual
+        coordinates (see _product_halves), in two reused buffers, so a block
+        is valid only until the next is drawn and no array has more than
+        size entries."""
         n = self.order
         if e % n == 1 and self.has_tables:
             if self._alog is None and self._walked:
@@ -701,35 +719,14 @@ class Field:
         u is G.bits(a) over GF(2) with G[i][j] = Tr(alpha^(i+j)); since G is
         symmetric this is the XOR of the rows of G selected by the bits of a.
         """
-        u = 0
-        j = 0
-        while a:
-            if a & 1:
-                u ^= self._dual_rows[j]
-            a >>= 1
-            j += 1
-        return u
-
-    def _dual_inv(self) -> list[int]:
-        """The rows of G^-1, inverted on first use by one thread: the
-        identities and the spectra never read them."""
-        if self._dual_rows_inv is None:
-            with self._lock:
-                if self._dual_rows_inv is None:
-                    self._dual_rows_inv = _invert_bit_matrix(self._dual_rows, self.m)
-        return self._dual_rows_inv
+        return _select(self._dual_rows, a)
 
     def dual_index_inv(self, u: int) -> int:
-        """Inverse of dual_index, via the inverse of G."""
-        rows = self._dual_inv()
-        a = 0
-        j = 0
-        while u:
-            if u & 1:
-                a ^= rows[j]
-            u >>= 1
-            j += 1
-        return a
+        """Inverse of dual_index, via the rows of G^-1, inverted by the first
+        call by one thread: nothing else reads them."""
+        if self._dual_rows_inv is None:
+            self._once("_dual_rows_inv", lambda: _invert_bit_matrix(self._dual_rows, self.m))
+        return _select(self._dual_rows_inv, u)
 
     # -- vectorized views (numpy, lazily cached) -------------------------------
 
@@ -750,10 +747,8 @@ class Field:
         of x must be an element, in [0, q): _apply_halves reads its tables
         with mode="wrap", so an entry out of range gives a wrong value, not
         an error."""
-        h = self.m // 2
         if self._dual_halves is None:
-            self._dual_halves = (xor_span(self._dual_rows[:h], 1 << h, np.int32),
-                                 xor_span(self._dual_rows[h:], 1 << (self.m - h), np.int32))
+            self._dual_halves = _halves(self._dual_rows, self.m)
         out = np.empty(x.shape, dtype=np.int32)
         src, dst = x.reshape(-1), out.reshape(-1)
         size = max(1, min(_POWER_BLOCK, src.size))
@@ -768,8 +763,7 @@ class Field:
         label is Tr(x * gamma^i) = parity(dual_index(gamma^i) & x) over
         subfield_basis().  L is its own trace dual, so the labels are 0 exactly on L."""
         duals = [self.dual_index(g) for g in self.subfield_basis()]
-        cols = [sum(((u >> j) & 1) << i for i, u in enumerate(duals)) for j in range(self.m)]
-        return xor_span(cols, self.q, np.int32)
+        return xor_span(_transpose(duals, self.m), self.q, np.int32)
 
     def power_map(self, d: int) -> np.ndarray:
         """int32 array P with P[x] = x^d (values below 2^m <= 2^28): the
@@ -790,10 +784,7 @@ class Field:
         """int32 array A with A[x] = a*x (values below 2^m <= 2^28, as in
         power_map): the XOR of a*alpha^j over the bits j of x."""
         self.check_element(a)
-        cols = [a]
-        for _ in range(self.m - 1):
-            cols.append(self._mulx(cols[-1]))
-        return xor_span(cols, self.q, np.int32)
+        return xor_span(self._product_columns(a, self.m), self.q, np.int32)
 
     # -- misc ------------------------------------------------------------------
 

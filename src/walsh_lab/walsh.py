@@ -73,9 +73,11 @@ multiset of fwht equals the coefficient multiset and walsh_spectrum can
 histogram the raw butterfly output.  walsh_coefficients places each sign at
 dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
 Its positions are the dual stream of Field.power_blocks: dual_index(c*y) =
-(D M_c D^-1)(dual_index(y)) for the dual-index matrix D and the product
-M_c by c, so each block of dual positions is the one before through one
-linear map, with no pass over the elements alpha^i themselves.
+M_c^T dual_index(y) for the product M_c by c, as Tr(c*y*x) = Tr(y*(c*x)),
+so each block of dual positions is the one before through one linear map,
+with no pass over the elements alpha^i themselves and no inverse of the
+dual-index matrix, whose rows are built only on the first
+Field.dual_index_inv.
 """
 
 from __future__ import annotations

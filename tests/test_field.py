@@ -27,6 +27,7 @@ from walsh_lab import (
     subfield_identities,
     truth_table,
     walsh_coefficients,
+    walsh_coefficients_at,
     walsh_spectrum,
 )
 
@@ -542,6 +543,44 @@ class TestLazyLog:
         assert built == [f.q] and f._log is log
         assert f.mul(0, 5) == 0 and f.pow(0, 3) == 0
 
+    def test_threads_sharing_a_fresh_field_build_each_table_once(self, monkeypatch):
+        # three fresh fields, each shared by four threads whose first call is
+        # mul: the log's build reads the antilog under the same lock
+        built = []
+        antilog, scatter = Field._antilog, field_module._log_from_antilog
+
+        def counted_antilog(self, *args):
+            built.append("antilog")
+            return antilog(self, *args)
+
+        def counted_scatter(alog, q):
+            built.append("log")
+            return scatter(alog, q)
+
+        monkeypatch.setattr(Field, "_antilog", counted_antilog)
+        monkeypatch.setattr(field_module, "_log_from_antilog", counted_scatter)
+        pairs = [(x, 3 * x + 1) for x in range(1, 200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                f = make_field(17)
+                assert f._alog is None and f._log is None
+                want = [field_module._polymul_mod(x, y, f.modulus, f.m) for x, y in pairs]
+                start = threading.Barrier(4)
+
+                def work(k):
+                    start.wait(timeout=60)
+                    return [f.mul(x, y) for x, y in pairs[k::4]]
+
+                with ThreadPoolExecutor(max_workers=4) as ex:
+                    futures = [ex.submit(work, k) for k in range(4)]
+                    got = [fut.result(timeout=60) for fut in futures]
+                assert got == [want[k::4] for k in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == ["antilog", "log"] * 3
+
     def test_spectrum_path_leaves_the_log_unbuilt(self):
         f = make_field(12)
         truth_table(f, 7)
@@ -589,18 +628,55 @@ class TestLazyDualInverse:
     @pytest.mark.parametrize("first", ["dual_index_inv", "dual_step"])
     def test_first_use_inverts_once(self, first, monkeypatch):
         # at m = 17 the dual positions of walsh_coefficients take more than
-        # one block, so its dual stream steps
+        # one block, so its dual stream steps, by the transpose of a product:
+        # it inverts nothing, and the first dual_index_inv after it inverts once
         inverted = self._count_inversions(monkeypatch)
         f = make_field(17)
-        if first == "dual_index_inv":
-            assert f.dual_index_inv(f.dual_index(77)) == 77
-        else:
+        if first == "dual_step":
             walsh_coefficients(f, 7)
+            assert inverted == [] and f._dual_rows_inv is None and f._dual_steps
+        assert f.dual_index_inv(f.dual_index(77)) == 77
         assert inverted == [17]
         rows = f._dual_rows_inv
         walsh_coefficients(f, 11)
         assert f.dual_index_inv(f.dual_index(5)) == 5
         assert inverted == [17] and f._dual_rows_inv is rows
+
+    def test_cold_dual_walk_inverts_and_dual_indexes_nothing(self, monkeypatch):
+        inverted = self._count_inversions(monkeypatch)
+        indexed = []
+        dual_index = Field.dual_index
+
+        def counted(self, a):
+            indexed.append(a)
+            return dual_index(self, a)
+
+        monkeypatch.setattr(Field, "dual_index", counted)
+        f = make_field(20)
+        got = walsh_coefficients(f, 7)
+        assert inverted == [] and indexed == [] and f._dual_steps
+        rng = random.Random(20)
+        points = [rng.randrange(f.q) for _ in range(8)]
+        assert [int(got[a]) for a in points] == walsh_coefficients_at(f, [7] * 8, points)
+
+    @pytest.mark.parametrize("m", range(2, 29))
+    def test_dual_step_is_the_product_conjugated_by_g(self, m, random_modulus):
+        # the tables of M_c^T against those of the formula they replace,
+        # u -> dual_index(c * dual_index_inv(u)), column j at u = 2^j
+        rng = random.Random(m)
+        h = m // 2
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            f = make_field(m, modulus)
+            inv_cols = [f.dual_index_inv(1 << j) for j in range(m)]
+            for _ in range(5):
+                c = rng.randrange(1, f.q)
+                cols = [f.dual_index(field_module._polymul_mod(c, r, modulus, m)) for r in inv_cols]
+                want = (field_module.xor_span(cols[:h], 1 << h, np.int32),
+                        field_module.xor_span(cols[h:], 1 << (m - h), np.int32))
+                got = f._product_halves(c, dual=True)
+                assert len(got) == 2
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int32 and np.array_equal(g, w), (m, hex(modulus), c)
 
     def test_threads_sharing_a_fresh_field_invert_once(self, monkeypatch):
         # five fresh fields, each shared by four threads that start together
@@ -668,6 +744,16 @@ class TestPowerMap:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak <= 2.0 * 4 * fn.q
+
+    @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1])
+    def test_exponents_beyond_int64_reduce_mod_the_order(self, table_cap):
+        # 7 + 255 * 2^60 = 7 mod 255 overflows an int64 before its reduction
+        f = make_field(8, table_cap=table_cap)
+        big = 7 + 255 * 2**60
+        assert f.has_tables == (table_cap == DEFAULT_TABLE_CAP)
+        assert np.array_equal(f.power_map(big), f.power_map(7))
+        got = f.power_rows([big, 3 - 255 * 2**70, 255 * 2**64], 9)
+        assert np.array_equal(got, f.power_rows([7, 3, 0], 9))
 
 
 class TestTablelessMaps:
@@ -824,3 +910,32 @@ class TestModInverse:
         with pytest.raises(NonInvertibleError) as exc:
             mod_inverse(21, 63)
         assert exc.value.gcd == 21
+
+    def test_matches_extended_euclid(self):
+        def euclid(d, n):
+            # (gcd, inverse mod n if the gcd is 1)
+            r0, r1, s0, s1 = n, d % n, 0, 1
+            while r1:
+                qt = r0 // r1
+                r0, r1 = r1, r0 - qt * r1
+                s0, s1 = s1, s0 - qt * s1
+            return r0, s0 % n
+
+        rng = random.Random(28)
+        moduli = [2, 3, 63, 255, (1 << 28) - 1] + [rng.randrange(2, 1 << 28) for _ in range(60)]
+        for n in moduli:
+            ds = [0, 1, -1, n - 1, n, n + 1, -n, rng.randrange(-5 * n, 0), rng.randrange(n, 5 * n)]
+            for d in ds + [rng.randrange(1, n) for _ in range(5)]:
+                g, want = euclid(d, n)
+                if g == 1:
+                    assert mod_inverse(d, n) == want, (d, n)
+                else:
+                    with pytest.raises(NonInvertibleError) as exc:
+                        mod_inverse(d, n)
+                    assert (exc.value.d, exc.value.n, exc.value.gcd) == (d, n, g)
+
+    @pytest.mark.parametrize("n", [1, 0, -7])
+    def test_modulus_below_two(self, n):
+        with pytest.raises(DomainError) as exc:
+            mod_inverse(3, n)
+        assert not isinstance(exc.value, NonInvertibleError)
