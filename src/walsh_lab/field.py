@@ -11,27 +11,31 @@ construction builds it.  Above that a one-exponent call would read it once,
 as slices, so it waits: the first mul, inv, pow, log_of or antilog(), or
 the field's second walk of power_blocks(1, size), plain or dual, builds it;
 the first streams.  An antilog built after construction lives in an
-anonymous mapping of its own, not in the malloc heap.  Which route builds
-it depends on q alone.  For 2^8 <= q <= 2^15 it is one outer product: the
-coordinates of alpha^i are shifted copies of the trace m-sequence, so
-alpha^(rH + j) = alpha^j * alpha^(rH) is read, for rows of H = 64, from two
-product tables whose columns are windows of the scalar chain alpha^k,
-k < H + m (see Field._antilog).  At every other q, the late tables
-included, it is geometric(alpha, 2^m - 1): geometric(c, n) fills c^k for
-k < n by doubling, out[k:2k] = c^k * out[:k], each product by the constant
-c^k read from two small tables because it is GF(2)-linear.
+anonymous mapping of its own, not in the malloc heap.
+Every walk over the powers of c = alpha^e that does not read a built
+antilog, and the antilog's own build, reads rows of H = 64 entries: row r,
+c^(rH + j) = c^j * c^(rH), is GF(2)-linear in its head c^(rH), so it is two
+gathers of whole rows from the XOR spans of the m x H table
+T[b][j] = alpha^b * c^j, split at bit m // 2.  For c = alpha the rows of T
+are windows of the scalar chain alpha^k, k < H + m (a Hankel matrix); the
+dual stream reads its rows from T mapped through dual_index, which is
+linear.  The walks, and the antilog from q = 2^16 on, are one row stream
+(Field._row_stream), whose heads come from geometric(c^H, rows) for the
+first block and are stepped by a constant from block to block; below
+q = 2^16 the antilog is one outer product, its heads a scalar chain
+through one more column of T.  geometric(c, n) fills
+c^k for k < n by doubling, out[k:2k] = c^k * out[:k], each product by the
+constant c^k read from two small tables because it is GF(2)-linear.
 The int32 log, its blocked inverse scatter, serves scalar arithmetic only:
 it is built on the first mul, inv, pow or log_of, and no vector map reads
 it.  Until the antilog exists, and always above the cap, exp and
 power_rows work without it: exp by square-and-multiply, power_rows one
 geometric sequence per row instead of a gather; above the cap the scalar
 operations fall back to shift-and-reduce polynomial multiplication.
-power_blocks(e, size) streams alpha^(e*i) a block at a time, each block the
-one before times a constant (with a built antilog and e = 1, slices of
-it); with dual it yields dual_index(alpha^(e*i)), always streamed, each
-block the one before through M_c^T, the transpose of the product M_c by c:
-Tr(c*y*x) = Tr(y*(c*x)) for every x, so dual_index(c*y) = M_c^T dual_index(y).
-power_map and the sign tables read these streams, so neither makes a
+power_blocks(e, size) yields alpha^(e*i) a block at a time, or with dual
+dual_index(alpha^(e*i)): with a built antilog and e = 1 its slices (with
+dual, dual_indices of them), otherwise the row stream.
+power_map and the sign tables read these blocks, so neither makes a
 q-sized antilog.  trace_bits, scalar_mul_map, dual_indices and
 coset_labels need no tables: all are GF(2)-linear maps, filled by doubling
 over the polynomial basis (xor_span).  The maps to elements, power_map,
@@ -82,26 +86,20 @@ DEFAULT_TABLE_CAP = 1 << 22
 
 # Entries per gather or scatter in the table maps: bounds their temporaries
 # to this many entries, so the only q-sized arrays are the inputs and the
-# result.  Indices are widened to intp one block at a time.
+# result.  Indices are widened to intp one block at a time.  Also the block
+# in which the row stream writes an antilog of 2^16 entries or more.
 _POWER_BLOCK = 1 << 16
 
-# The same for the doubling steps of geometric(), smaller: at 12 bytes of
-# temporaries per entry, building the antilog of GF(2^20) takes 6% of the
-# table beside it.
+# The same for the doubling steps of geometric(), smaller: they take 12
+# bytes of temporaries per entry.
 _ANTILOG_BLOCK = 1 << 14
 
 # Entries geometric() takes from the scalar chain of products before
 # doubling starts: a doubling step costs some tens of microseconds of numpy
 # calls whatever its width, more than 64 scalar products.  A power of two,
-# so the steps after it still double.  Also the row width of the antilog's
-# outer product.
+# so the steps after it still double.  Also the row width of the row stream
+# and of the antilog.
 _ANTILOG_HEAD = 64
-
-# The field sizes q whose antilog is that outer product, not doubling: below
-# them the head and a doubling step or two cost less, above them its two
-# q-sized gathers cost more than the doubling steps they replace.
-_OUTER_MIN_Q = 1 << 8
-_OUTER_MAX_Q = 1 << 15
 
 # The (m, modulus) pairs whose primitivity proof has passed in this process:
 # a modulus is proved once, and one that fails is never added, so it fails
@@ -188,16 +186,18 @@ def xor_span(cols: Sequence[int] | np.ndarray, q: int, dtype=np.int64) -> np.nda
 def _apply_halves(halves: tuple[np.ndarray, np.ndarray], src: np.ndarray,
                   dst: np.ndarray, ix: np.ndarray, tmp: np.ndarray) -> None:
     """dst = low[src mod 2^h] ^ high[src >> h] for the int32 array src, with
-    (low, high) = halves and low of 2^h entries: a GF(2)-linear map read from
-    the XOR spans of its columns below and above bit h.  ix (intp) and tmp
-    (int32) are scratch of src's size; the indices are in range, and
-    mode="wrap" spares take the buffered copy that mode="raise" makes."""
+    (low, high) = halves and low of 2^h rows: a GF(2)-linear map read from
+    the XOR spans of its columns below and above bit h.  Tables of 1-D rows
+    map each entry of src to a row, and dst has src's shape plus the row's.
+    ix (intp, src's shape) and tmp (int32, dst's shape) are scratch; the
+    indices are in range, and mode="wrap" spares take the buffered copy
+    that mode="raise" makes."""
     low, high = halves
-    h = low.size.bit_length() - 1
+    h = len(low).bit_length() - 1
     np.bitwise_and(src, (1 << h) - 1, out=ix)
-    np.take(low, ix, out=dst, mode="wrap")
+    np.take(low, ix, axis=0, out=dst, mode="wrap")
     np.right_shift(src, h, out=ix)
-    np.take(high, ix, out=tmp, mode="wrap")
+    np.take(high, ix, axis=0, out=tmp, mode="wrap")
     dst ^= tmp
 
 
@@ -235,6 +235,35 @@ def _chain(low: list[int], high: list[int], n: int) -> list[int]:
     for _ in range(n):
         out.append(low[out[-1] & mask] ^ high[out[-1] >> h])
     return out
+
+
+def _mapped(halves: tuple[np.ndarray, np.ndarray], blocks, size: int):
+    """Each int32 block of at most size entries through _apply_halves with
+    these tables, yielded from one reused buffer."""
+    out, tmp = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    ix = np.empty(size, dtype=np.intp)
+    for block in blocks:
+        k = block.size
+        _apply_halves(halves, block, out[:k], ix[:k], tmp[:k])
+        yield out[:k]
+
+
+def _reblock(chunks, size: int, n: int):
+    """The first n entries of the concatenated int32 chunks, yielded as
+    blocks of size entries (the last one shorter) copied into one reused
+    buffer."""
+    block = np.empty(size, dtype=np.int32)
+    fill = 0
+    for chunk in chunks:
+        chunk = chunk[:n]
+        n -= chunk.size
+        while chunk.size:
+            k = min(size - fill, chunk.size)
+            block[fill:fill + k] = chunk[:k]
+            chunk, fill = chunk[k:], fill + k
+            if fill == size or n == chunk.size == 0:
+                yield block[:fill]
+                fill = 0
 
 
 def _log_from_antilog(alog: np.ndarray, q: int) -> np.ndarray:
@@ -336,11 +365,10 @@ class Field:
     def __init__(self, m: int, modulus: int, table_cap: int = DEFAULT_TABLE_CAP):
         """Check m and the degree of the modulus (DomainError),
         verify that alpha has order 2^m - 1, build the antilog if
-        2^m <= min(table_cap, 2^16) (as an outer product for
-        2^8 <= 2^m <= 2^15, by doubling otherwise; a larger one waits for
-        its first use, and the log always does), and derive the trace mask
-        and the dual-index matrix from the window of Tr(alpha^k).  The
-        inverse of that matrix waits for its first use."""
+        2^m <= min(table_cap, 2^16) (a larger one waits for its first use,
+        and the log always does), and derive the trace mask and the
+        dual-index matrix from the window of Tr(alpha^k).  The inverse of
+        that matrix waits for its first use."""
         check_degree(m)
         # not bit_length: a negative modulus has the right one too, and the
         # reduction loops never end on it
@@ -358,7 +386,9 @@ class Field:
             self._verify_primitive()
             _PROVEN_PRIMITIVE.add((m, modulus))
 
-        self._alog = self._antilog() if self.q <= min(table_cap, _POWER_BLOCK) else None
+        self._alog: np.ndarray | None = None
+        if self.q <= min(table_cap, _POWER_BLOCK):
+            self._alog = self._antilog()
         self._log: np.ndarray | None = None
         self._walked = False  # a power_blocks(1, size) walk has streamed
         self._lock = threading.RLock()  # one thread builds the late tables
@@ -374,7 +404,6 @@ class Field:
         self._subfield_set: frozenset[int] | None = None
         self._trace_bits: np.ndarray | None = None
         self._dual_halves: tuple[np.ndarray, np.ndarray] | None = None
-        self._dual_steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -413,22 +442,74 @@ class Field:
             cols.append(self._mulx(cols[-1]))
         return cols
 
-    def _product_halves(self, c: int, dual: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The two tables of M_c: y -> c*y for _apply_halves.  With dual,
-        those of the same product in dual coordinates,
-        dual_index(y) -> dual_index(c*y), which is M_c^T, since
-        Tr(c*y*x) = Tr(y*(c*x)) for every x: its columns are the bit-transpose
-        of those of M_c.  Dual tables are cached per c, as a loop of
-        walsh_coefficients steps by the same c on every call."""
-        if not dual:
-            return _halves(self._product_columns(c, self.m), self.m)
-        if c not in self._dual_steps:
-            self._dual_steps[c] = _halves(_transpose(self._product_columns(c, self.m), self.m), self.m)
-        return self._dual_steps[c]
+    def _product_halves(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two tables of M_c: y -> c*y for _apply_halves."""
+        return _halves(self._product_columns(c, self.m), self.m)
+
+    def _hankel(self, width: int) -> np.ndarray:
+        """The (m, width) view whose row b is alpha^(b + j) for j < width:
+        windows of the scalar chain alpha^k, k < width + m - 1."""
+        seq = np.array(self._product_columns(1, width + self.m - 1), dtype=np.int32)
+        return np.lib.stride_tricks.as_strided(seq, (self.m, width), seq.strides * 2,
+                                               writeable=False)
+
+    def _row_halves(self, c: int, dual: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of _apply_halves for y -> [y * c^j for j < 64], whose
+        rows are XOR spans of the rows T[b][j] = alpha^b * c^j, b < m; with
+        dual, of dual_index(T[b][j]), as dual_index is GF(2)-linear.  For
+        c = alpha, T is _hankel(64); otherwise T[0] = geometric(c, 64) and
+        each further row is the one before times alpha, one vectorized
+        shift-and-reduce."""
+        m = self.m
+        if c == self.alpha:
+            t = self._hankel(_ANTILOG_HEAD)
+        else:
+            t = np.empty((m, _ANTILOG_HEAD), dtype=np.int32)
+            t[0] = self.geometric(c, _ANTILOG_HEAD)
+            for b in range(1, m):
+                np.left_shift(t[b - 1], 1, out=t[b])
+                t[b] ^= (t[b - 1] >> (m - 1)) * self.modulus
+        return _halves(self.dual_indices(t) if dual else t, m)
+
+    def _row_stream(self, e: int, rows: int, dual: bool = False, out: np.ndarray | None = None):
+        """Yield c^k for c = alpha^e and k = 0, 1, ... over ceil((2^m - 1)/64)
+        whole rows of 64, so past 2^m - 2 up to the end of the last row, in
+        chunks of rows * 64 entries (the last one shorter); with dual the
+        same entries mapped through dual_index.
+
+        Row r is c^(64r + j) = y_r * c^j for j < 64 with the head
+        y_r = c^(64r), and y -> [y * c^j] is GF(2)-linear: the row is
+        low[y_r mod 2^h] ^ high[y_r >> h] from the tables of _row_halves,
+        two gathers of whole rows and one XOR.  The heads of the first chunk
+        are geometric(c^64, rows), and those of each next chunk the ones
+        before times c^(64 rows).  Chunks are written into out (at least
+        ceil((2^m - 1)/64) * 64 entries) at their offsets if it is given,
+        otherwise into one reused buffer, valid only until the next chunk
+        is drawn; the tables aside, no array has more than rows * 64
+        entries."""
+        width = _ANTILOG_HEAD
+        total = -(-self.order // width)
+        rows = min(rows, total)
+        halves = self._row_halves(self.exp(e), dual)
+        heads = self.geometric(self.exp(e * width), rows)
+        ix, tmp = np.empty(rows, dtype=np.intp), np.empty((rows, width), dtype=np.int32)
+        buf = np.empty_like(tmp) if out is None else None
+        if rows < total:
+            step = self._product_halves(self.exp(e * width * rows))
+            nxt, part = np.empty_like(heads), np.empty_like(heads)
+        for r in range(0, total, rows):
+            k = min(rows, total - r)
+            dst = buf[:k] if out is None else out[r * width:(r + k) * width].reshape(k, width)
+            _apply_halves(halves, heads[:k], dst, ix[:k], tmp[:k])
+            yield dst.reshape(-1)
+            if r + rows < total:
+                _apply_halves(step, heads, nxt, ix, part)
+                heads, nxt = nxt, heads
 
     def geometric(self, c: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """int32 array with entry k = c^k for 0 <= k < count, written to
-        out (int32, count entries) if given.
+        out (int32, count entries) if given: power_rows reads it, and the
+        row stream its first row and its first heads.
 
         The first min(count, 64) entries come from the scalar chain of
         products by c, each two reads from the tables of _product_halves(c),
@@ -456,33 +537,33 @@ class Field:
         return out
 
     def _antilog(self, out: np.ndarray | None = None) -> np.ndarray:
-        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1, written
-        to out if given.
+        """int32 array with entry i = alpha^i for 0 <= i < 2^m - 1: the
+        first 2^m - 1 entries of out, which then has max(q, 64) entries, if
+        given.
 
-        For 2^8 <= q <= 2^15 it is one outer product, in rows of H = 64:
-        alpha^(rH + j) = alpha^j * y_r with y_r = alpha^(rH), and y -> alpha^j * y
-        is GF(2)-linear, so row r is low[y_r mod 2^h] ^ high[y_r >> h] with
-        h = m // 2, two gathers of whole rows.  Column b of these tables,
-        alpha^(j + b) over j, is a window of the scalar chain alpha^k for
-        k < H + m (a Hankel matrix), so they are xor_span of m windows.  One
-        more column, j = H, steps y_r to y_(r+1) in a scalar chain.  Other
-        sizes take geometric(alpha, 2^m - 1)."""
-        m, h, width = self.m, self.m // 2, _ANTILOG_HEAD
-        if not _OUTER_MIN_Q <= self.q <= _OUTER_MAX_Q:
-            return self.geometric(self.alpha, self.order, out)
-        seq = np.array(self._product_columns(1, width + m), dtype=np.int32)
-        # row b is seq[b : b + width + 1], all m of them inside seq
-        windows = np.lib.stride_tricks.as_strided(
-            seq, (m, width + 1), seq.strides * 2, writeable=False)
-        low, high = _halves(windows, m)
-        heads = np.array(_chain(low[:, width].tolist(), high[:, width].tolist(), self.q // width - 1))
-        rows = np.take(low[:, :width], heads & ((1 << h) - 1), axis=0)
-        rows ^= np.take(high[:, :width], heads >> h, axis=0)
-        alog = rows.reshape(-1)[:self.order]  # the last entry is alpha^order = 1
+        It is written in rows of H = 64, alpha^(rH + j) = alpha^j * y_r with
+        y_r = alpha^(rH), each two gathers of whole rows from the tables of
+        _row_halves(alpha), whose rows are windows of the scalar chain
+        alpha^k, k < H + m (a Hankel matrix).  From q = 2^16 (one
+        _POWER_BLOCK) on, _row_stream writes it, a block at a time.  Below,
+        it is one outer product: the tables take one more column, j = H,
+        the product by alpha^H, which steps y_r to y_(r+1) in a scalar
+        chain."""
+        width = _ANTILOG_HEAD
+        rows = max(1, self.q // width)
         if out is None:
-            return alog
-        out[:] = alog
-        return out
+            out = np.empty(rows * width, dtype=np.int32)
+        if self.q >= _POWER_BLOCK:
+            for _ in self._row_stream(1, _POWER_BLOCK // width, out=out):
+                pass
+        else:
+            low, high = _halves(self._hankel(width + 1), self.m)
+            heads = np.array(_chain(low[:, width].tolist(), high[:, width].tolist(), rows - 1),
+                             dtype=np.int32)
+            dst = out[:rows * width].reshape(rows, width)
+            _apply_halves((low[:, :width], high[:, :width]), heads, dst,
+                          np.empty(rows, dtype=np.intp), np.empty_like(dst))
+        return out[:self.order]  # the entry after them is alpha^order = 1
 
     def _table(self) -> np.ndarray:
         """The stored antilog, built on first use by one thread while the
@@ -499,7 +580,7 @@ class Field:
         every make_field."""
         if self._alog is None:
             self._once("_alog", lambda: self._antilog(
-                np.frombuffer(mmap.mmap(-1, 4 * self.order), dtype=np.int32)))
+                np.frombuffer(mmap.mmap(-1, 4 * self.q), dtype=np.int32)))
         return self._alog
 
     def _logs(self) -> np.ndarray:
@@ -539,41 +620,34 @@ class Field:
         lo = 0, size, 2 size, ... below 2^m - 1, with hi = min(lo + size,
         2^m - 1), or with dual the same blocks mapped through dual_index.
 
-        With tables and e = 1 mod 2^m - 1 the plain blocks are slices of
-        the antilog, which callers must not modify; the field's first such
-        walk, plain or dual, before the antilog exists streams instead, and
-        its second builds the antilog.  Other blocks, and dual ones always,
-        stream: the first is power_rows([e], size)[0] (with dual, through
-        dual_indices) and each next one the block before times
-        c = alpha^(e*size), with dual through M_c^T, the product by c in dual
-        coordinates (see _product_halves), in two reused buffers, so a block
-        is valid only until the next is drawn and no array has more than
-        size entries."""
-        n = self.order
+        Once the antilog is built, blocks read it: for e = 1 mod 2^m - 1 the
+        plain blocks are its slices, which callers must not modify, and the
+        dual ones dual_indices of them; one block of all 2^m - 1 entries is
+        power_rows([e], 2^m - 1)[0].  With tables, the field's first walk
+        with e = 1 mod 2^m - 1, plain or dual, before the antilog exists
+        streams, and its second builds the antilog.  Every other walk reads
+        _row_stream(e, size / 64): rows of 64 powers, two row gathers each,
+        so a block is valid only until the next is drawn and, the row
+        tables aside, no array has more than size entries rounded up to
+        whole rows.  A size that is not a multiple of 64 takes its blocks
+        from chunks of whole rows, copied through one more buffer."""
+        n, width = self.order, _ANTILOG_HEAD
         if e % n == 1 and self.has_tables:
             if self._alog is None and self._walked:
                 self._table()
             self._walked = True
-            if self._alog is not None and not dual:
-                for lo in range(0, n, size):
-                    yield self._alog[lo:lo + size]
-                return
-        if e % n == 1 and self._alog is not None:  # only with dual
-            block = self._alog[:size]
+        if self._alog is not None and e % n == 1:
+            blocks = (self._alog[lo:lo + size] for lo in range(0, n, size))
+            yield from _mapped(self._dual_tables(), blocks, min(size, n)) if dual else blocks
+        elif self._alog is not None and size >= n:
+            block = self.power_rows([e], n)[0]
+            yield self.dual_indices(block) if dual else block
+        elif size % width and size < n:
+            yield from _reblock(self._row_stream(e, max(1, size // width), dual), size, n)
         else:
-            block = self.power_rows([e], min(size, n))[0]
-        if dual:
-            block = self.dual_indices(block)
-        if size < n:
-            halves = self._product_halves(self.exp(e * size), dual)
-            nxt = np.empty_like(block)
-            ix = np.empty(size, dtype=np.intp)
-            tmp = np.empty_like(block)
-        for lo in range(0, n, size):
-            yield block[:n - lo]
-            if lo + size < n:
-                _apply_halves(halves, block, nxt, ix, tmp)
-                block, nxt = nxt, block
+            chunks = self._row_stream(e, -(-min(size, n) // width), dual)
+            for lo, chunk in zip(range(0, n, size), chunks):
+                yield chunk[:n - lo]
 
     # -- validation -----------------------------------------------------------
 
@@ -747,16 +821,21 @@ class Field:
         of x must be an element, in [0, q): _apply_halves reads its tables
         with mode="wrap", so an entry out of range gives a wrong value, not
         an error."""
-        if self._dual_halves is None:
-            self._dual_halves = _halves(self._dual_rows, self.m)
+        halves = self._dual_tables()
         out = np.empty(x.shape, dtype=np.int32)
         src, dst = x.reshape(-1), out.reshape(-1)
         size = max(1, min(_POWER_BLOCK, src.size))
         ix, tmp = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int32)
         for lo in range(0, src.size, size):
             n = min(size, src.size - lo)
-            _apply_halves(self._dual_halves, src[lo:lo + n], dst[lo:lo + n], ix[:n], tmp[:n])
+            _apply_halves(halves, src[lo:lo + n], dst[lo:lo + n], ix[:n], tmp[:n])
         return out
+
+    def _dual_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of _apply_halves for dual_index, built on first use."""
+        if self._dual_halves is None:
+            self._dual_halves = _halves(self._dual_rows, self.m)
+        return self._dual_halves
 
     def coset_labels(self) -> np.ndarray:
         """Fresh int32 array naming the coset x + L of each x: bit i of its

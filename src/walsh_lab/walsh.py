@@ -22,9 +22,9 @@ parity(v_r & b_j) with b_j = beta^j and v_r = dual_index(beta^(r*W)): two
 arrays of about sqrt(q) entries from Field.power_rows give every value by
 one AND and one popcount, for every d.  _parities places the values of a
 block of rows at their block of Field.power_blocks(1, size), at alpha^i,
-as bytes; unless the field's antilog is built, each block of positions is
-the one before times a constant.  Only truth_table widens the bytes to
-int32 signs.
+as bytes; unless the field's antilog is built, the positions come from its
+row stream, rows of 64 powers each two row gathers.  Only truth_table
+widens the bytes to int32 signs.
 walsh_spectrum, walsh_coefficients and sign_transforms share one route,
 _parity_transforms, which transforms the bytes in float32 up to q = 2^24,
 where float32 is exact, and in int32 above that, and writes
@@ -72,11 +72,11 @@ W_d(a) = F(dual_index(a)): dual_index is a bijection, hence the output
 multiset of fwht equals the coefficient multiset and walsh_spectrum can
 histogram the raw butterfly output.  walsh_coefficients places each sign at
 dual_index(x) instead, and then the butterfly's entry a is W_d(a) itself.
-Its positions are the dual stream of Field.power_blocks: dual_index(c*y) =
-M_c^T dual_index(y) for the product M_c by c, as Tr(c*y*x) = Tr(y*(c*x)),
-so each block of dual positions is the one before through one linear map,
-with no pass over the elements alpha^i themselves and no inverse of the
-dual-index matrix, whose rows are built only on the first
+Its positions are the dual stream of Field.power_blocks: dual_index is
+GF(2)-linear, so the row stream reads the rows of dual positions from its
+tables mapped through dual_index, with no pass over the elements alpha^i
+themselves (unless the antilog is built, whose slices it maps) and no
+inverse of the dual-index matrix, whose rows are built only on the first
 Field.dual_index_inv.
 """
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -294,16 +295,15 @@ class TestVectorizedMaps:
 class TestAntilog:
     @pytest.mark.parametrize("m", range(2, 17))
     def test_matches_the_mulx_chain(self, m, random_modulus, monkeypatch):
-        # m <= 6 lies inside the scalar head of the antilog (fewer than 64
-        # entries); at m = 7 doubling continues past it; m = 8 to 15 take
-        # the outer product in rows of 64, and m = 16 doubles again
+        # below m = 16 the antilog is one outer product, in one row of 64 up
+        # to m = 6; at m = 16 the row stream writes it, and the heads of its
+        # one block are the only geometric sequence: no doubling fills it
         assert 2**6 - 1 < field_module._ANTILOG_HEAD < 2**7 - 1
-        assert (field_module._OUTER_MIN_Q, field_module._OUTER_MAX_Q) == (2**8, 2**15)
         doubled = []
         geometric = Field.geometric
 
         def counted(self, *args):
-            doubled.append(args[:2])
+            doubled.append(args[1])
             return geometric(self, *args)
 
         monkeypatch.setattr(Field, "geometric", counted)
@@ -312,7 +312,7 @@ class TestAntilog:
             f = Field(m, modulus, table_cap=1)
             doubled.clear()
             alog = f._antilog()
-            assert doubled == ([] if 8 <= m <= 15 else [(2, f.order)])
+            assert doubled == ([f.q // 64] if m == 16 else [])
             assert alog.dtype == np.int32 and alog.shape == (f.order,)
             x = 1
             chain = []
@@ -399,6 +399,88 @@ class TestAntilog:
             log = field_module._log_from_antilog(alog, f.q)
             assert log.dtype == np.int32 and log[0] == -1
             assert np.array_equal(log[alog], np.arange(f.order))
+
+
+def _times(f: Field, x: np.ndarray, c: int) -> np.ndarray:
+    """x * c for the int32 array x, by vectorized shift-and-reduce."""
+    acc, x = np.zeros_like(x), x.copy()
+    while c:
+        if c & 1:
+            acc ^= x
+        c >>= 1
+        x = (x << 1) ^ (x >> (f.m - 1)) * f.modulus
+    return acc
+
+
+def _powers(f: Field, es: Sequence[int]) -> dict[int, np.ndarray]:
+    """The scalar chain alpha^(e*i), 0 <= i < 2^m - 1, for each e of es:
+    element by element up to m = 12, and above that read from an antilog
+    that is first checked against the vector recurrence of the modulus."""
+    n = f.order
+    if f.m > 12:
+        alog = make_field(f.m, f.modulus, table_cap=1).antilog()
+        assert alog[0] == 1 and np.array_equal(alog[1:], _times(f, alog[:-1], f.alpha))
+        return {e: alog[np.arange(n, dtype=np.int64) * (e % n) % n] for e in es}
+    out = {}
+    for e in es:
+        c, x, chain = _oracle_pow(f, f.alpha, e % n), 1, []
+        for _ in range(n):
+            chain.append(x)
+            x = field_module._polymul_mod(x, c, f.modulus, f.m)
+        out[e] = np.array(chain, dtype=np.int32)
+    return out
+
+
+class TestRowStream:
+    # every walk over the powers of alpha that does not read a built antilog
+    # is a stream of rows of 64; its edges are the last, partial row, the
+    # step of the heads from one block to the next, sizes that are not a
+    # multiple of 64, and a block of the whole walk
+
+    @pytest.mark.parametrize("m", range(2, 23))
+    def test_blocks_concatenate_to_the_scalar_chain(self, m, random_modulus):
+        # on a fresh field with tables (where a walk with e = 1 streams),
+        # one whose antilog() is built, and one without tables; a prefix of
+        # 16 blocks where there are more, and one block of the whole walk
+        # (of size n + 64 too up to m = 16)
+        rng = random.Random(3200 + m)
+        n = (1 << m) - 1
+        sizes = [s for s in (64, 192, 1 << 14) if s < n] + [1000 if n > 1000 else 5, n]
+        sizes += [n + 64] if m <= 16 else []
+        for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
+            built = make_field(m, modulus)
+            tableless = make_field(m, modulus, table_cap=1)
+            built.antilog()
+            tableless.antilog()
+            es = (1, 2, rng.randrange(3, max(4, n - 1)), n - 1, n + 1)
+            for e, plain in _powers(tableless, es).items():
+                want = {False: plain, True: tableless.dual_indices(plain)}
+                for size, dual in itertools.product(sizes, (False, True)):
+                    limit = min(-(-n // size), 16)
+                    for f in (make_field(m, modulus), built, tableless):
+                        walk = itertools.islice(f.power_blocks(e, size, dual), limit)
+                        blocks = [b.copy() for b in walk]
+                        assert all(b.dtype == np.int32 for b in blocks)
+                        assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+                        got = np.concatenate(blocks)
+                        assert got.size == min(n, limit * size)
+                        assert np.array_equal(got, want[dual][:got.size]), \
+                            (hex(modulus), e, size, f.has_tables, dual)
+
+    def test_chunks_are_bounded_by_the_block(self):
+        # m = 20 without tables: no array but the row tables (2 * 2^10 rows
+        # of 64) has more than one block of 2^16 entries
+        f = make_field(20, table_cap=1)
+        tracemalloc.start()
+        try:
+            for dual in (False, True):
+                for _ in f.power_blocks(7, 1 << 16, dual):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = 2 * (1 << 10) * 64 * 4
+        assert peak < tables + 3 * 4 * (1 << 16) + (1 << 16), f"peak {peak} bytes"
 
 
 def _frobenius_trace(f: Field, x: int) -> int:
@@ -627,14 +709,15 @@ class TestLazyDualInverse:
 
     @pytest.mark.parametrize("first", ["dual_index_inv", "dual_step"])
     def test_first_use_inverts_once(self, first, monkeypatch):
-        # at m = 17 the dual positions of walsh_coefficients take more than
-        # one block, so its dual stream steps, by the transpose of a product:
-        # it inverts nothing, and the first dual_index_inv after it inverts once
+        # at m = 17 the dual positions of walsh_coefficients on a fresh field
+        # stream in rows, from tables mapped through dual_indices, and build
+        # no antilog: the walk inverts nothing, and the first dual_index_inv
+        # after it inverts once
         inverted = self._count_inversions(monkeypatch)
         f = make_field(17)
         if first == "dual_step":
             walsh_coefficients(f, 7)
-            assert inverted == [] and f._dual_rows_inv is None and f._dual_steps
+            assert inverted == [] and f._dual_rows_inv is None and f._alog is None
         assert f.dual_index_inv(f.dual_index(77)) == 77
         assert inverted == [17]
         rows = f._dual_rows_inv
@@ -654,29 +737,31 @@ class TestLazyDualInverse:
         monkeypatch.setattr(Field, "dual_index", counted)
         f = make_field(20)
         got = walsh_coefficients(f, 7)
-        assert inverted == [] and indexed == [] and f._dual_steps
+        assert inverted == [] and indexed == [] and f._alog is None
         rng = random.Random(20)
         points = [rng.randrange(f.q) for _ in range(8)]
         assert [int(got[a]) for a in points] == walsh_coefficients_at(f, [7] * 8, points)
 
     @pytest.mark.parametrize("m", range(2, 29))
     def test_dual_step_is_the_product_conjugated_by_g(self, m, random_modulus):
-        # the tables of M_c^T against those of the formula they replace,
-        # u -> dual_index(c * dual_index_inv(u)), column j at u = 2^j
+        # a row of the dual stream of the powers of c, read from its two
+        # tables at a head y, against the formula of each step along it,
+        # u -> dual_index(c * dual_index_inv(u)), from u = dual_index(y)
         rng = random.Random(m)
         h = m // 2
         for modulus in (PRIMITIVE_POLY[m], random_modulus(m, rng)):
             f = make_field(m, modulus)
-            inv_cols = [f.dual_index_inv(1 << j) for j in range(m)]
-            for _ in range(5):
-                c = rng.randrange(1, f.q)
-                cols = [f.dual_index(field_module._polymul_mod(c, r, modulus, m)) for r in inv_cols]
-                want = (field_module.xor_span(cols[:h], 1 << h, np.int32),
-                        field_module.xor_span(cols[h:], 1 << (m - h), np.int32))
-                got = f._product_halves(c, dual=True)
-                assert len(got) == 2
-                for g, w in zip(got, want):
-                    assert g.dtype == np.int32 and np.array_equal(g, w), (m, hex(modulus), c)
+            for c in (f.alpha, *(rng.randrange(1, f.q) for _ in range(4))):
+                low, high = f._row_halves(c, dual=True)
+                assert low.dtype == high.dtype == np.int32
+                assert (low.shape, high.shape) == (((1 << h), 64), ((1 << (m - h)), 64))
+                for y in (1, f.q - 1, rng.randrange(1, f.q)):
+                    want = [f.dual_index(y)]
+                    for _ in range(63):
+                        want.append(f.dual_index(field_module._polymul_mod(
+                            c, f.dual_index_inv(want[-1]), modulus, m)))
+                    got = low[y & ((1 << h) - 1)] ^ high[y >> h]
+                    assert got.tolist() == want, (m, hex(modulus), c, y)
 
     def test_threads_sharing_a_fresh_field_invert_once(self, monkeypatch):
         # five fresh fields, each shared by four threads that start together

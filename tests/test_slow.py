@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from walsh_lab import cli, family_spectrum, make_field, predicted_spectrum, walsh_spectrum
@@ -47,3 +48,33 @@ def test_verify_beyond_the_butterfly(capsys, theorem, t):
     assert code == 0
     assert (payload["m"], payload["poly"]) == (2 * t, None)
     assert payload["meta"]["equal"] is True
+
+
+def _times(f, x, c):
+    """x * c for the int32 array x, by vectorized shift-and-reduce."""
+    acc, x = np.zeros_like(x), x.copy()
+    while c:
+        if c & 1:
+            acc ^= x
+        c >>= 1
+        x = (x << 1) ^ (x >> (f.m - 1)) * f.modulus
+    return acc
+
+
+@pytest.mark.parametrize("m", [25, 26, 27, 28])
+def test_row_stream_samples_without_tables(m):
+    # the first, a middle and the last block of the walk over alpha^(7i),
+    # plain and dual, against geometric(alpha^7, 2^16) times alpha^(7 lo);
+    # about 1 s of walk and 8 MiB of row tables at m = 28
+    f = make_field(m, table_cap=1)
+    size, n = 1 << 16, f.order
+    c = f.exp(7)
+    last = (n - 1) // size
+    picked = {0: None, last // 2: None, last: None}
+    for dual in (False, True):
+        for k, block in enumerate(f.power_blocks(7, size, dual)):
+            if k in picked:
+                want = _times(f, f.geometric(c, min(size, n - k * size)), f.exp(7 * k * size))
+                assert np.array_equal(block, f.dual_indices(want) if dual else want), (m, k, dual)
+                picked[k] = dual
+        assert k == last and all(v is dual for v in picked.values())
